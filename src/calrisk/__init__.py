@@ -6,6 +6,7 @@ from .core import (
     Dataset,
     InputError,
     NumericError,
+    PairModel,
     Sample,
     pair_target,
     pair_target_matrix,
@@ -20,11 +21,7 @@ from .estimators import (
     KkrModel,
     UkkrModel,
     dirichlet_kernel,
-    eval_binning,
-    eval_kde,
-    eval_kkr,
     eval_kkr_naive,
-    eval_ukkr,
     fit_binning,
     fit_kde,
     fit_kkr,
@@ -42,9 +39,8 @@ from .pipeline import (
 from .risk import (
     RiskValue,
     empirical_risk,
-    empirical_risk_kkr,
     empirical_risk_linear,
 )
-from .sim import SimConfig, SimDataset, SimModel, eval_hsim, risk_curve, simulate
+from .sim import SimConfig, SimDataset, SimModel, risk_curve, simulate
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -28,7 +28,7 @@ from .core import (
     softmax,
     top_label_dataset,
 )
-from .pipeline import cross_validate, default_grid, final_estimate, split_dataset
+from .pipeline import cross_validate, final_estimate, split_dataset
 from .sim import DEFAULT_THETAS, SimConfig, risk_curve, simulate
 
 REPORT_FAMILIES = ("bin", "bin15", "kde", "kkr", "ukkr", "sim")
@@ -117,7 +117,7 @@ def load_dataset(path, fmt):
     return Dataset(np.stack(probs), np.array(labels), CANONICAL)
 
 
-def _family_entry(cv, est, k_folds):
+def _family_entry(cv, est):
     sqrt_risks = np.array([np.sqrt(r.value) * 100.0 for r in cv.fold_risks])
     return {
         "best_hyper": cv.best_hyper,
@@ -166,7 +166,7 @@ def run_evaluate(cfg, ds):
             seed=cfg.seed, linear=cfg.linear_risk, model_temp=cfg.model_temp,
         )
         est = final_estimate(cv.fold_models, test)
-        report["families"][fam] = _family_entry(cv, est, cfg.k_folds)
+        report["families"][fam] = _family_entry(cv, est)
         cv_results[fam] = cv
     return report, cv_results
 

@@ -8,7 +8,7 @@ estimator family and the risk operate on these shared representations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,6 +122,33 @@ class Dataset:
         probs = np.stack([s.probs for s in samples])
         labels = np.array([s.label for s in samples], dtype=np.int64)
         return cls(probs, labels, CANONICAL)
+
+
+class PairModel:
+    """A fitted calibration estimation function h(p, p2).
+
+    Subclasses define `pairwise(P)`, the (m, m) matrix of h over the rows of
+    an evaluation set, and `diag(P)`, its diagonal h(p_i, p_i). A single
+    pair is evaluated through `pairwise`, so the surfaces cannot disagree.
+    """
+
+    def predict(self, p, p2):
+        P = np.vstack([np.atleast_2d(p), np.atleast_2d(p2)])
+        return float(self.pairwise(P)[0, 1])
+
+
+def kfold_indices(n, k, seed):
+    """Seeded shuffle, k contiguous blocks, remainder one-per-fold in front."""
+    if k < 2 or n < k:
+        raise InputError("need k >= 2 folds and at least k samples")
+    order = np.random.default_rng(seed).permutation(n)
+    base, rem = divmod(n, k)
+    folds, start = [], 0
+    for i in range(k):
+        size = base + (1 if i < rem else 0)
+        folds.append(order[start:start + size])
+        start += size
+    return folds
 
 
 def softmax(logits, temperature=1.0):

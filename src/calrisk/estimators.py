@@ -4,12 +4,13 @@ Four families are provided: histogram binning, a Dirichlet-kernel density
 ratio (Nadaraya-Watson style), Kronecker kernel ridge regression solved via
 the eigendecomposition/Hadamard trick, and a two-step kernel ridge regressor
 that plugs fitted residual regressions into the inner product. A brute-force
-Kronecker solver is included as a test oracle for the fast closed forms.
+Kronecker solver and the pointwise kernels are kept as test oracles for the
+vectorized closed forms.
 
-Every fitted model exposes three evaluation surfaces used by the risk and
-pipeline layers: `predict(p, p2)` for one pair, `pairwise(P)` for the full
-(m, m) prediction matrix of an evaluation set, and `diag(P)` for the
-diagonal predictions h(p_i, p_i).
+Every fitted model is a `PairModel`: it defines `pairwise(P)`, the full
+(m, m) prediction matrix of an evaluation set that cross-validation scores,
+and `diag(P)`, the diagonal predictions h(p_i, p_i) that the final estimate
+averages; `predict(p, p2)` evaluates one pair through `pairwise`.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .core import (
     Dataset,
     InputError,
     NumericError,
+    PairModel,
     one_hot,
     residual_matrix,
 )
@@ -100,15 +102,12 @@ def _as_simplex_points(P):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class BinningModel:
+class BinningModel(PairModel):
     """Equal-width histogram model over [0, 1] top-label confidences."""
 
     edges: np.ndarray   # (M + 1,) increasing, edges[0] = 0, edges[-1] = 1
     gaps: np.ndarray    # (M,) conf(B_m) - acc(B_m); 0 for empty bins
     counts: np.ndarray  # (M,) training samples per bin
-
-    def predict(self, p, p2):
-        return eval_binning(self, _scalar_conf(p), _scalar_conf(p2))
 
     def pairwise(self, P):
         g = self.gaps[_bin_index(self.edges, _conf_column(P))]
@@ -117,11 +116,6 @@ class BinningModel:
     def diag(self, P):
         g = self.gaps[_bin_index(self.edges, _conf_column(P))]
         return g * g
-
-
-def _scalar_conf(p):
-    v = np.asarray(p, dtype=float).ravel()
-    return float(v[0])
 
 
 def _conf_column(P):
@@ -160,25 +154,16 @@ def fit_binning(train, num_bins):
     return BinningModel(edges, gaps, counts)
 
 
-def eval_binning(model, c, c2):
-    """gap(bin(c)) * gap(bin(c2))."""
-    g = model.gaps[_bin_index(model.edges, np.array([c, c2]))]
-    return float(g[0] * g[1])
-
-
 # ---------------------------------------------------------------------------
 # Dirichlet-kernel density ratio
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class KdeModel:
+class KdeModel(PairModel):
     """Kernel density ratio estimator; keeps the full training set."""
 
     train: Dataset
     bandwidth: float
-
-    def predict(self, p, p2):
-        return eval_kde(self, p, p2)
 
     def pairwise(self, P):
         r = kde_residuals(self, P)
@@ -243,21 +228,12 @@ def kde_residuals(model, P):
     return P[:, 0] - ghat
 
 
-def eval_kde(model, p, p2):
-    """<p - g(p), p2 - g(p2)> with the training-set kernel regression g."""
-    P = np.vstack([np.atleast_2d(p), np.atleast_2d(p2)])
-    r = kde_residuals(model, P)
-    if r.ndim == 2:
-        return float(r[0] @ r[1])
-    return float(r[0] * r[1])
-
-
 # ---------------------------------------------------------------------------
 # Kronecker kernel ridge regression
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class KkrModel:
+class KkrModel(PairModel):
     """Closed-form Kronecker kernel ridge model.
 
     `core` is Ltilde o (Q^T D^T D Q) with Ltilde_ij = 1 / (l_i l_j + lam n^2),
@@ -266,13 +242,9 @@ class KkrModel:
 
     train_predictions: np.ndarray
     Q: np.ndarray
-    eigenvalues: np.ndarray
     core: np.ndarray
     lam: float
     gamma: float
-
-    def predict(self, p, p2):
-        return eval_kkr(self, p, p2)
 
     def _basis(self, P):
         return self.Q.T @ rbf_gram(self.train_predictions, P, self.gamma)
@@ -320,15 +292,9 @@ def fit_kkr(train, lam, gamma, prep=None):
     """Fit the O(n^3) Kronecker kernel ridge closed form."""
     if prep is None:
         prep = kkr_prepare(train, gamma)
-    X, Q, evals = prep[0], prep[1], prep[2]
+    X, Q = prep[0], prep[1]
     core = kkr_core(prep, lam, len(train))
-    return KkrModel(X, Q, evals, core, float(lam), float(gamma))
-
-
-def eval_kkr(model, p, p2):
-    """k(p)^T Q core Q^T k(p2)."""
-    B = model._basis(np.vstack([np.atleast_2d(p), np.atleast_2d(p2)]))
-    return float(B[:, 0] @ (model.core @ B[:, 1]))
+    return KkrModel(X, Q, core, float(lam), float(gamma))
 
 
 def eval_kkr_naive(train, lam, gamma, p, p2):
@@ -355,16 +321,13 @@ def eval_kkr_naive(train, lam, gamma, p, p2):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class UkkrModel:
+class UkkrModel(PairModel):
     """Two-step model: core = (K + lam n I)^-1 D^T D (K + lam n I)^-1."""
 
     train_predictions: np.ndarray
     core: np.ndarray
     lam: float
     gamma: float
-
-    def predict(self, p, p2):
-        return eval_ukkr(self, p, p2)
 
     def _basis(self, P):
         return rbf_gram(self.train_predictions, P, self.gamma)
@@ -407,9 +370,3 @@ def fit_ukkr(train, lam, gamma, prep=None):
         prep = kkr_prepare(train, gamma)
     core = ukkr_core(prep, lam, len(train))
     return UkkrModel(prep[0], core, float(lam), float(gamma))
-
-
-def eval_ukkr(model, p, p2):
-    """k(p)^T core k(p2)."""
-    B = model._basis(np.vstack([np.atleast_2d(p), np.atleast_2d(p2)]))
-    return float(B[:, 0] @ (model.core @ B[:, 1]))

@@ -8,24 +8,22 @@ winner act as an ensemble for the final test-set estimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CANONICAL, TOP_LABEL, Dataset, InputError, NumericError, pair_target_matrix
+from .core import TOP_LABEL, InputError, NumericError, kfold_indices, pair_target_matrix
 from .estimators import (
     fit_binning,
     fit_kde,
     fit_kkr,
     fit_ukkr,
-    kde_residuals,
-    KdeModel,
     kkr_core,
     kkr_prepare,
     rbf_gram,
     ukkr_rotated_core,
 )
-from .risk import RiskValue, risk_from_matrix
+from .risk import linear_risk_from_matrix, risk_from_matrix
 from .sim import DEFAULT_THETAS, SimModel
 
 FAMILIES = ("bin", "kde", "kkr", "ukkr", "sim")
@@ -72,20 +70,6 @@ def split_dataset(ds, test_fraction, seed):
         raise InputError("degenerate split sizes")
     order = np.random.default_rng(seed).permutation(n)
     return ds.subset(order[n_test:]), ds.subset(order[:n_test])
-
-
-def kfold_indices(n, k, seed):
-    """Seeded shuffle, k contiguous blocks, remainder one-per-fold in front."""
-    if k < 2 or n < k:
-        raise InputError("need k >= 2 folds and at least k samples")
-    order = np.random.default_rng(seed).permutation(n)
-    base, rem = divmod(n, k)
-    folds, start = [], 0
-    for i in range(k):
-        size = base + (1 if i < rem else 0)
-        folds.append(order[start:start + size])
-        start += size
-    return folds
 
 
 def default_grid(family, mode, n_train):
@@ -170,6 +154,12 @@ def cross_validate(tune, family, grid=None, k=5, gamma=0.5, seed=0,
     """
     if family not in FAMILIES:
         raise InputError(f"unknown family {family!r}")
+    if len(tune) < 2 * k:
+        # a one-sample holdout fold has no pairs to score at any grid point
+        raise InputError(
+            f"{k}-fold cross-validation needs at least {2 * k} tuning "
+            f"samples, got {len(tune)}"
+        )
     if grid is None:
         grid = default_grid(family, tune.mode, len(tune) * (k - 1) // k)
     grid = list(grid)
@@ -193,7 +183,7 @@ def cross_validate(tune, family, grid=None, k=5, gamma=0.5, seed=0,
                 continue
             try:
                 if linear:
-                    rv = _linear_risk_from_matrix(H, T, seed)
+                    rv = linear_risk_from_matrix(H, T, seed)
                 else:
                     rv = risk_from_matrix(H, T)
             except NumericError as exc:
@@ -232,20 +222,6 @@ def cross_validate(tune, family, grid=None, k=5, gamma=0.5, seed=0,
         grid=tuple(results),
         skipped=tuple(sorted(failures.items(), key=lambda kv: grid.index(kv[0]))),
     )
-
-
-def _linear_risk_from_matrix(H, T, seed):
-    n = T.shape[0]
-    order = np.random.default_rng(seed).permutation(n)
-    left, right = order, np.roll(order, -1)
-    preds = H[left, right]
-    targets = T[left, right]
-    use = np.isfinite(preds)
-    pairs = int(use.sum())
-    if pairs == 0:
-        raise NumericError("no usable pairs (all predictions dropped)")
-    value = float(np.sum((targets[use] - preds[use]) ** 2) / pairs)
-    return RiskValue(value, pairs, n - pairs)
 
 
 def final_estimate(fold_models, test):

@@ -1,9 +1,10 @@
 """Empirical calibration-estimation risk.
 
 The quadratic form is a U-statistic over all ordered sample pairs; a linear
-variant pairs samples circularly after a seeded shuffle. For Kronecker
-kernel ridge models the full prediction matrix is assembled with O(n^3)
-matrix products instead of pointwise evaluation.
+variant pairs samples circularly after a seeded shuffle. Both score a
+prediction matrix against the pair-target matrix: a fitted model supplies
+its vectorized `pairwise` matrix, a plain callable h(p, p2) is evaluated
+pointwise.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import InputError, NumericError, pair_target_matrix
-from .estimators import KkrModel, rbf_gram
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,24 @@ def risk_from_matrix(H, T):
         raise NumericError("no usable pairs (all predictions dropped)")
     value = float(np.sum((T[use] - H[use]) ** 2) / pairs)
     return RiskValue(value, pairs, dropped)
+
+
+def linear_risk_from_matrix(H, T, seed):
+    """Mean squared error over circular pairs, dropping NaN predictions.
+
+    The pairs are (i, i+1 mod n) in the order of a seeded shuffle.
+    """
+    n = T.shape[0]
+    order = np.random.default_rng(seed).permutation(n)
+    left, right = order, np.roll(order, -1)
+    preds = H[left, right]
+    targets = T[left, right]
+    use = np.isfinite(preds)
+    pairs = int(use.sum())
+    if pairs == 0:
+        raise NumericError("no usable pairs (all predictions dropped)")
+    value = float(np.sum((targets[use] - preds[use]) ** 2) / pairs)
+    return RiskValue(value, pairs, n - pairs)
 
 
 def _prediction_matrix(h, eval_set):
@@ -67,45 +85,12 @@ def empirical_risk(h, eval_set):
 
 
 def empirical_risk_linear(h, eval_set, seed=0):
-    """Linear-complexity risk over circular pairs of a seeded shuffle.
+    """Risk over the n circular pairs of a seeded shuffle.
 
     Every sample is used in exactly two ordered pairs (i, i+1 mod n), which
-    keeps the estimator unbiased for the risk while needing only O(n)
-    evaluations of h.
+    keeps the estimator unbiased for the risk while scoring only n pairs.
     """
-    n = len(eval_set)
-    if n < 2:
-        raise InputError("risk needs at least two evaluation samples")
-    order = np.random.default_rng(seed).permutation(n)
-    left = order
-    right = np.roll(order, -1)
-    T = pair_target_matrix(eval_set)[left, right]
-    P = eval_set.probs
-    if hasattr(h, "pairwise"):
-        preds = np.asarray(h.pairwise(P), dtype=float)[left, right]
-    else:
-        preds = np.array([h(P[i], P[j]) for i, j in zip(left, right)])
-    use = np.isfinite(preds)
-    pairs = int(use.sum())
-    dropped = n - pairs
-    if pairs == 0:
-        raise NumericError("no usable pairs (all predictions dropped)")
-    value = float(np.sum((T[use] - preds[use]) ** 2) / pairs)
-    return RiskValue(value, pairs, dropped)
-
-
-def empirical_risk_kkr(model, eval_set):
-    """Batched O(n^3) risk for a Kronecker kernel ridge model.
-
-    Builds the cross-Gram between training and evaluation predictions and
-    assembles the full prediction matrix with matrix products; equals
-    `empirical_risk` with pointwise evaluation up to rounding.
-    """
-    if not isinstance(model, KkrModel):
-        raise InputError("empirical_risk_kkr requires a fitted KkrModel")
     if len(eval_set) < 2:
         raise InputError("risk needs at least two evaluation samples")
-    cross = rbf_gram(model.train_predictions, eval_set.probs, model.gamma)
-    B = model.Q.T @ cross
-    H = B.T @ (model.core @ B)
-    return risk_from_matrix(H, pair_target_matrix(eval_set))
+    H = _prediction_matrix(h, eval_set)
+    return linear_risk_from_matrix(H, pair_target_matrix(eval_set), seed)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CANONICAL, Dataset, InputError
+from .core import CANONICAL, Dataset, InputError, PairModel, kfold_indices
 from .risk import empirical_risk
 
 LOG_CLIP = 1e-12
@@ -75,7 +75,7 @@ def simulate(cfg):
 
 
 @dataclass(frozen=True)
-class SimModel:
+class SimModel(PairModel):
     """h(p, p2) = <p - softmax((theta/t) log p), p2 - softmax((theta/t) log p2)>.
 
     `model_temp` t is the softening factor of the simulated classifier, so
@@ -89,9 +89,6 @@ class SimModel:
         P = np.atleast_2d(np.asarray(P, dtype=float))
         return P - _softened_rows(P, self.theta / self.model_temp)
 
-    def predict(self, p, p2):
-        return eval_hsim(self.theta, p, p2, self.model_temp)
-
     def pairwise(self, P):
         r = self.residuals(P)
         return r @ r.T
@@ -99,12 +96,6 @@ class SimModel:
     def diag(self, P):
         r = self.residuals(P)
         return np.sum(r * r, axis=1)
-
-
-def eval_hsim(theta, p, p2, model_temp=0.3):
-    """Parametric candidate calibration function of the simulation."""
-    r = SimModel(theta, model_temp).residuals(np.vstack([p, p2]))
-    return float(r[0] @ r[1])
 
 
 def risk_curve(sim, thetas, k_folds=5, seed=0):
@@ -116,8 +107,6 @@ def risk_curve(sim, thetas, k_folds=5, seed=0):
     thetas = list(thetas)
     if len(thetas) < 2:
         raise InputError("risk_curve needs at least two temperatures")
-    from .pipeline import kfold_indices
-
     ds = sim.dataset
     folds = kfold_indices(len(ds), k_folds, seed)
     out = []

@@ -10,11 +10,9 @@ import time
 import numpy as np
 import pytest
 
-from calrisk.core import CANONICAL, Dataset, one_hot
+from calrisk.core import CANONICAL, Dataset, kfold_indices, one_hot
 from calrisk.estimators import (
-    eval_kkr,
     eval_kkr_naive,
-    eval_ukkr,
     fit_binning,
     fit_kde,
     fit_kkr,
@@ -23,8 +21,7 @@ from calrisk.estimators import (
     rbf_gram,
 )
 from calrisk.cli import RunConfig, run_evaluate
-from calrisk.pipeline import kfold_indices
-from calrisk.risk import empirical_risk, empirical_risk_kkr
+from calrisk.risk import empirical_risk
 from calrisk.sim import DEFAULT_THETAS, SimConfig, SimModel, simulate
 
 
@@ -86,7 +83,7 @@ def test_criterion_3_kronecker_oracle_equivalence():
         for lam in (0.01, 1.0):
             model = fit_kkr(ds, lam, 0.5)
             p, p2 = rng.dirichlet(np.ones(d), size=2)
-            fast = eval_kkr(model, p, p2)
+            fast = model.predict(p, p2)
             slow = eval_kkr_naive(ds, lam, 0.5, p, p2)
             rel = abs(fast - slow) / max(abs(slow), 1e-300)
             worst = max(worst, rel)
@@ -104,14 +101,14 @@ def test_criterion_4_fast_risk_equivalence():
         evalset = random_canonical(rng, 40, 3)
         lam = float(rng.uniform(0.05, 1.0))
         model = fit_kkr(train, lam, 0.5)
-        fast = empirical_risk_kkr(model, evalset).value
+        fast = empirical_risk(model, evalset).value
         slow = empirical_risk(
-            lambda p, p2: eval_kkr(model, p, p2), evalset
+            lambda p, p2: model.predict(p, p2), evalset
         ).value
         worst_risk = max(worst_risk, abs(fast - slow))
         H = model.pairwise(evalset.probs)
         for i, j in rng.integers(0, 40, size=(5, 2)):
-            point = eval_kkr(model, evalset.probs[i], evalset.probs[j])
+            point = model.predict(evalset.probs[i], evalset.probs[j])
             worst_entry = max(worst_entry, abs(H[i, j] - point))
     ok = worst_risk <= 1e-10 and worst_entry <= 1e-10
     _report(
@@ -134,8 +131,8 @@ def test_criterion_5_two_step_identity_at_lambda_zero():
         kkr = fit_kkr(ds, 0.0, 0.5)
         ukkr = fit_ukkr(ds, 0.0, 0.5)
         p, p2 = rng.dirichlet(np.ones(3), size=2)
-        a = eval_kkr(kkr, p, p2)
-        b = eval_ukkr(ukkr, p, p2)
+        a = kkr.predict(p, p2)
+        b = ukkr.predict(p, p2)
         worst = max(worst, abs(a - b) / max(abs(a), 1e-300))
         checked += 1
     ok = worst <= 1e-6
@@ -261,7 +258,7 @@ def test_criterion_10_cubic_scaling():
         for _ in range(3):
             start = time.perf_counter()
             model = fit_kkr(train, 1.0, 0.5)
-            empirical_risk_kkr(model, evalset)
+            empirical_risk(model, evalset)
             best = min(best, time.perf_counter() - start)
         times[n] = best
     ratio = times[1000] / times[500]

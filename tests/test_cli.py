@@ -151,6 +151,15 @@ class TestEvaluateCommand:
             "--families", "bin",
         ]) == 2
 
+    def test_tiny_tuning_set_exit_code(self, tmp_path, capsys):
+        # 11 rows split into 9 tuning samples, fewer than 2 per fold at k=5
+        data = write_random_logits(tmp_path / "d.csv", np.random.default_rng(5), 11)
+        assert main([
+            "evaluate", "--data", data, "--mode", "tce", "--families", "bin",
+            "--out", str(tmp_path / "r.json"),
+        ]) == 2
+        assert "at least 10 tuning samples" in capsys.readouterr().err
+
     def test_numeric_failure_exit_code(self, tmp_path):
         # identical predictions make the Gram singular; a lambda=0-only grid
         # leaves no usable grid point

@@ -9,11 +9,7 @@ from calrisk.estimators import (
     BinningModel,
     clip_simplex,
     dirichlet_kernel,
-    eval_binning,
-    eval_kde,
-    eval_kkr,
     eval_kkr_naive,
-    eval_ukkr,
     fit_binning,
     fit_kde,
     fit_kkr,
@@ -22,6 +18,7 @@ from calrisk.estimators import (
     rbf_gram,
     rbf_kernel,
 )
+from calrisk.sim import SimModel
 
 
 def random_canonical(rng, n, d):
@@ -34,6 +31,38 @@ def random_top_label(rng, n):
     conf = rng.uniform(0.2, 1.0, size=n)
     correct = (rng.random(n) < conf).astype(int)
     return Dataset(conf[:, None], correct, TOP_LABEL)
+
+
+# the final estimate averages `diag` while cross-validation scores
+# `pairwise`, so every family's surfaces must agree with each other and
+# with the single-pair `predict`
+PROTOCOL_MODELS = {
+    "bin": lambda rng: fit_binning(random_top_label(rng, 40), 5),
+    "kde-canonical": lambda rng: fit_kde(random_canonical(rng, 20, 3), 0.3),
+    "kde-top-label": lambda rng: fit_kde(random_top_label(rng, 20), 0.3),
+    "kkr": lambda rng: fit_kkr(random_canonical(rng, 8, 3), 0.2, 0.5),
+    "ukkr": lambda rng: fit_ukkr(random_canonical(rng, 8, 3), 0.2, 0.5),
+    "sim": lambda rng: SimModel(0.8),
+}
+
+
+@pytest.mark.parametrize("family", sorted(PROTOCOL_MODELS))
+def test_pairwise_and_diag_match_pointwise(family):
+    rng = np.random.default_rng(18)
+    model = PROTOCOL_MODELS[family](rng)
+    if family in ("bin", "kde-top-label"):
+        P = rng.uniform(0.2, 1.0, size=(5, 1))
+    else:
+        P = rng.dirichlet(np.ones(3), size=5)
+    H = model.pairwise(P)
+    d = model.diag(P)
+    assert H.shape == (5, 5) and d.shape == (5,)
+    np.testing.assert_allclose(d, np.diagonal(H), rtol=1e-12, atol=1e-15)
+    for i in range(5):
+        for j in range(5):
+            assert model.predict(P[i], P[j]) == pytest.approx(
+                H[i, j], rel=1e-12, abs=1e-15
+            )
 
 
 class TestRbfKernel:
@@ -121,20 +150,20 @@ class TestBinning:
         ds = random_top_label(np.random.default_rng(3), 100)
         model = fit_binning(ds, 5)
         g = model.gaps[3]
-        assert eval_binning(model, 0.65, 0.7) == pytest.approx(g * g, abs=1e-15)
+        assert model.predict(0.65, 0.7) == pytest.approx(g * g, abs=1e-15)
 
     def test_eval_cross_bin(self):
         model = BinningModel(
             np.array([0.0, 0.5, 1.0]), np.array([0.1, -0.05]), np.array([3, 3])
         )
-        assert eval_binning(model, 0.2, 0.8) == pytest.approx(-0.005, abs=1e-15)
+        assert model.predict(0.2, 0.8) == pytest.approx(-0.005, abs=1e-15)
 
     def test_last_bin_closed(self):
         model = fit_binning(random_top_label(np.random.default_rng(4), 30), 4)
         # c=1.0 must fall in the last bin, not out of range
-        assert np.isfinite(eval_binning(model, 1.0, 1.0))
+        assert np.isfinite(model.predict(1.0, 1.0))
         with pytest.raises(InputError):
-            eval_binning(model, 1.1, 0.5)
+            model.predict(1.1, 0.5)
 
     def test_diagonal_identity(self):
         # mean of h(c_i, c_i) over training equals sum_m (|B_m|/n) gap_m^2
@@ -158,7 +187,7 @@ class TestKde:
         p2 = np.array([0.1, 0.8, 0.1])
         e1 = np.array([0.0, 1.0, 0.0])
         expected = float((p - e1) @ (p2 - e1))
-        assert eval_kde(model, p, p2) == pytest.approx(expected, rel=1e-9)
+        assert model.predict(p, p2) == pytest.approx(expected, rel=1e-9)
 
     def test_matches_nadaraya_watson_oracle(self):
         # independent recomputation of the ratio with scipy Dirichlet densities
@@ -179,7 +208,7 @@ class TestKde:
             return (w @ Y) / w.sum()
 
         expected = float((p - ghat(p)) @ (p2 - ghat(p2)))
-        assert eval_kde(model, p, p2) == pytest.approx(expected, rel=1e-8)
+        assert model.predict(p, p2) == pytest.approx(expected, rel=1e-8)
 
     def test_flat_kernel_limit(self):
         rng = np.random.default_rng(8)
@@ -221,8 +250,8 @@ class TestKde:
         ds = random_canonical(rng, 10, 3)
         model = fit_kde(ds, 0.5)
         p, p2 = rng.dirichlet(np.ones(3), size=2)
-        assert eval_kde(model, p, p2) == pytest.approx(
-            eval_kde(model, p2, p), abs=1e-10
+        assert model.predict(p, p2) == pytest.approx(
+            model.predict(p2, p), abs=1e-10
         )
 
 
@@ -237,14 +266,14 @@ class TestKkr:
             k1 = rbf_kernel(ds.probs[0], p, 0.5)
             k2 = rbf_kernel(ds.probs[0], p2, 0.5)
             expected = k1 * s / (1.0 + lam) * k2
-            assert eval_kkr(model, p, p2) == pytest.approx(expected, rel=1e-12)
+            assert model.predict(p, p2) == pytest.approx(expected, rel=1e-12)
 
     def test_ridge_limit(self):
         rng = np.random.default_rng(12)
         ds = random_canonical(rng, 10, 3)
         model = fit_kkr(ds, 1e12, 0.5)
         p, p2 = rng.dirichlet(np.ones(3), size=2)
-        assert abs(eval_kkr(model, p, p2)) <= 1e-6
+        assert abs(model.predict(p, p2)) <= 1e-6
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(13)
@@ -253,7 +282,7 @@ class TestKkr:
             for lam in (0.01, 1.0):
                 model = fit_kkr(ds, lam, 0.5)
                 p, p2 = rng.dirichlet(np.ones(3), size=2)
-                fast = eval_kkr(model, p, p2)
+                fast = model.predict(p, p2)
                 slow = eval_kkr_naive(ds, lam, 0.5, p, p2)
                 assert fast == pytest.approx(slow, rel=1e-8, abs=1e-12)
 
@@ -278,8 +307,8 @@ class TestKkr:
         ds = random_canonical(rng, 12, 4)
         model = fit_kkr(ds, 0.1, 0.5)
         p, p2 = rng.dirichlet(np.ones(4), size=2)
-        assert eval_kkr(model, p, p2) == pytest.approx(
-            eval_kkr(model, p2, p), abs=1e-10
+        assert model.predict(p, p2) == pytest.approx(
+            model.predict(p2, p), abs=1e-10
         )
 
     def test_self_evaluation_nonnegative(self):
@@ -287,7 +316,7 @@ class TestKkr:
         ds = random_canonical(rng, 15, 3)
         model = fit_kkr(ds, 0.5, 0.5)
         for p in rng.dirichlet(np.ones(3), size=10):
-            assert eval_kkr(model, p, p) >= -1e-10
+            assert model.predict(p, p) >= -1e-10
 
     def test_class_permutation_invariance(self):
         # relabeling classes permutes residual components; inner products and
@@ -300,8 +329,8 @@ class TestKkr:
         model = fit_kkr(ds, 0.1, 0.5)
         model_perm = fit_kkr(ds_perm, 0.1, 0.5)
         p, p2 = rng.dirichlet(np.ones(4), size=2)
-        assert eval_kkr(model, p, p2) == pytest.approx(
-            eval_kkr(model_perm, p[perm], p2[perm]), rel=1e-10
+        assert model.predict(p, p2) == pytest.approx(
+            model_perm.predict(p[perm], p2[perm]), rel=1e-10
         )
 
     def test_lambda_zero_singular_gram(self):
@@ -309,20 +338,6 @@ class TestKkr:
         ds = Dataset(probs, np.zeros(5, dtype=int), CANONICAL)
         with pytest.raises(NumericError):
             fit_kkr(ds, 0.0, 0.5)
-
-    def test_pairwise_and_diag_match_pointwise(self):
-        rng = np.random.default_rng(18)
-        ds = random_canonical(rng, 8, 3)
-        model = fit_kkr(ds, 0.2, 0.5)
-        P = rng.dirichlet(np.ones(3), size=5)
-        H = model.pairwise(P)
-        d = model.diag(P)
-        for i in range(5):
-            assert d[i] == pytest.approx(eval_kkr(model, P[i], P[i]), abs=1e-12)
-            for j in range(5):
-                assert H[i, j] == pytest.approx(
-                    eval_kkr(model, P[i], P[j]), abs=1e-12
-                )
 
 
 class TestUkkr:
@@ -336,14 +351,14 @@ class TestUkkr:
             k1 = rbf_kernel(ds.probs[0], p, 0.5)
             k2 = rbf_kernel(ds.probs[0], p2, 0.5)
             expected = k1 * s * k2 / (1.0 + lam) ** 2
-            assert eval_ukkr(model, p, p2) == pytest.approx(expected, rel=1e-12)
+            assert model.predict(p, p2) == pytest.approx(expected, rel=1e-12)
 
     def test_ridge_limit(self):
         rng = np.random.default_rng(19)
         ds = random_canonical(rng, 10, 3)
         model = fit_ukkr(ds, 1e12, 0.5)
         p, p2 = rng.dirichlet(np.ones(3), size=2)
-        assert abs(eval_ukkr(model, p, p2)) <= 1e-12
+        assert abs(model.predict(p, p2)) <= 1e-12
 
     def test_matches_factored_oracle(self):
         # independent recomputation via W = (K + lam n I)^-1 Delta^T
@@ -358,7 +373,7 @@ class TestUkkr:
         kp = rbf_gram(ds.probs, np.atleast_2d(p), 0.5).ravel()
         kp2 = rbf_gram(ds.probs, np.atleast_2d(p2), 0.5).ravel()
         expected = float((W.T @ kp) @ (W.T @ kp2))
-        assert eval_ukkr(model, p, p2) == pytest.approx(expected, rel=1e-10)
+        assert model.predict(p, p2) == pytest.approx(expected, rel=1e-10)
 
     def test_lambda_zero_equals_kkr(self):
         rng = np.random.default_rng(21)
@@ -370,8 +385,8 @@ class TestUkkr:
         kkr = fit_kkr(ds, 0.0, 0.5)
         ukkr = fit_ukkr(ds, 0.0, 0.5)
         for p, p2 in np.split(rng.dirichlet(np.ones(3), size=10), 5):
-            a = eval_kkr(kkr, p, p2)
-            b = eval_ukkr(ukkr, p, p2)
+            a = kkr.predict(p, p2)
+            b = ukkr.predict(p, p2)
             assert a == pytest.approx(b, rel=1e-6, abs=1e-12)
 
     def test_self_evaluation_nonnegative(self):
@@ -379,13 +394,13 @@ class TestUkkr:
         ds = random_canonical(rng, 12, 3)
         model = fit_ukkr(ds, 0.2, 0.5)
         for p in rng.dirichlet(np.ones(3), size=10):
-            assert eval_ukkr(model, p, p) >= 0.0
+            assert model.predict(p, p) >= 0.0
 
     def test_symmetry(self):
         rng = np.random.default_rng(23)
         ds = random_canonical(rng, 10, 3)
         model = fit_ukkr(ds, 0.1, 0.5)
         p, p2 = rng.dirichlet(np.ones(3), size=2)
-        assert eval_ukkr(model, p, p2) == pytest.approx(
-            eval_ukkr(model, p2, p), abs=1e-12
+        assert model.predict(p, p2) == pytest.approx(
+            model.predict(p2, p), abs=1e-12
         )

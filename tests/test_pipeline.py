@@ -179,6 +179,15 @@ class TestCrossValidate:
         with pytest.raises(InputError):
             cross_validate(ds, "bin", grid=[], k=5)
 
+    def test_tiny_folds_rejected(self):
+        # below 2k tuning samples some holdout fold has one sample and no pairs
+        with pytest.raises(InputError, match="at least 10 tuning samples"):
+            cross_validate(random_top_label(np.random.default_rng(18), 9), "bin",
+                           grid=[5], k=5)
+        cv = cross_validate(random_top_label(np.random.default_rng(18), 10), "bin",
+                            grid=[5], k=5)
+        assert cv.best_hyper == 5
+
     def test_linear_risk_switch(self):
         ds = random_top_label(np.random.default_rng(10), 60)
         quad = cross_validate(ds, "bin", grid=[5, 10], k=5)

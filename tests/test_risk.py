@@ -4,12 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from calrisk.core import CANONICAL, Dataset, InputError, NumericError, Sample, pair_target
-from calrisk.estimators import eval_kkr, fit_kkr
+from calrisk.estimators import fit_kkr
 from calrisk.pipeline import default_grid
 from calrisk.risk import (
     RiskValue,
     empirical_risk,
-    empirical_risk_kkr,
     empirical_risk_linear,
     risk_from_matrix,
 )
@@ -64,7 +63,7 @@ class TestEmpiricalRisk:
         ds = random_canonical(rng, 15, 3)
         model = fit_kkr(random_canonical(rng, 10, 3), 0.1, 0.5)
         fast = empirical_risk(model, ds)
-        slow = empirical_risk(lambda p, p2: eval_kkr(model, p, p2), ds)
+        slow = empirical_risk(lambda p, p2: model.predict(p, p2), ds)
         assert fast.value == pytest.approx(slow.value, rel=1e-12)
 
     @given(st.integers(0, 500))
@@ -139,7 +138,7 @@ class TestKkrRisk:
         for i in range(5):
             for j in range(5):
                 assert H[i, j] == pytest.approx(
-                    eval_kkr(model, evalset.probs[i], evalset.probs[j]), abs=1e-10
+                    model.predict(evalset.probs[i], evalset.probs[j]), abs=1e-10
                 )
 
     def test_matches_slow_path(self):
@@ -147,8 +146,8 @@ class TestKkrRisk:
         train = random_canonical(rng, 30, 3)
         evalset = random_canonical(rng, 20, 3)
         model = fit_kkr(train, 0.5, 0.5)
-        fast = empirical_risk_kkr(model, evalset)
-        slow = empirical_risk(lambda p, p2: eval_kkr(model, p, p2), evalset)
+        fast = empirical_risk(model, evalset)
+        slow = empirical_risk(lambda p, p2: model.predict(p, p2), evalset)
         assert fast.value == pytest.approx(slow.value, abs=1e-10)
 
     def test_ridge_limit_is_mean_squared_target(self):
@@ -156,14 +155,9 @@ class TestKkrRisk:
         train = random_canonical(rng, 10, 3)
         evalset = random_canonical(rng, 12, 3)
         model = fit_kkr(train, 1e12, 0.5)
-        rv = empirical_risk_kkr(model, evalset)
+        rv = empirical_risk(model, evalset)
         baseline = empirical_risk(zero_h, evalset)
         assert rv.value == pytest.approx(baseline.value, rel=1e-6)
-
-    def test_requires_kkr_model(self):
-        ds = random_canonical(np.random.default_rng(8), 5, 3)
-        with pytest.raises(InputError):
-            empirical_risk_kkr(ConstantModel(0.0), ds)
 
     def test_equivalence_across_default_grid(self):
         rng = np.random.default_rng(9)
@@ -171,8 +165,8 @@ class TestKkrRisk:
         evalset = random_canonical(rng, 15, 3)
         for lam in default_grid("kkr", CANONICAL, len(train)):
             model = fit_kkr(train, lam, 0.5)
-            fast = empirical_risk_kkr(model, evalset)
-            slow = empirical_risk(model, evalset)
+            fast = empirical_risk(model, evalset)
+            slow = empirical_risk(lambda p, p2: model.predict(p, p2), evalset)
             assert fast.value == pytest.approx(slow.value, rel=1e-8, abs=1e-12)
 
 

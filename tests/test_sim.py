@@ -9,7 +9,6 @@ from calrisk.sim import (
     DEFAULT_THETAS,
     SimConfig,
     SimModel,
-    eval_hsim,
     risk_curve,
     simulate,
 )
@@ -60,31 +59,20 @@ class TestEvalHsim:
         p2 = np.array([0.6, 0.3, 0.1])
         u = np.full(3, 1 / 3)
         expected = float((p - u) @ (p2 - u))
-        assert eval_hsim(0.0, p, p2) == pytest.approx(expected, abs=1e-12)
+        assert SimModel(0.0).predict(p, p2) == pytest.approx(expected, abs=1e-12)
 
     def test_theta_one_recovers_ground_truth(self):
         sim = simulate(SimConfig(n=20, seed=2))
         f = sim.dataset.probs
         P = sim.ground_truth
         expected = float((f[0] - P[0]) @ (f[1] - P[1]))
-        assert eval_hsim(1.0, f[0], f[1]) == pytest.approx(expected, abs=1e-9)
+        assert SimModel(1.0).predict(f[0], f[1]) == pytest.approx(expected, abs=1e-9)
 
     @given(st.floats(0.1, 3.0))
     @settings(max_examples=20, deadline=None)
     def test_uniform_is_fixed_point(self, theta):
         p = np.array([0.5, 0.5])
-        assert eval_hsim(theta, p, p) == pytest.approx(0.0, abs=1e-12)
-
-    def test_matches_model_surface(self):
-        rng = np.random.default_rng(3)
-        P = rng.dirichlet(np.ones(4), size=3)
-        model = SimModel(0.8)
-        H = model.pairwise(P)
-        for i in range(3):
-            for j in range(3):
-                assert H[i, j] == pytest.approx(
-                    eval_hsim(0.8, P[i], P[j]), abs=1e-12
-                )
+        assert SimModel(theta).predict(p, p) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestRiskCurve:
