@@ -121,6 +121,7 @@ def _family_entry(cv, est):
     sqrt_risks = np.array([np.sqrt(r.value) * 100.0 for r in cv.fold_risks])
     return {
         "best_hyper": cv.best_hyper,
+        "best_at_grid_edge": cv.best_at_grid_edge,
         "val_sqrt_risk_x100": float(sqrt_risks.mean()),
         "val_sqrt_risk_x100_se": float(sqrt_risks.std(ddof=1) / np.sqrt(len(sqrt_risks))),
         "estimate": est.value,

@@ -130,6 +130,9 @@ class PairModel:
     Subclasses define `pairwise(P)`, the (m, m) matrix of h over the rows of
     an evaluation set, and `diag(P)`, its diagonal h(p_i, p_i). A single
     pair is evaluated through `pairwise`, so the surfaces cannot disagree.
+    A model that is an inner product of a feature map also defines
+    `features(P)`, the (m, d') rows whose Gram matrix is `pairwise(P)`; the
+    risk then needs no (m, m) matrix.
     """
 
     def predict(self, p, p2):

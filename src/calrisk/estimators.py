@@ -8,9 +8,16 @@ Kronecker solver and the pointwise kernels are kept as test oracles for the
 vectorized closed forms.
 
 Every fitted model is a `PairModel`: it defines `pairwise(P)`, the full
-(m, m) prediction matrix of an evaluation set that cross-validation scores,
-and `diag(P)`, the diagonal predictions h(p_i, p_i) that the final estimate
-averages; `predict(p, p2)` evaluates one pair through `pairwise`.
+(m, m) prediction matrix of an evaluation set, and `diag(P)`, the diagonal
+predictions h(p_i, p_i) that the final estimate averages; `predict(p, p2)`
+evaluates one pair through `pairwise`. Binning and kde are inner products
+of a feature map, h(p, p2) = <phi(p), phi(p2)>: their `features(P)` gives
+the (m, d') rows phi(p), `pairwise` and `diag` are derived from it, and
+cross-validation scores the features without any (m, m) matrix. kkr is
+genuinely pairwise. ukkr could be factored through its Gram eigenbasis, but
+that rounds differently at the small-lambda end of its grids and moves its
+top-label estimates by up to 1.5e-3 relative, so it keeps its dense
+`pairwise` arithmetic.
 """
 
 from __future__ import annotations
@@ -109,13 +116,17 @@ class BinningModel(PairModel):
     gaps: np.ndarray    # (M,) conf(B_m) - acc(B_m); 0 for empty bins
     counts: np.ndarray  # (M,) training samples per bin
 
+    def features(self, P):
+        """(m, 1) bin gaps; h(p, p2) is their product."""
+        return self.gaps[_bin_index(self.edges, _conf_column(P))][:, None]
+
     def pairwise(self, P):
-        g = self.gaps[_bin_index(self.edges, _conf_column(P))]
-        return np.outer(g, g)
+        f = self.features(P)
+        return f @ f.T
 
     def diag(self, P):
-        g = self.gaps[_bin_index(self.edges, _conf_column(P))]
-        return g * g
+        f = self.features(P)
+        return np.sum(f * f, axis=1)
 
 
 def _conf_column(P):
@@ -165,17 +176,18 @@ class KdeModel(PairModel):
     train: Dataset
     bandwidth: float
 
-    def pairwise(self, P):
+    def features(self, P):
+        """(m, d) residuals p - g(p), (m, 1) in top-label mode; NaN rows kept."""
         r = kde_residuals(self, P)
-        if r.ndim == 2:
-            return r @ r.T
-        return np.outer(r, r)
+        return r.reshape(len(r), -1)
+
+    def pairwise(self, P):
+        f = self.features(P)
+        return f @ f.T
 
     def diag(self, P):
-        r = kde_residuals(self, P)
-        if r.ndim == 2:
-            return np.sum(r * r, axis=1)
-        return r * r
+        f = self.features(P)
+        return np.sum(f * f, axis=1)
 
 
 def fit_kde(train, bandwidth):

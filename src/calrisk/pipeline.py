@@ -12,7 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TOP_LABEL, InputError, NumericError, kfold_indices, pair_target_matrix
+from .core import (
+    TOP_LABEL,
+    InputError,
+    NumericError,
+    kfold_indices,
+    pair_target_matrix,
+    residual_matrix,
+)
 from .estimators import (
     fit_binning,
     fit_kde,
@@ -23,10 +30,12 @@ from .estimators import (
     rbf_gram,
     ukkr_rotated_core,
 )
-from .risk import linear_risk_from_matrix, risk_from_matrix
+from .risk import linear_risk_from_matrix, risk_from_factors, risk_from_matrix
 from .sim import DEFAULT_THETAS, SimModel
 
 FAMILIES = ("bin", "kde", "kkr", "ukkr", "sim")
+# scored through their (m, m) prediction matrix; the others through features
+DENSE_FAMILIES = ("kkr", "ukkr")
 
 
 @dataclass(frozen=True)
@@ -47,6 +56,16 @@ class CvResult:
     risk_se: float
     grid: tuple          # GridPointResult per successful grid point, grid order
     skipped: tuple       # (hyper, reason) for failed grid points
+
+    @property
+    def best_at_grid_edge(self):
+        """Whether the winner is the smallest or largest of several points tried.
+
+        Skipped points count as tried, so a winner next to a failed extreme
+        is not at the edge: the grid did reach past it.
+        """
+        tried = [p.hyper for p in self.grid] + [h for h, _ in self.skipped]
+        return len(tried) > 1 and self.best_hyper in (min(tried), max(tried))
 
 
 @dataclass(frozen=True)
@@ -112,15 +131,16 @@ def fit_family(family, train, hyper, gamma=0.5, model_temp=0.3):
     raise InputError(f"unknown family {family!r}")
 
 
-def _fold_prediction_matrices(family, train, hold, grid, gamma, model_temp):
-    """Holdout prediction matrices per grid point, sharing fold-level work.
+def _fold_predictions(family, train, hold, grid, gamma, model_temp):
+    """Holdout predictions per grid point, sharing fold-level work.
 
-    Kernel ridge variants reuse one Gram eigendecomposition and one
-    holdout basis across the whole lambda grid.
+    kkr/ukkr give the (m, m) prediction matrix; they reuse one Gram
+    eigendecomposition and one holdout basis across the whole lambda grid.
+    The factored families give their (m, d') feature rows.
     """
     P = hold.probs
     out = {}
-    if family in ("kkr", "ukkr"):
+    if family in DENSE_FAMILIES:
         prep = kkr_prepare(train, gamma)
         n = len(train)
         # both families predict in the Gram eigenbasis, so each lambda
@@ -138,7 +158,7 @@ def _fold_prediction_matrices(family, train, hold, grid, gamma, model_temp):
     for hyper in grid:
         try:
             model = fit_family(family, train, hyper, gamma, model_temp)
-            out[hyper] = model.pairwise(P)
+            out[hyper] = model.features(P)
         except (NumericError, InputError) as exc:
             out[hyper] = exc
     return out
@@ -151,6 +171,8 @@ def cross_validate(tune, family, grid=None, k=5, gamma=0.5, seed=0,
     Returns the winning grid point together with its k fold models, which
     downstream code uses as an ensemble. Grid points that fail to fit (or
     whose predictions are all dropped) on any fold are skipped and recorded.
+    bin, kde and sim are scored from their holdout feature rows; kkr, ukkr
+    and the linear risk from (m, m) prediction matrices.
     """
     if family not in FAMILIES:
         raise InputError(f"unknown family {family!r}")
@@ -165,6 +187,7 @@ def cross_validate(tune, family, grid=None, k=5, gamma=0.5, seed=0,
     grid = list(grid)
     if not grid:
         raise InputError("empty hyperparameter grid")
+    factored = family not in DENSE_FAMILIES
     folds = kfold_indices(len(tune), k, seed)
     all_idx = np.arange(len(tune))
     risk_table = {h: [] for h in grid}
@@ -174,18 +197,24 @@ def cross_validate(tune, family, grid=None, k=5, gamma=0.5, seed=0,
         train_idx = np.setdiff1d(all_idx, fold, assume_unique=True)
         train, hold = tune.subset(train_idx), tune.subset(fold)
         fold_splits.append(train)
-        T = pair_target_matrix(hold)
-        mats = _fold_prediction_matrices(family, train, hold, grid, gamma, model_temp)
+        preds = _fold_predictions(family, train, hold, grid, gamma, model_temp)
+        if factored and not linear:
+            D = residual_matrix(hold).T
+        else:
+            T = pair_target_matrix(hold)
         for hyper in grid:
-            H = mats[hyper]
-            if isinstance(H, Exception):
-                failures.setdefault(hyper, str(H))
+            pred = preds[hyper]
+            if isinstance(pred, Exception):
+                failures.setdefault(hyper, str(pred))
                 continue
             try:
                 if linear:
+                    H = pred @ pred.T if factored else pred
                     rv = linear_risk_from_matrix(H, T, seed)
+                elif factored:
+                    rv = risk_from_factors(pred, D)
                 else:
-                    rv = risk_from_matrix(H, T)
+                    rv = risk_from_matrix(pred, T)
             except NumericError as exc:
                 failures.setdefault(hyper, str(exc))
                 continue

@@ -1,10 +1,19 @@
 """Empirical calibration-estimation risk.
 
 The quadratic form is a U-statistic over all ordered sample pairs; a linear
-variant pairs samples circularly after a seeded shuffle. Both score a
-prediction matrix against the pair-target matrix: a fitted model supplies
-its vectorized `pairwise` matrix, a plain callable h(p, p2) is evaluated
-pointwise.
+variant pairs samples circularly after a seeded shuffle.
+
+The pair target is bilinear, T_ij = <delta_i, delta_j> with delta the
+residual p - e_y, and so are the bin, kde and sim models:
+h(p, p2) = <phi(p), phi(p2)> with phi at most d wide (`features`). For them
+the U-statistic follows exactly from d x d Gram norms in O(m d^2)
+(`risk_from_factors`), and no (m, m) matrix is built. kkr is genuinely
+pairwise. ukkr has a feature map through its Gram eigenbasis, but that
+order of operations rounds differently at the small-lambda end of its grids
+and moves its top-label estimates by up to 1.5e-3 relative, so it keeps its
+dense arithmetic. Those two, a plain callable h(p, p2) and the linear
+variant score a dense prediction matrix against the pair-target matrix
+(`risk_from_matrix`).
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InputError, NumericError, pair_target_matrix
+from .core import InputError, NumericError, pair_target_matrix, residual_matrix
 
 
 @dataclass(frozen=True)
@@ -38,6 +47,40 @@ def risk_from_matrix(H, T):
     return RiskValue(value, pairs, dropped)
 
 
+def risk_from_factors(F, D):
+    """`risk_from_matrix(F @ F.T, D @ D.T)` without forming either matrix.
+
+    F holds the (m, d') feature rows of the predictions and D the (m, d)
+    residual rows of the targets. Expanding the squares,
+
+        sum_{i != j} (T_ij - H_ij)^2 = ||D^T D||^2 - 2 ||D^T F||^2
+            + ||F^T F||^2 - sum_i (||d_i||^2 - ||f_i||^2)^2,
+
+    in O(m (d + d')^2). A non-finite feature row makes its whole row and
+    column of H non-finite, so dropping those rows drops exactly the pairs
+    `risk_from_matrix` drops. The rounding error is of order
+    eps * (||D||^2 + ||F||^2)^2 / pairs, which is far below the risk unless
+    F F^T nearly reproduces D D^T off the diagonal.
+    """
+    F = np.asarray(F, dtype=float)
+    D = np.asarray(D, dtype=float)
+    m = D.shape[0]
+    keep = np.isfinite(F).all(axis=1)
+    k = int(keep.sum())
+    pairs = k * (k - 1)
+    if pairs == 0:
+        raise NumericError("no usable pairs (all predictions dropped)")
+    F, D = F[keep], D[keep]
+    gram_norms = (
+        np.sum((D.T @ D) ** 2)
+        - 2.0 * np.sum((D.T @ F) ** 2)
+        + np.sum((F.T @ F) ** 2)
+    )
+    diagonal = np.sum((np.sum(D * D, axis=1) - np.sum(F * F, axis=1)) ** 2)
+    value = float((gram_norms - diagonal) / pairs)
+    return RiskValue(value, pairs, m * (m - 1) - pairs)
+
+
 def linear_risk_from_matrix(H, T, seed):
     """Mean squared error over circular pairs, dropping NaN predictions.
 
@@ -56,6 +99,18 @@ def linear_risk_from_matrix(H, T, seed):
     return RiskValue(value, pairs, n - pairs)
 
 
+class _PointwisePairs:
+    """H[rows, cols] of a plain callable, evaluated only at the pairs read."""
+
+    def __init__(self, h, P):
+        self.h, self.P = h, P
+
+    def __getitem__(self, index):
+        rows, cols = index
+        return np.array([self.h(self.P[i], self.P[j]) for i, j in zip(rows, cols)],
+                        dtype=float)
+
+
 def _prediction_matrix(h, eval_set):
     P = eval_set.probs
     if hasattr(h, "pairwise"):
@@ -72,13 +127,16 @@ def _prediction_matrix(h, eval_set):
 def empirical_risk(h, eval_set):
     """U-statistic risk over all ordered pairs i != j.
 
-    `h` is either a fitted model (its vectorized pairwise surface is used)
-    or a plain callable h(p, p2) evaluated pointwise. The evaluation set
-    must be disjoint from the data used to fit h; this is the caller's
+    `h` is a fitted model or a plain callable h(p, p2) evaluated pointwise.
+    A model with `features` is scored in factored form, any other model
+    through its vectorized `pairwise` matrix. The evaluation set must be
+    disjoint from the data used to fit h; this is the caller's
     responsibility.
     """
     if len(eval_set) < 2:
         raise InputError("risk needs at least two evaluation samples")
+    if hasattr(h, "features"):
+        return risk_from_factors(h.features(eval_set.probs), residual_matrix(eval_set).T)
     T = pair_target_matrix(eval_set)
     H = _prediction_matrix(h, eval_set)
     return risk_from_matrix(H, T)
@@ -89,8 +147,12 @@ def empirical_risk_linear(h, eval_set, seed=0):
 
     Every sample is used in exactly two ordered pairs (i, i+1 mod n), which
     keeps the estimator unbiased for the risk while scoring only n pairs.
+    A plain callable is evaluated at those n pairs only.
     """
     if len(eval_set) < 2:
         raise InputError("risk needs at least two evaluation samples")
-    H = _prediction_matrix(h, eval_set)
+    if hasattr(h, "pairwise"):
+        H = _prediction_matrix(h, eval_set)
+    else:
+        H = _PointwisePairs(h, eval_set.probs)
     return linear_risk_from_matrix(H, pair_target_matrix(eval_set), seed)

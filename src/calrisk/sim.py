@@ -85,17 +85,18 @@ class SimModel(PairModel):
     theta: float
     model_temp: float = 0.3
 
-    def residuals(self, P):
+    def features(self, P):
+        """(m, d) candidate residuals p - softmax((theta/t) log p)."""
         P = np.atleast_2d(np.asarray(P, dtype=float))
         return P - _softened_rows(P, self.theta / self.model_temp)
 
     def pairwise(self, P):
-        r = self.residuals(P)
-        return r @ r.T
+        f = self.features(P)
+        return f @ f.T
 
     def diag(self, P):
-        r = self.residuals(P)
-        return np.sum(r * r, axis=1)
+        f = self.features(P)
+        return np.sum(f * f, axis=1)
 
 
 def risk_curve(sim, thetas, k_folds=5, seed=0):

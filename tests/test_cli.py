@@ -1,5 +1,10 @@
 import csv
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,6 +120,18 @@ class TestEvaluateCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_best_at_grid_edge(self, tmp_path):
+        data = write_random_logits(tmp_path / "d.csv", np.random.default_rng(6), 80)
+        out = tmp_path / "report.json"
+        assert main([
+            "evaluate", "--data", data, "--mode", "tce", "--families", "bin,bin15",
+            "--grid-bin", "5,10", "--out", str(out),
+        ]) == 0
+        families = json.loads(out.read_text())["families"]
+        # two points: the winner is one end; one point: there is no edge
+        assert families["bin"]["best_at_grid_edge"] is True
+        assert families["bin15"]["best_at_grid_edge"] is False
+
     def test_emit_csv(self, tmp_path):
         data = write_random_logits(tmp_path / "d.csv", np.random.default_rng(2), 60)
         out = tmp_path / "report.json"
@@ -223,6 +240,22 @@ class TestSimulateCommand:
         ]) == 0
         report = json.loads(out.read_text())
         assert 0.9 <= report["families"]["sim"]["best_hyper"] <= 1.1
+
+
+def test_python_m_calrisk_simulate(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = tmp_path / "curve.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "calrisk", "simulate", "--n", "200", "--seeds", "3",
+         "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert re.search(r"^mean-risk argmin theta: [0-9.]+$", proc.stdout, re.M)
+    with open(out, newline="") as fh:
+        assert next(csv.reader(fh)) == ["theta", "risk_mean", "risk_std"]
 
 
 class TestRiskCurveCommand:

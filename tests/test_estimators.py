@@ -34,8 +34,8 @@ def random_top_label(rng, n):
 
 
 # the final estimate averages `diag` while cross-validation scores
-# `pairwise`, so every family's surfaces must agree with each other and
-# with the single-pair `predict`
+# `pairwise` or, for the factored families, `features`, so every family's
+# surfaces must agree with each other and with the single-pair `predict`
 PROTOCOL_MODELS = {
     "bin": lambda rng: fit_binning(random_top_label(rng, 40), 5),
     "kde-canonical": lambda rng: fit_kde(random_canonical(rng, 20, 3), 0.3),
@@ -58,6 +58,12 @@ def test_pairwise_and_diag_match_pointwise(family):
     d = model.diag(P)
     assert H.shape == (5, 5) and d.shape == (5,)
     np.testing.assert_allclose(d, np.diagonal(H), rtol=1e-12, atol=1e-15)
+    # kkr is genuinely pairwise; ukkr keeps its dense arithmetic
+    assert hasattr(model, "features") == (family not in ("kkr", "ukkr"))
+    if hasattr(model, "features"):
+        F = model.features(P)
+        assert F.shape == (5, 1 if family in ("bin", "kde-top-label") else 3)
+        np.testing.assert_allclose(F @ F.T, H, rtol=1e-12, atol=1e-15)
     for i in range(5):
         for j in range(5):
             assert model.predict(P[i], P[j]) == pytest.approx(

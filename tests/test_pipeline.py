@@ -1,15 +1,27 @@
 import numpy as np
 import pytest
 
-from calrisk.core import CANONICAL, TOP_LABEL, Dataset, InputError, NumericError
+from calrisk.core import (
+    CANONICAL,
+    TOP_LABEL,
+    Dataset,
+    InputError,
+    NumericError,
+    pair_target_matrix,
+    top_label_dataset,
+)
 from calrisk.estimators import fit_binning
 from calrisk.pipeline import (
+    CvResult,
+    GridPointResult,
     cross_validate,
     default_grid,
     final_estimate,
+    fit_family,
     kfold_indices,
     split_dataset,
 )
+from calrisk.risk import risk_from_matrix
 from calrisk.sim import simulate, SimConfig
 
 
@@ -194,6 +206,72 @@ class TestCrossValidate:
         lin = cross_validate(ds, "bin", grid=[5, 10], k=5, linear=True)
         assert lin.best_hyper in (5, 10)
         assert lin.mean_risk != quad.mean_risk  # different pair sets
+
+
+def dense_cv_reference(tune, family, grid, k, seed):
+    """Holdout risks per grid point from each fold model's (m, m) matrix."""
+    splits = [(tune.subset(np.setdiff1d(np.arange(len(tune)), fold)), tune.subset(fold))
+              for fold in kfold_indices(len(tune), k, seed)]
+    risks, skipped = {}, []
+    for hyper in grid:
+        try:
+            risks[hyper] = []
+            for train, hold in splits:
+                H = fit_family(family, train, hyper).pairwise(hold.probs)
+                risks[hyper].append(risk_from_matrix(H, pair_target_matrix(hold)))
+        except NumericError:
+            del risks[hyper]
+            skipped.append(hyper)
+    return risks, skipped
+
+
+KDE_GRID = [1.0, 0.1, 1e-2, 1e-3, 1e-4, 1e-5]
+
+
+@pytest.mark.parametrize("mode,family,grid", [
+    ("tce", "bin", None),
+    ("tce", "kde", KDE_GRID),
+    ("cce", "kde", KDE_GRID),
+    ("cce", "sim", None),
+])
+def test_factored_cv_matches_dense_reference(mode, family, grid):
+    ds = simulate(SimConfig(n=300, seed=4)).dataset
+    tune = top_label_dataset(ds) if mode == "tce" else ds
+    cv = cross_validate(tune, family, grid=grid, k=5, seed=1)
+    grid = grid or default_grid(family, tune.mode, len(tune) * 4 // 5)
+    risks, skipped = dense_cv_reference(tune, family, grid, 5, 1)
+    assert [h for h, _ in cv.skipped] == skipped
+    assert [p.hyper for p in cv.grid] == list(risks)
+    for point in cv.grid:
+        want = risks[point.hyper]
+        assert point.mean_risk == pytest.approx(np.mean([r.value for r in want]), rel=1e-12)
+        assert [(r.pairs_used, r.dropped_nan) for r in point.fold_risks] == [
+            (r.pairs_used, r.dropped_nan) for r in want]
+    means = {h: np.mean([r.value for r in rs]) for h, rs in risks.items()}
+    assert cv.best_hyper == min(means, key=means.get)
+    if (mode, family) == ("cce", "kde"):
+        # the smallest bandwidths underflow the kernel weights of some rows
+        assert sum(r.dropped_nan for p in cv.grid for r in p.fold_risks) > 0
+
+
+class TestBestAtGridEdge:
+    @staticmethod
+    def result(best, tried, skipped=()):
+        points = tuple(GridPointResult(h, (), 0.0, 0.0) for h in tried)
+        return CvResult("bin", best, (), (), 0.0, 0.0, points,
+                        tuple((h, "failed") for h in skipped))
+
+    def test_winner_at_either_end_is_at_the_edge(self):
+        assert self.result(5, [5, 10, 15]).best_at_grid_edge is True
+        assert self.result(15, [5, 10, 15]).best_at_grid_edge is True
+        # a skipped point counts as tried
+        assert self.result(10, [10], skipped=[5]).best_at_grid_edge is True
+
+    def test_interior_or_single_point_is_not(self):
+        assert self.result(10, [5, 10, 15]).best_at_grid_edge is False
+        assert self.result(15, [15]).best_at_grid_edge is False
+        # the grid reached past the winner, but that point failed
+        assert self.result(15, [10, 15], skipped=[20]).best_at_grid_edge is False
 
 
 class TestFinalEstimate:

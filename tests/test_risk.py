@@ -3,15 +3,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from calrisk.core import CANONICAL, Dataset, InputError, NumericError, Sample, pair_target
-from calrisk.estimators import fit_kkr
+from calrisk.core import (
+    CANONICAL,
+    Dataset,
+    InputError,
+    NumericError,
+    Sample,
+    pair_target,
+    pair_target_matrix,
+)
+from calrisk.estimators import fit_kde, fit_kkr
 from calrisk.pipeline import default_grid
 from calrisk.risk import (
     RiskValue,
     empirical_risk,
     empirical_risk_linear,
+    linear_risk_from_matrix,
+    risk_from_factors,
     risk_from_matrix,
 )
+from calrisk.sim import SimConfig, SimModel, simulate
 
 
 def random_canonical(rng, n, d):
@@ -77,6 +88,63 @@ class TestEmpiricalRisk:
         assert a.value == pytest.approx(b.value, abs=1e-12)
 
 
+class TestRiskFromFactors:
+    """The factored U-statistic against the dense one on F F^T and D D^T."""
+
+    @staticmethod
+    def dense(F, D):
+        return risk_from_matrix(F @ F.T, D @ D.T)
+
+    @given(st.integers(2, 40), st.sampled_from([1, 3]), st.sampled_from([1, 3]),
+           st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense(self, m, width, d, seed):
+        rng = np.random.default_rng(seed)
+        F = rng.normal(size=(m, width)) * rng.uniform(0.01, 1.0)
+        D = rng.normal(size=(m, d))
+        got, want = risk_from_factors(F, D), self.dense(F, D)
+        assert got.value == pytest.approx(want.value, rel=1e-12)
+        assert (got.pairs_used, got.dropped_nan) == (want.pairs_used, want.dropped_nan)
+
+    @given(st.integers(0, 10_000), st.lists(st.booleans(), min_size=2, max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_nan_rows_drop_the_same_pairs(self, seed, holes):
+        m = len(holes)
+        if m - sum(holes) < 2:
+            holes = [False, False] + holes[2:]
+        rng = np.random.default_rng(seed)
+        F = rng.normal(size=(m, 3))
+        D = rng.normal(size=(m, 3))
+        for i in np.flatnonzero(holes):
+            F[i, rng.integers(3)] = np.nan  # one NaN entry spoils the row
+        got, want = risk_from_factors(F, D), self.dense(F, D)
+        assert (got.pairs_used, got.dropped_nan) == (want.pairs_used, want.dropped_nan)
+        assert got.value == pytest.approx(want.value, rel=1e-12)
+
+    @pytest.mark.parametrize("finite", [0, 1])
+    def test_fewer_than_two_finite_rows_raise(self, finite):
+        F = np.full((4, 1), np.nan)
+        F[:finite] = 0.5
+        D = np.ones((4, 2))
+        with pytest.raises(NumericError, match="no usable pairs"):
+            self.dense(F, D)
+        with pytest.raises(NumericError, match="no usable pairs"):
+            risk_from_factors(F, D)
+
+    @pytest.mark.parametrize("bandwidth", [1e-2, 1e-4])
+    def test_empirical_risk_takes_the_factored_path(self, bandwidth):
+        # on sharply concentrated predictions a tiny bandwidth underflows
+        # the kernel weights of most evaluation rows to the NaN sentinel
+        ds = simulate(SimConfig(n=25, seed=2)).dataset
+        kde = fit_kde(simulate(SimConfig(n=40, seed=1)).dataset, bandwidth)
+        for model in (kde, SimModel(0.7)):
+            got = empirical_risk(model, ds)
+            want = risk_from_matrix(model.pairwise(ds.probs), pair_target_matrix(ds))
+            assert got.value == pytest.approx(want.value, rel=1e-12)
+            assert (got.pairs_used, got.dropped_nan) == (want.pairs_used, want.dropped_nan)
+        assert (empirical_risk(kde, ds).dropped_nan > 0) == (bandwidth < 1e-3)
+
+
 class TestNanAccounting:
     class HoleyModel:
         """Constant model whose predictions at sample 0 are NaN."""
@@ -126,6 +194,21 @@ class TestLinearRisk:
     def test_pair_count(self):
         ds = random_canonical(np.random.default_rng(4), 20, 3)
         assert empirical_risk_linear(zero_h, ds).pairs_used == 20
+
+    def test_callable_evaluated_only_at_scored_pairs(self):
+        ds = random_canonical(np.random.default_rng(22), 20, 3)
+        calls = []
+
+        def h(p, p2):
+            calls.append(1)
+            return 0.3 * float(p @ p2) - 0.1
+
+        got = empirical_risk_linear(h, ds, seed=5)
+        assert len(calls) == 20
+        P = ds.probs
+        H = np.array([[h(p, p2) for p2 in P] for p in P])
+        want = linear_risk_from_matrix(H, pair_target_matrix(ds), 5)
+        assert got == want
 
 
 class TestKkrRisk:
