@@ -22,13 +22,14 @@ import numpy as np
 
 from .core import (
     CANONICAL,
+    TOP_LABEL,
     Dataset,
     InputError,
     NumericError,
     softmax,
     top_label_dataset,
 )
-from .pipeline import cross_validate, final_estimate, split_dataset
+from .pipeline import check_family_mode, cross_validate, final_estimate, split_dataset
 from .sim import DEFAULT_THETAS, SimConfig, risk_curve, simulate
 
 REPORT_FAMILIES = ("bin", "bin15", "kde", "kkr", "ukkr", "sim")
@@ -49,13 +50,11 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in ("tce", "cce"):
             raise InputError(f"unknown mode {self.mode!r}")
+        data_mode = TOP_LABEL if self.mode == "tce" else CANONICAL
         for fam in self.families:
             if fam not in REPORT_FAMILIES:
                 raise InputError(f"unknown family {fam!r}")
-        if self.mode == "cce" and any(f in ("bin", "bin15") for f in self.families):
-            raise InputError("binning families are only valid in tce mode")
-        if self.mode == "tce" and "sim" in self.families:
-            raise InputError("the sim family needs canonical predictions (cce mode)")
+            check_family_mode("bin" if fam == "bin15" else fam, data_mode)
 
 
 def load_dataset(path, fmt):
@@ -137,7 +136,13 @@ def _family_entry(cv, est):
 
 
 def run_evaluate(cfg, ds):
-    """Execute split -> per-family CV -> ensemble estimate; return a report."""
+    """Execute split -> per-family CV -> ensemble estimate.
+
+    Returns the report and, per family, its `CvResult.grid`: the per-point
+    fold risks that `--emit-csv` writes. kkr and ukkr share one spectrum
+    per fold (see `cross_validate`). A family's fold models are dropped
+    once its estimate is in the report.
+    """
     work = top_label_dataset(ds) if cfg.mode == "tce" else ds
     tune, test = split_dataset(work, cfg.test_fraction, cfg.seed)
     report = {
@@ -156,7 +161,8 @@ def run_evaluate(cfg, ds):
         },
         "families": {},
     }
-    cv_results = {}
+    spectra = {}
+    grids = {}
     for fam in cfg.families:
         base = "bin" if fam == "bin15" else fam
         grid = cfg.grids.get(fam)
@@ -165,19 +171,23 @@ def run_evaluate(cfg, ds):
         cv = cross_validate(
             tune, base, grid=grid, k=cfg.k_folds, gamma=cfg.gamma,
             seed=cfg.seed, linear=cfg.linear_risk, model_temp=cfg.model_temp,
+            spectra=spectra,
         )
         est = final_estimate(cv.fold_models, test)
         report["families"][fam] = _family_entry(cv, est)
-        cv_results[fam] = cv
-    return report, cv_results
+        grids[fam] = cv.grid
+        # the fold models hold (n, n) cores; free them before the next
+        # family fits its own
+        del cv
+    return report, grids
 
 
-def _write_fold_csv(path, cv_results):
+def _write_fold_csv(path, grids):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["family", "hyper", "fold", "risk", "pairs_used", "dropped_nan"])
-        for fam, cv in cv_results.items():
-            for point in cv.grid:
+        for fam, grid in grids.items():
+            for point in grid:
                 for fold_i, rv in enumerate(point.fold_risks):
                     writer.writerow([
                         fam, point.hyper, fold_i,
@@ -245,7 +255,7 @@ def _cmd_evaluate(args):
         linear_risk=args.linear_risk,
         model_temp=args.model_temp,
     )
-    report, cv_results = run_evaluate(cfg, ds)
+    report, grids = run_evaluate(cfg, ds)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:
@@ -253,7 +263,7 @@ def _cmd_evaluate(args):
     else:
         print(text)
     if args.emit_csv:
-        _write_fold_csv(args.emit_csv, cv_results)
+        _write_fold_csv(args.emit_csv, grids)
     return 0
 
 

@@ -271,7 +271,13 @@ class KkrModel(PairModel):
 
 
 def kkr_prepare(train, gamma):
-    """Gram eigendecomposition and residual Gram shared across lambdas."""
+    """The lambda-independent part of every kkr and ukkr fit on `train`.
+
+    Returns (X, Q, evals, QtGQ): the training predictions, the eigenvectors
+    and clipped eigenvalues of their RBF Gram, and the residual Gram
+    D^T D rotated into that eigenbasis. Every lambda of either family,
+    and the refit at the winning lambda, needs only this 4-tuple.
+    """
     if len(train) < 1:
         raise InputError("empty training set")
     X = train.probs
@@ -284,12 +290,11 @@ def kkr_prepare(train, gamma):
     evals = np.clip(evals, 0.0, None)
     delta = residual_matrix(train)
     G = delta.T @ delta
-    # the rotated residual Gram is the lambda-independent part of every core
-    return X, Q, evals, G, Q.T @ G @ Q
+    return X, Q, evals, Q.T @ G @ Q
 
 
 def kkr_core(prep, lam, n):
-    _, _, evals, _, QtGQ = prep
+    _, _, evals, QtGQ = prep
     if lam < 0:
         raise InputError("lambda must be nonnegative")
     if lam == 0 and evals.min() < SINGULAR_TOL:
@@ -359,7 +364,7 @@ def ukkr_rotated_core(prep, lam, n):
     The full core is Q @ rotated @ Q^T; cross-validation works directly in
     the rotated basis so each lambda costs O(n^2) instead of O(n^3).
     """
-    _, _, evals, _, QtGQ = prep
+    _, _, evals, QtGQ = prep
     if lam < 0:
         raise InputError("lambda must be nonnegative")
     shifted = evals + lam * n

@@ -3,7 +3,9 @@
 The tuning split is cross-validated: each hyperparameter grid point is
 fitted on k-1 folds and scored by the empirical risk on the held-out fold,
 the point with minimal mean holdout risk wins, and the k fold models at the
-winner act as an ensemble for the final test-set estimate.
+winner act as an ensemble for the final test-set estimate. kkr and ukkr
+decompose each fold's Gram once: its spectrum serves every lambda of both
+families and their refits.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    CANONICAL,
     TOP_LABEL,
     InputError,
     NumericError,
@@ -36,6 +39,19 @@ from .sim import DEFAULT_THETAS, SimModel
 FAMILIES = ("bin", "kde", "kkr", "ukkr", "sim")
 # scored through their (m, m) prediction matrix; the others through features
 DENSE_FAMILIES = ("kkr", "ukkr")
+# the dataset mode a family can score; the others take either
+FAMILY_MODES = {"bin": TOP_LABEL, "sim": CANONICAL}
+
+
+def check_family_mode(family, mode):
+    """Raise InputError when `family` cannot score a dataset of `mode`.
+
+    Binning reads the top-label confidence and sim the full canonical
+    probability vector; on the other mode neither has a meaningful fit.
+    """
+    need = FAMILY_MODES.get(family)
+    if need is not None and mode != need:
+        raise InputError(f"the {family} family needs {need} data, not {mode}")
 
 
 @dataclass(frozen=True)
@@ -116,36 +132,54 @@ def default_grid(family, mode, n_train):
     raise InputError(f"unknown family {family!r}")
 
 
-def fit_family(family, train, hyper, gamma=0.5, model_temp=0.3):
-    """Fit one model of the given family at one hyperparameter point."""
+def fit_family(family, train, hyper, gamma=0.5, model_temp=0.3, prep=None):
+    """Fit one model of the given family at one hyperparameter point.
+
+    `prep`, `kkr_prepare(train, gamma)` computed earlier, spares a kkr or
+    ukkr fit its own Gram eigendecomposition.
+    """
     if family == "bin":
         return fit_binning(train, int(hyper))
     if family == "kde":
         return fit_kde(train, hyper)
     if family == "kkr":
-        return fit_kkr(train, hyper, gamma)
+        return fit_kkr(train, hyper, gamma, prep)
     if family == "ukkr":
-        return fit_ukkr(train, hyper, gamma)
+        return fit_ukkr(train, hyper, gamma, prep)
     if family == "sim":
         return SimModel(float(hyper), model_temp)
     raise InputError(f"unknown family {family!r}")
 
 
-def _fold_predictions(family, train, hold, grid, gamma, model_temp):
+def _fold_spectrum(spectra, train, hold, gamma):
+    """The fold's `kkr_prepare` result and holdout basis Q^T k(X, P_hold).
+
+    Computed once per key and kept in `spectra`, a dict the caller owns.
+    The key is gamma and the fold's data itself, so an entry can only
+    serve the split, tuning set and gamma it was computed for.
+    """
+    key = (float(gamma), train.mode, train.probs.tobytes(),
+           train.labels.tobytes(), hold.probs.tobytes())
+    if key not in spectra:
+        prep = kkr_prepare(train, gamma)
+        spectra[key] = (prep, prep[1].T @ rbf_gram(prep[0], hold.probs, gamma))
+    return spectra[key]
+
+
+def _fold_predictions(family, train, hold, grid, gamma, model_temp, spectrum):
     """Holdout predictions per grid point, sharing fold-level work.
 
-    kkr/ukkr give the (m, m) prediction matrix; they reuse one Gram
-    eigendecomposition and one holdout basis across the whole lambda grid.
-    The factored families give their (m, d') feature rows.
+    kkr/ukkr give the (m, m) prediction matrix from `spectrum`, the fold's
+    `_fold_spectrum`: one Gram eigendecomposition and one holdout basis serve
+    the whole lambda grid. The factored families give their (m, d') feature
+    rows and take `spectrum` None.
     """
-    P = hold.probs
     out = {}
     if family in DENSE_FAMILIES:
-        prep = kkr_prepare(train, gamma)
+        prep, basis = spectrum
         n = len(train)
         # both families predict in the Gram eigenbasis, so each lambda
         # costs one (n, n) x (n, m) product instead of O(n^3)
-        basis = prep[1].T @ rbf_gram(prep[0], P, gamma)
         core_fn = kkr_core if family == "kkr" else ukkr_rotated_core
         for hyper in grid:
             try:
@@ -158,14 +192,14 @@ def _fold_predictions(family, train, hold, grid, gamma, model_temp):
     for hyper in grid:
         try:
             model = fit_family(family, train, hyper, gamma, model_temp)
-            out[hyper] = model.features(P)
+            out[hyper] = model.features(hold.probs)
         except (NumericError, InputError) as exc:
             out[hyper] = exc
     return out
 
 
 def cross_validate(tune, family, grid=None, k=5, gamma=0.5, seed=0,
-                   linear=False, model_temp=0.3):
+                   linear=False, model_temp=0.3, spectra=None):
     """Grid search by k-fold cross-validated empirical risk.
 
     Returns the winning grid point together with its k fold models, which
@@ -173,9 +207,16 @@ def cross_validate(tune, family, grid=None, k=5, gamma=0.5, seed=0,
     whose predictions are all dropped) on any fold are skipped and recorded.
     bin, kde and sim are scored from their holdout feature rows; kkr, ukkr
     and the linear risk from (m, m) prediction matrices.
+
+    kkr and ukkr take each fold's spectrum from `spectra` (see
+    `_fold_spectrum`), filling it on first use, and refit from the same
+    spectrum. A caller that cross-validates both families on one tuning set
+    passes one dict to both calls, so each fold's Gram is decomposed once;
+    without one, the call keeps its own for its grid and refits.
     """
     if family not in FAMILIES:
         raise InputError(f"unknown family {family!r}")
+    check_family_mode(family, tune.mode)
     if len(tune) < 2 * k:
         # a one-sample holdout fold has no pairs to score at any grid point
         raise InputError(
@@ -188,6 +229,8 @@ def cross_validate(tune, family, grid=None, k=5, gamma=0.5, seed=0,
     if not grid:
         raise InputError("empty hyperparameter grid")
     factored = family not in DENSE_FAMILIES
+    if spectra is None:
+        spectra = {}
     folds = kfold_indices(len(tune), k, seed)
     all_idx = np.arange(len(tune))
     risk_table = {h: [] for h in grid}
@@ -196,8 +239,10 @@ def cross_validate(tune, family, grid=None, k=5, gamma=0.5, seed=0,
     for fold in folds:
         train_idx = np.setdiff1d(all_idx, fold, assume_unique=True)
         train, hold = tune.subset(train_idx), tune.subset(fold)
-        fold_splits.append(train)
-        preds = _fold_predictions(family, train, hold, grid, gamma, model_temp)
+        spectrum = None if factored else _fold_spectrum(spectra, train, hold, gamma)
+        fold_splits.append((train, spectrum))
+        preds = _fold_predictions(family, train, hold, grid, gamma, model_temp,
+                                  spectrum)
         if factored and not linear:
             D = residual_matrix(hold).T
         else:
@@ -238,8 +283,9 @@ def cross_validate(tune, family, grid=None, k=5, gamma=0.5, seed=0,
     # first strict minimum in grid order breaks ties toward the simpler model
     best = min(results, key=lambda r: r.mean_risk)
     fold_models = tuple(
-        fit_family(family, train, best.hyper, gamma, model_temp)
-        for train in fold_splits
+        fit_family(family, train, best.hyper, gamma, model_temp,
+                   prep=None if spectrum is None else spectrum[0])
+        for train, spectrum in fold_splits
     )
     return CvResult(
         family=family,

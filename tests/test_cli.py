@@ -11,6 +11,9 @@ import pytest
 
 from calrisk.cli import RunConfig, load_dataset, main, run_evaluate
 from calrisk.core import CANONICAL, InputError
+from calrisk.sim import SimConfig, simulate
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_csv(path, rows, header=None):
@@ -242,15 +245,17 @@ class TestSimulateCommand:
         assert 0.9 <= report["families"]["sim"]["best_hyper"] <= 1.1
 
 
+def src_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
 def test_python_m_calrisk_simulate(tmp_path):
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
     out = tmp_path / "curve.csv"
     proc = subprocess.run(
         [sys.executable, "-m", "calrisk", "simulate", "--n", "200", "--seeds", "3",
          "--out", str(out)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=src_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert re.search(r"^mean-risk argmin theta: [0-9.]+$", proc.stdout, re.M)
@@ -271,3 +276,73 @@ class TestRiskCurveCommand:
         assert payload["best_hyper"] in (5.0, 10.0, 15.0)
         for row in payload["grid"]:
             assert row["mean_risk"] >= 0.0 and row["risk_se"] >= 0.0
+
+
+def test_compare_estimators_script():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "compare_estimators.py"), "--n", "200"],
+        capture_output=True, text=True, env=src_env(), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for title, families in [
+        ("top-label confidence calibration (tce)", ("bin", "bin15", "kde", "kkr", "ukkr")),
+        ("canonical calibration (cce)", ("kde", "kkr", "ukkr", "sim")),
+    ]:
+        table = proc.stdout.split(title + "\n", 1)[1].split("\n\n", 1)[0]
+        rows = table.splitlines()[1:]
+        assert [row.split()[0] for row in rows] == list(families)
+
+
+class TestFamilyModeRule:
+    @pytest.mark.parametrize("mode,family", [("tce", "sim"), ("cce", "bin")])
+    def test_risk_curve_rejects_family_of_other_mode(self, tmp_path, capsys, mode, family):
+        data = write_random_logits(tmp_path / "d.csv", np.random.default_rng(7), 80)
+        assert main([
+            "risk-curve", "--data", data, "--mode", mode, "--family", family,
+            "--out", str(tmp_path / "curve.json"),
+        ]) == 2
+        assert f"the {family} family needs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode,families", [("tce", ("sim",)), ("cce", ("bin15",))])
+    def test_run_config_uses_the_same_rule(self, mode, families):
+        with pytest.raises(InputError, match="family needs"):
+            RunConfig(mode=mode, families=families)
+
+
+def count_eigh(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+class TestSharedSpectra:
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        return simulate(SimConfig(n=150, seed=3)).dataset
+
+    @pytest.mark.parametrize("mode", ["tce", "cce"])
+    def test_one_eigh_per_fold(self, monkeypatch, dataset, mode):
+        # 5 CV folds, each decomposed once for both families' grids and refits
+        calls = count_eigh(monkeypatch)
+        run_evaluate(RunConfig(mode=mode, families=("kkr", "ukkr"), k_folds=5), dataset)
+        assert calls == [(96, 96)] * 5
+
+    @pytest.mark.parametrize("mode,families,linear", [
+        ("tce", ("bin", "kde", "kkr", "ukkr"), False),
+        ("cce", ("kkr", "ukkr"), False),
+        ("cce", ("kkr", "ukkr", "sim"), True),
+    ])
+    def test_shared_run_matches_one_family_runs(self, dataset, mode, families, linear):
+        shared, shared_grids = run_evaluate(
+            RunConfig(mode=mode, families=families, linear_risk=linear), dataset)
+        for fam in families:
+            alone, alone_grids = run_evaluate(
+                RunConfig(mode=mode, families=(fam,), linear_risk=linear), dataset)
+            assert shared["families"][fam] == alone["families"][fam]
+            assert shared_grids[fam] == alone_grids[fam]

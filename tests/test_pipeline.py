@@ -254,6 +254,65 @@ def test_factored_cv_matches_dense_reference(mode, family, grid):
         assert sum(r.dropped_nan for p in cv.grid for r in p.fold_risks) > 0
 
 
+class TestSharedSpectra:
+    @staticmethod
+    def count_eigh(monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        return calls
+
+    @staticmethod
+    def summary(cv):
+        return cv.best_hyper, cv.grid, cv.skipped
+
+    def test_refits_reuse_the_fold_spectrum(self, monkeypatch):
+        tune = random_canonical(np.random.default_rng(20), 50, 3)
+        calls = self.count_eigh(monkeypatch)
+        cross_validate(tune, "kkr", grid=[0.1, 1.0], k=5)
+        assert len(calls) == 5
+
+    def test_dict_serves_only_its_own_gamma_seed_and_data(self, monkeypatch):
+        data = {name: random_canonical(np.random.default_rng(seed), 50, 3)
+                for name, seed in (("tune", 21), ("other", 22))}
+        grid = [0.01, 0.1, 1.0]
+
+        def run(name, gamma, seed, fam, spectra=None):
+            return self.summary(cross_validate(data[name], fam, grid=grid, k=5,
+                                               gamma=gamma, seed=seed, spectra=spectra))
+
+        cases = [
+            ("tune", 0.5, 0, "kkr", 5),
+            ("tune", 0.5, 0, "ukkr", 0),
+            ("tune", 2.0, 0, "ukkr", 5),
+            ("tune", 0.5, 1, "kkr", 5),
+            # same size, seed and gamma, so the same fold indices
+            ("other", 0.5, 0, "kkr", 5),
+            ("tune", 2.0, 0, "kkr", 0),
+        ]
+        fresh = [run(*case[:4]) for case in cases]
+        calls = self.count_eigh(monkeypatch)
+        spectra = {}
+        for case, want in zip(cases, fresh):
+            before = len(calls)
+            assert run(*case[:4], spectra=spectra) == want
+            assert len(calls) - before == case[4]
+        assert len(spectra) == 20
+
+    @pytest.mark.parametrize("mode,family", [(CANONICAL, "bin"), (TOP_LABEL, "sim")])
+    def test_family_of_other_mode_rejected(self, mode, family):
+        ds = random_canonical(np.random.default_rng(23), 40, 3)
+        if mode == TOP_LABEL:
+            ds = top_label_dataset(ds)
+        with pytest.raises(InputError, match=f"the {family} family needs"):
+            cross_validate(ds, family, k=5)
+
+
 class TestBestAtGridEdge:
     @staticmethod
     def result(best, tried, skipped=()):
