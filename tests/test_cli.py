@@ -83,11 +83,12 @@ class TestLoadDataset:
 
 class TestRunConfig:
     def test_bin_family_rejected_in_cce(self):
-        with pytest.raises(InputError):
-            RunConfig(mode="cce", families=("bin",))
+        for fam in ("bin", "bin15"):
+            with pytest.raises(InputError, match="the bin family needs top-label"):
+                RunConfig(mode="cce", families=(fam,))
 
     def test_sim_family_rejected_in_tce(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="the sim family needs canonical"):
             RunConfig(mode="tce", families=("sim",))
 
     def test_unknown_mode(self):
@@ -277,6 +278,15 @@ class TestRiskCurveCommand:
         for row in payload["grid"]:
             assert row["mean_risk"] >= 0.0 and row["risk_se"] >= 0.0
 
+    @pytest.mark.parametrize("mode,family", [("tce", "sim"), ("cce", "bin")])
+    def test_family_of_other_mode_exit_code(self, tmp_path, capsys, mode, family):
+        data = write_random_logits(tmp_path / "d.csv", np.random.default_rng(7), 80)
+        assert main([
+            "risk-curve", "--data", data, "--mode", mode, "--family", family,
+            "--out", str(tmp_path / "curve.json"),
+        ]) == 2
+        assert f"the {family} family needs" in capsys.readouterr().err
+
 
 def test_compare_estimators_script():
     proc = subprocess.run(
@@ -293,45 +303,16 @@ def test_compare_estimators_script():
         assert [row.split()[0] for row in rows] == list(families)
 
 
-class TestFamilyModeRule:
-    @pytest.mark.parametrize("mode,family", [("tce", "sim"), ("cce", "bin")])
-    def test_risk_curve_rejects_family_of_other_mode(self, tmp_path, capsys, mode, family):
-        data = write_random_logits(tmp_path / "d.csv", np.random.default_rng(7), 80)
-        assert main([
-            "risk-curve", "--data", data, "--mode", mode, "--family", family,
-            "--out", str(tmp_path / "curve.json"),
-        ]) == 2
-        assert f"the {family} family needs" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("mode,families", [("tce", ("sim",)), ("cce", ("bin15",))])
-    def test_run_config_uses_the_same_rule(self, mode, families):
-        with pytest.raises(InputError, match="family needs"):
-            RunConfig(mode=mode, families=families)
-
-
-def count_eigh(monkeypatch):
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counted(a, *args, **kwargs):
-        calls.append(a.shape)
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
-    return calls
-
-
 class TestSharedSpectra:
     @pytest.fixture(scope="class")
     def dataset(self):
         return simulate(SimConfig(n=150, seed=3)).dataset
 
     @pytest.mark.parametrize("mode", ["tce", "cce"])
-    def test_one_eigh_per_fold(self, monkeypatch, dataset, mode):
+    def test_one_eigh_per_fold(self, eigh_calls, dataset, mode):
         # 5 CV folds, each decomposed once for both families' grids and refits
-        calls = count_eigh(monkeypatch)
         run_evaluate(RunConfig(mode=mode, families=("kkr", "ukkr"), k_folds=5), dataset)
-        assert calls == [(96, 96)] * 5
+        assert eigh_calls == [(96, 96)] * 5
 
     @pytest.mark.parametrize("mode,families,linear", [
         ("tce", ("bin", "kde", "kkr", "ukkr"), False),

@@ -200,6 +200,14 @@ class TestCrossValidate:
                             grid=[5], k=5)
         assert cv.best_hyper == 5
 
+    @pytest.mark.parametrize("mode,family", [(CANONICAL, "bin"), (TOP_LABEL, "sim")])
+    def test_family_of_other_mode_rejected(self, mode, family):
+        ds = random_canonical(np.random.default_rng(23), 40, 3)
+        if mode == TOP_LABEL:
+            ds = top_label_dataset(ds)
+        with pytest.raises(InputError, match=f"the {family} family needs"):
+            cross_validate(ds, family, k=5)
+
     def test_linear_risk_switch(self):
         ds = random_top_label(np.random.default_rng(10), 60)
         quad = cross_validate(ds, "bin", grid=[5, 10], k=5)
@@ -256,28 +264,15 @@ def test_factored_cv_matches_dense_reference(mode, family, grid):
 
 class TestSharedSpectra:
     @staticmethod
-    def count_eigh(monkeypatch):
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counted(a, *args, **kwargs):
-            calls.append(a.shape)
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counted)
-        return calls
-
-    @staticmethod
     def summary(cv):
         return cv.best_hyper, cv.grid, cv.skipped
 
-    def test_refits_reuse_the_fold_spectrum(self, monkeypatch):
+    def test_refits_reuse_the_fold_spectrum(self, eigh_calls):
         tune = random_canonical(np.random.default_rng(20), 50, 3)
-        calls = self.count_eigh(monkeypatch)
         cross_validate(tune, "kkr", grid=[0.1, 1.0], k=5)
-        assert len(calls) == 5
+        assert len(eigh_calls) == 5
 
-    def test_dict_serves_only_its_own_gamma_seed_and_data(self, monkeypatch):
+    def test_dict_serves_only_its_own_gamma_seed_and_data(self, eigh_calls):
         data = {name: random_canonical(np.random.default_rng(seed), 50, 3)
                 for name, seed in (("tune", 21), ("other", 22))}
         grid = [0.01, 0.1, 1.0]
@@ -296,21 +291,12 @@ class TestSharedSpectra:
             ("tune", 2.0, 0, "kkr", 0),
         ]
         fresh = [run(*case[:4]) for case in cases]
-        calls = self.count_eigh(monkeypatch)
         spectra = {}
         for case, want in zip(cases, fresh):
-            before = len(calls)
+            before = len(eigh_calls)
             assert run(*case[:4], spectra=spectra) == want
-            assert len(calls) - before == case[4]
+            assert len(eigh_calls) - before == case[4]
         assert len(spectra) == 20
-
-    @pytest.mark.parametrize("mode,family", [(CANONICAL, "bin"), (TOP_LABEL, "sim")])
-    def test_family_of_other_mode_rejected(self, mode, family):
-        ds = random_canonical(np.random.default_rng(23), 40, 3)
-        if mode == TOP_LABEL:
-            ds = top_label_dataset(ds)
-        with pytest.raises(InputError, match=f"the {family} family needs"):
-            cross_validate(ds, family, k=5)
 
 
 class TestBestAtGridEdge:
