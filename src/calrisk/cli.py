@@ -26,7 +26,7 @@ from .core import (
     Dataset,
     InputError,
     NumericError,
-    softmax,
+    softmax_rows,
     top_label_dataset,
 )
 from .pipeline import check_family_mode, cross_validate, final_estimate, split_dataset
@@ -62,11 +62,14 @@ def load_dataset(path, fmt):
 
     logits-csv rows are softmaxed at temperature 1; probs-csv rows are
     checked against the simplex invariants with 1e-6 sum tolerance and then
-    renormalized. The header row is optional.
+    renormalized. The header row is optional. The rows are parsed one by
+    one, and then checked and converted as one array; an invalid row is
+    reported with its line number, the first in the file when there are
+    several.
     """
     if fmt not in ("logits-csv", "probs-csv"):
         raise InputError(f"unknown format {fmt!r}")
-    rows = []
+    rows, linenos = [], []
     width = None
     with open(path, newline="") as fh:
         for lineno, cells in enumerate(csv.reader(fh), start=1):
@@ -90,30 +93,38 @@ def load_dataset(path, fmt):
                 raise InputError(
                     f"{path}:{lineno}: ragged row ({len(values)} cells, expected {width})"
                 )
-            label = values[-1]
-            if label != int(label):
-                raise InputError(f"{path}:{lineno}: label {label} is not an integer")
-            rows.append((lineno, np.array(values[:-1]), int(label)))
+            if not values[-1].is_integer():
+                raise InputError(f"{path}:{lineno}: label {values[-1]} is not an integer")
+            rows.append(values)
+            linenos.append(lineno)
     if not rows:
         raise InputError(f"{path}: no data rows")
     d = width - 1
-    probs, labels = [], []
-    for lineno, vec, label in rows:
-        if not 0 <= label < d:
-            raise InputError(f"{path}:{lineno}: label {label} out of range for d={d}")
+    table = np.array(rows)
+    vecs, label_col = table[:, :-1], table[:, -1]
+    bad_label = (label_col < 0) | (label_col >= d)
+    if fmt == "logits-csv":
+        bad_values = ~np.isfinite(vecs).all(axis=1)
+    else:
+        outside = ((vecs < 0.0) | (vecs > 1.0)).any(axis=1)
+        sums = vecs.sum(axis=1)
+        bad_values = outside | (np.abs(sums - 1.0) > 1e-6)
+    bad = bad_label | bad_values
+    if bad.any():
+        i = int(np.argmax(bad))
+        where = f"{path}:{linenos[i]}"
+        if bad_label[i]:
+            raise InputError(f"{where}: label {int(label_col[i])} out of range for d={d}")
         if fmt == "logits-csv":
-            if not np.all(np.isfinite(vec)):
-                raise InputError(f"{path}:{lineno}: non-finite logits")
-            probs.append(softmax(vec))
-        else:
-            if np.any(vec < 0.0) or np.any(vec > 1.0):
-                raise InputError(f"{path}:{lineno}: probabilities outside [0, 1]")
-            s = vec.sum()
-            if abs(s - 1.0) > 1e-6:
-                raise InputError(f"{path}:{lineno}: probabilities sum to {s}, not 1")
-            probs.append(vec / s)
-        labels.append(label)
-    return Dataset(np.stack(probs), np.array(labels), CANONICAL)
+            raise InputError(f"{where}: non-finite logits")
+        if outside[i]:
+            raise InputError(f"{where}: probabilities outside [0, 1]")
+        raise InputError(f"{where}: probabilities sum to {sums[i]}, not 1")
+    if fmt == "logits-csv":
+        probs = softmax_rows(vecs)
+    else:
+        probs = vecs / sums[:, None]
+    return Dataset(probs, label_col.astype(np.int64), CANONICAL)
 
 
 def _family_entry(cv, est):

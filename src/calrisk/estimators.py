@@ -41,6 +41,11 @@ from .core import (
 CLIP_EPS = 1e-10
 EIG_FLOOR = -1e-8
 SINGULAR_TOL = 1e-12
+# np.exp keeps to its SIMD fast path at or above this argument; from about
+# -708 down its results are subnormal or zero and it runs 20-200x slower
+FAST_EXP_FLOOR = -700.0
+# np.exp is exactly 0.0 here and below (it rounds to 0 from -745.1332...)
+DEAD_CUTOFF = -746.0
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +203,27 @@ def fit_kde(train, bandwidth):
     return KdeModel(train, float(bandwidth))
 
 
+def _exp_inplace(x):
+    """x <- np.exp(x) bit for bit, with no lane on np.exp's slow path.
+
+    Every lane is clamped to FAST_EXP_FLOOR before the exp, then the lanes
+    that were below it are zeroed by a multiply; the few between DEAD_CUTOFF
+    and the floor, whose exp is subnormal or tiny but not 0, are recomputed
+    from their original values. NaN and +-inf come out as np.exp gives them.
+    `x` is a C-contiguous float64 array, as every fresh product is.
+    """
+    flat = x.reshape(-1)
+    live = x >= FAST_EXP_FLOOR
+    band = np.flatnonzero(~live.reshape(-1) & (flat > DEAD_CUTOFF))
+    band_x = flat[band]
+    np.maximum(x, FAST_EXP_FLOOR, out=x)
+    with np.errstate(over="ignore", under="ignore"):
+        np.exp(x, out=x)
+        x *= live
+        flat[band] = np.exp(band_x)
+    return x
+
+
 def kde_regress(train, queries, bandwidth):
     """Kernel-weighted label means g(q) at each query point.
 
@@ -205,6 +231,10 @@ def kde_regress(train, queries, bandwidth):
     correctness estimates in top-label mode. Kernel weights are evaluated in
     linear space; queries whose weight sum underflows to zero (or overflows)
     yield NaN rows, the documented sentinel downstream consumers drop.
+    At small bandwidths most log-weights lie far below -708, where np.exp
+    is many times slower; `_exp_inplace` clamps them onto its fast path and
+    restores the exact underflowed values, so the weights, and every result,
+    are bit for bit those of a plain np.exp.
     """
     if bandwidth <= 0:
         raise InputError("bandwidth must be positive")
@@ -213,10 +243,10 @@ def kde_regress(train, queries, bandwidth):
     d = Xs.shape[1]
     inv_b = 1.0 / bandwidth
     # log k_dir(x_i; q_j) = (1/b) <q_j, log x_i> + log B(q_j / b + 1)^-1
-    log_w = (np.log(Xs) @ Qs.T) * inv_b
+    log_w = np.log(Xs) @ Qs.T
+    log_w *= inv_b
     log_w += (gammaln(d + inv_b) - gammaln(Qs * inv_b + 1.0).sum(axis=1))[None, :]
-    with np.errstate(over="ignore", under="ignore"):
-        w = np.exp(log_w)
+    w = _exp_inplace(log_w)
     denom = w.sum(axis=0)
     bad = ~np.isfinite(denom) | (denom == 0.0)
     denom[bad] = 1.0

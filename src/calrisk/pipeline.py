@@ -152,17 +152,19 @@ def fit_family(family, train, hyper, gamma=0.5, model_temp=0.3, prep=None):
 
 
 def _fold_spectrum(spectra, train, hold, gamma):
-    """The fold's `kkr_prepare` result and holdout basis Q^T k(X, P_hold).
+    """The fold's `kkr_prepare` result, holdout basis Q^T k(X, P_hold) and
+    holdout target matrix.
 
     Computed once per key and kept in `spectra`, a dict the caller owns.
     The key is gamma and the fold's data itself, so an entry can only
     serve the split, tuning set and gamma it was computed for.
     """
     key = (float(gamma), train.mode, train.probs.tobytes(),
-           train.labels.tobytes(), hold.probs.tobytes())
+           train.labels.tobytes(), hold.probs.tobytes(), hold.labels.tobytes())
     if key not in spectra:
         prep = kkr_prepare(train, gamma)
-        spectra[key] = (prep, prep[1].T @ rbf_gram(prep[0], hold.probs, gamma))
+        spectra[key] = (prep, prep[1].T @ rbf_gram(prep[0], hold.probs, gamma),
+                        pair_target_matrix(hold))
     return spectra[key]
 
 
@@ -176,7 +178,7 @@ def _fold_predictions(family, train, hold, grid, gamma, model_temp, spectrum):
     """
     out = {}
     if family in DENSE_FAMILIES:
-        prep, basis = spectrum
+        prep, basis, _ = spectrum
         n = len(train)
         # both families predict in the Gram eigenbasis, so each lambda
         # costs one (n, n) x (n, m) product instead of O(n^3)
@@ -246,7 +248,7 @@ def cross_validate(tune, family, grid=None, k=5, gamma=0.5, seed=0,
         if factored and not linear:
             D = residual_matrix(hold).T
         else:
-            T = pair_target_matrix(hold)
+            T = pair_target_matrix(hold) if factored else spectrum[2]
         for hyper in grid:
             pred = preds[hyper]
             if isinstance(pred, Exception):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from calrisk.cli import RunConfig, load_dataset, main, run_evaluate
-from calrisk.core import CANONICAL, InputError
+from calrisk.core import CANONICAL, InputError, softmax
 from calrisk.sim import SimConfig, simulate
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -79,6 +79,53 @@ class TestLoadDataset:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(InputError):
             load_dataset(str(tmp_path / "d.csv"), "parquet")
+
+    @pytest.mark.parametrize("d", [2, 5, 10, 37])
+    def test_logits_match_per_row_softmax_bit_for_bit(self, tmp_path, d):
+        rng = np.random.default_rng(d)
+        logits = rng.normal(size=(60, d)) * rng.choice([0.1, 3.0, 40.0], size=(60, 1))
+        labels = rng.integers(0, d, size=60)
+        path = tmp_path / "d.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([f"l{j}" for j in range(d)] + ["label"])
+            for i, (row, label) in enumerate(zip(logits, labels)):
+                if i % 7 == 3:
+                    fh.write("\n")  # blank lines are skipped
+                writer.writerow([repr(float(v)) for v in row] + [int(label)])
+        ds = load_dataset(str(path), "logits-csv")
+        expected = np.stack([softmax(row) for row in logits])
+        assert np.array_equal(ds.probs, expected)
+        np.testing.assert_array_equal(ds.labels, labels)
+
+    def test_probs_renormalized_per_row_bit_for_bit(self, tmp_path):
+        rng = np.random.default_rng(4)
+        P = rng.dirichlet(np.ones(6), size=40)
+        labels = rng.integers(0, 6, size=40)
+        path = write_csv(tmp_path / "d.csv",
+                         [[repr(float(v)) for v in row] + [lab] for row, lab in zip(P, labels)])
+        ds = load_dataset(path, "probs-csv")
+        assert np.array_equal(ds.probs, np.stack([row / row.sum() for row in P]))
+
+    def test_first_bad_row_in_the_file_is_reported(self, tmp_path):
+        # line 2 has non-finite logits and line 3 an out-of-range label
+        path = write_csv(tmp_path / "d.csv",
+                         [[1.0, 2.0, 0], ["inf", 2.0, 1], [1.0, 2.0, 5]])
+        with pytest.raises(InputError, match=":2: non-finite logits"):
+            load_dataset(path, "logits-csv")
+        path = write_csv(tmp_path / "p.csv",
+                         [[0.5, 0.5, 0], [0.5, 0.5, 2], [1.5, -0.5, 1]])
+        with pytest.raises(InputError, match=":2: label 2 out of range"):
+            load_dataset(path, "probs-csv")
+        path = write_csv(tmp_path / "q.csv", [[0.5, 0.5, 0], [1.5, -0.5, 1]])
+        with pytest.raises(InputError, match=":2: probabilities outside"):
+            load_dataset(path, "probs-csv")
+
+    @pytest.mark.parametrize("label", ["nan", "inf", "1.5"])
+    def test_non_integer_label_rejected_with_line(self, tmp_path, label):
+        path = write_csv(tmp_path / "d.csv", [[1.0, 2.0, 0], [1.0, 2.0, label]])
+        with pytest.raises(InputError, match=":2: label .* is not an integer"):
+            load_dataset(path, "logits-csv")
 
 
 class TestRunConfig:
@@ -313,6 +360,12 @@ class TestSharedSpectra:
         # 5 CV folds, each decomposed once for both families' grids and refits
         run_evaluate(RunConfig(mode=mode, families=("kkr", "ukkr"), k_folds=5), dataset)
         assert eigh_calls == [(96, 96)] * 5
+
+    @pytest.mark.parametrize("mode", ["tce", "cce"])
+    def test_one_target_matrix_per_fold(self, pair_target_calls, dataset, mode):
+        # kkr and ukkr score every lambda against the same holdout targets
+        run_evaluate(RunConfig(mode=mode, families=("kkr", "ukkr"), k_folds=5), dataset)
+        assert len(pair_target_calls) == 5
 
     @pytest.mark.parametrize("mode,families,linear", [
         ("tce", ("bin", "kde", "kkr", "ukkr"), False),

@@ -2,11 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.special import gammaln
 from scipy.stats import dirichlet as scipy_dirichlet
 
+from calrisk import estimators
 from calrisk.core import CANONICAL, TOP_LABEL, Dataset, InputError, NumericError, one_hot
 from calrisk.estimators import (
+    DEAD_CUTOFF,
+    FAST_EXP_FLOOR,
     BinningModel,
+    _as_simplex_points,
+    _exp_inplace,
     clip_simplex,
     dirichlet_kernel,
     eval_kkr_naive,
@@ -18,7 +25,8 @@ from calrisk.estimators import (
     rbf_gram,
     rbf_kernel,
 )
-from calrisk.sim import SimModel
+from calrisk.pipeline import default_grid
+from calrisk.sim import SimConfig, SimModel, simulate
 
 
 def random_canonical(rng, n, d):
@@ -259,6 +267,139 @@ class TestKde:
         assert model.predict(p, p2) == pytest.approx(
             model.predict(p2, p), abs=1e-10
         )
+
+
+def kde_regress_plain_exp(train, queries, bandwidth):
+    """kde_regress as written before its weights were kept off np.exp's
+    slow path: one plain np.exp over every log-weight. Oracle only."""
+    if bandwidth <= 0:
+        raise InputError("bandwidth must be positive")
+    Xs = clip_simplex(_as_simplex_points(train.probs))
+    Qs = clip_simplex(_as_simplex_points(queries))
+    d = Xs.shape[1]
+    inv_b = 1.0 / bandwidth
+    # log k_dir(x_i; q_j) = (1/b) <q_j, log x_i> + log B(q_j / b + 1)^-1
+    log_w = (np.log(Xs) @ Qs.T) * inv_b
+    log_w += (gammaln(d + inv_b) - gammaln(Qs * inv_b + 1.0).sum(axis=1))[None, :]
+    with np.errstate(over="ignore", under="ignore"):
+        w = np.exp(log_w)
+    denom = w.sum(axis=0)
+    bad = ~np.isfinite(denom) | (denom == 0.0)
+    denom[bad] = 1.0
+    if train.mode == CANONICAL:
+        num = w.T @ one_hot(train.labels, train.dim)
+        ghat = num / denom[:, None]
+        ghat[bad] = np.nan
+    else:
+        num = w.T @ train.labels.astype(float)
+        ghat = num / denom
+        ghat[bad] = np.nan
+    return ghat
+
+
+def plain_exp(x):
+    with np.errstate(over="ignore", under="ignore"):
+        return np.exp(x)
+
+
+TINY = np.finfo(float).tiny
+# every range _exp_inplace treats apart: dead (exp exactly 0), the band it
+# patches (subnormal and tiny normal results), its fast floor, ordinary
+# values, overflow, and the non-finite inputs
+EXP_SWEEP = np.concatenate([
+    [-np.inf, np.inf, np.nan, -1e6, -800.0, DEAD_CUTOFF, -745.5, -745.13,
+     -745.1332191019412, -745.1332191019411, -745.0, -740.0, -720.0,
+     -709.5, -708.4, -708.3964185322641, -705.0,
+     np.nextafter(FAST_EXP_FLOOR, -np.inf), FAST_EXP_FLOOR,
+     np.nextafter(FAST_EXP_FLOOR, np.inf), -699.0, -1.0, -0.0, 0.0, 1.0,
+     50.0, 709.0, 709.8, 710.0],
+    np.linspace(-746.0, -699.0, 4701),  # the band at a step of 0.01
+])
+
+
+class TestExpInplace:
+    def test_constants_rest_on_numpy_facts(self):
+        assert np.exp(DEAD_CUTOFF) == 0.0
+        assert np.exp(np.nextafter(DEAD_CUTOFF, np.inf)) == 0.0
+        floor = np.exp(FAST_EXP_FLOOR)
+        assert np.isfinite(floor) and floor >= TINY  # a normal number
+
+    def test_sweep_matches_np_exp_bit_for_bit(self):
+        # the subnormal band and the patched lanes are exercised
+        ref = plain_exp(EXP_SWEEP)
+        assert np.any((ref > 0.0) & (ref < TINY))
+        for shape in [(-1,), (1, -1), (EXP_SWEEP.size // 3, 3)]:
+            x = EXP_SWEEP[: EXP_SWEEP.size // 3 * 3].reshape(shape).copy()
+            out = _exp_inplace(x)
+            assert out is x
+            assert np.array_equal(x, plain_exp(EXP_SWEEP[: x.size]).reshape(shape),
+                                  equal_nan=True)
+
+    def test_empty(self):
+        x = np.empty((0, 4))
+        assert _exp_inplace(x).shape == (0, 4)
+
+    @given(
+        hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=2, max_dims=2, max_side=40),
+            elements=st.one_of(
+                st.floats(-1e6, -746.0),
+                st.floats(-746.0, -700.0),
+                st.floats(-700.5, -699.5),
+                st.floats(-700.0, 710.0),
+                st.sampled_from([-np.inf, np.inf, np.nan]),
+            ),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_mixes_match_np_exp(self, x):
+        ref = plain_exp(x)
+        assert np.array_equal(_exp_inplace(x.copy()), ref, equal_nan=True)
+
+
+class TestKdeWeightsBitIdentity:
+    """kde_regress equals its plain-np.exp form bit for bit, NaN rows too."""
+
+    @pytest.fixture
+    def band_lanes(self, monkeypatch):
+        # lanes _exp_inplace patches, counted so the tests show they reach them
+        seen = []
+        real = estimators._exp_inplace
+
+        def counted(x):
+            seen.append(int(np.count_nonzero((x > DEAD_CUTOFF) & (x < FAST_EXP_FLOOR))))
+            return real(x)
+
+        monkeypatch.setattr(estimators, "_exp_inplace", counted)
+        return seen
+
+    @pytest.mark.parametrize("mode", [CANONICAL, TOP_LABEL])
+    def test_full_default_grid(self, band_lanes, mode):
+        ds = simulate(SimConfig(n=400, d=5, seed=5)).dataset
+        if mode == TOP_LABEL:
+            conf = ds.probs.max(axis=1)
+            correct = (ds.labels == ds.probs.argmax(axis=1)).astype(int)
+            ds = Dataset(conf[:, None], correct, TOP_LABEL)
+        train, queries = ds.subset(np.arange(320)), ds.probs[320:]
+        grid = default_grid("kde", mode, len(train))
+        assert len(grid) == 20
+        for b in grid:
+            got = kde_regress(train, queries, b)
+            assert np.array_equal(got, kde_regress_plain_exp(train, queries, b),
+                                  equal_nan=True), b
+        assert sum(band_lanes) > 0
+
+    def test_nan_rows(self, band_lanes):
+        P = np.tile([[0.98, 0.01, 0.01]], (20, 1))
+        ds = Dataset(P, np.zeros(20, dtype=int), CANONICAL)
+        queries = np.array([[0.01, 0.01, 0.98], [0.98, 0.01, 0.01],
+                            [0.5, 0.3, 0.2]])
+        for b in (1e-3, 1e-2, 3e-2, 0.1):
+            got = kde_regress(ds, queries, b)
+            assert np.array_equal(got, kde_regress_plain_exp(ds, queries, b),
+                                  equal_nan=True), b
+        assert np.isnan(kde_regress(ds, queries, 1e-3)[0]).all()
 
 
 class TestKkr:
