@@ -14,7 +14,7 @@ Usage:
 
 import argparse
 
-from calrisk.cli import RunConfig, run_evaluate
+from calrisk.pipeline import RunConfig, run_evaluate
 from calrisk.sim import SimConfig, simulate
 
 

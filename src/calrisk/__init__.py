@@ -7,33 +7,28 @@ from .core import (
     InputError,
     NumericError,
     PairModel,
-    Sample,
-    pair_target,
     pair_target_matrix,
     residual_matrix,
-    softmax,
     top_label_dataset,
-    top_label_reduce,
 )
 from .estimators import (
     BinningModel,
     KdeModel,
     KkrModel,
     UkkrModel,
-    dirichlet_kernel,
-    eval_kkr_naive,
     fit_binning,
     fit_kde,
     fit_kkr,
     fit_ukkr,
-    rbf_kernel,
 )
 from .pipeline import (
     CalibrationEstimate,
     CvResult,
+    RunConfig,
     cross_validate,
     default_grid,
     final_estimate,
+    run_evaluate,
     split_dataset,
 )
 from .risk import (

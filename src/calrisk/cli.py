@@ -1,12 +1,14 @@
-"""Dataset ingestion, run configuration, and the command-line surface.
+"""The command-line surface: dataset parsing and output writing only.
 
 Subcommands:
   simulate    ground-truth simulation risk curves over a temperature grid
   evaluate    split / cross-validate / ensemble-estimate on a dataset file
   risk-curve  per-hyperparameter holdout risks for one estimator family
 
-Reports are machine-readable JSON (optionally with a flat CSV of per-fold
-risks for external plotting). Exit codes: 0 success, 2 input/parse error,
+`evaluate` and `risk-curve` parse a CSV dataset (`load_dataset`) and a
+`pipeline.RunConfig`, and hand both to `pipeline.run_evaluate`. Reports
+are machine-readable JSON (optionally with a flat CSV of per-fold risks
+for external plotting). Exit codes: 0 success, 2 input/parse error,
 3 numeric failure.
 """
 
@@ -16,45 +18,12 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    CANONICAL,
-    TOP_LABEL,
-    Dataset,
-    InputError,
-    NumericError,
-    softmax_rows,
-    top_label_dataset,
-)
-from .pipeline import check_family_mode, cross_validate, final_estimate, split_dataset
+from .core import CANONICAL, Dataset, InputError, NumericError, softmax_rows
+from .pipeline import REPORT_FAMILIES, RunConfig, run_evaluate
 from .sim import DEFAULT_THETAS, SimConfig, risk_curve, simulate
-
-REPORT_FAMILIES = ("bin", "bin15", "kde", "kkr", "ukkr", "sim")
-
-
-@dataclass
-class RunConfig:
-    mode: str = "tce"                      # tce | cce
-    families: tuple = ("kde", "kkr", "ukkr")
-    test_fraction: float = 0.2
-    k_folds: int = 5
-    gamma: float = 0.5
-    seed: int = 0
-    grids: dict = field(default_factory=dict)  # per-family overrides
-    linear_risk: bool = False
-    model_temp: float = 0.3                # only used by the sim family
-
-    def __post_init__(self):
-        if self.mode not in ("tce", "cce"):
-            raise InputError(f"unknown mode {self.mode!r}")
-        data_mode = TOP_LABEL if self.mode == "tce" else CANONICAL
-        for fam in self.families:
-            if fam not in REPORT_FAMILIES:
-                raise InputError(f"unknown family {fam!r}")
-            check_family_mode("bin" if fam == "bin15" else fam, data_mode)
 
 
 def load_dataset(path, fmt):
@@ -127,72 +96,6 @@ def load_dataset(path, fmt):
     return Dataset(probs, label_col.astype(np.int64), CANONICAL)
 
 
-def _family_entry(cv, est):
-    sqrt_risks = np.array([np.sqrt(r.value) * 100.0 for r in cv.fold_risks])
-    return {
-        "best_hyper": cv.best_hyper,
-        "best_at_grid_edge": cv.best_at_grid_edge,
-        "val_sqrt_risk_x100": float(sqrt_risks.mean()),
-        "val_sqrt_risk_x100_se": float(sqrt_risks.std(ddof=1) / np.sqrt(len(sqrt_risks))),
-        "estimate": est.value,
-        "estimate_squared": est.squared_value,
-        "estimate_clipped": est.clipped,
-        "estimate_fold_se": est.fold_se,
-        "risk_dropped_nan": int(sum(r.dropped_nan for r in cv.fold_risks)),
-        "estimate_dropped_nan": est.dropped_nan,
-        "skipped_grid_points": [
-            {"hyper": h, "reason": why} for h, why in cv.skipped
-        ],
-    }
-
-
-def run_evaluate(cfg, ds):
-    """Execute split -> per-family CV -> ensemble estimate.
-
-    Returns the report and, per family, its `CvResult.grid`: the per-point
-    fold risks that `--emit-csv` writes. kkr and ukkr share one spectrum
-    per fold (see `cross_validate`). A family's fold models are dropped
-    once its estimate is in the report.
-    """
-    work = top_label_dataset(ds) if cfg.mode == "tce" else ds
-    tune, test = split_dataset(work, cfg.test_fraction, cfg.seed)
-    report = {
-        "metadata": {
-            "mode": cfg.mode,
-            "families": list(cfg.families),
-            "n_total": len(work),
-            "n_tune": len(tune),
-            "n_test": len(test),
-            "test_fraction": cfg.test_fraction,
-            "k_folds": cfg.k_folds,
-            "gamma": cfg.gamma,
-            "seed": cfg.seed,
-            "linear_risk": cfg.linear_risk,
-            "num_classes": ds.dim,
-        },
-        "families": {},
-    }
-    spectra = {}
-    grids = {}
-    for fam in cfg.families:
-        base = "bin" if fam == "bin15" else fam
-        grid = cfg.grids.get(fam)
-        if grid is None:
-            grid = [15] if fam == "bin15" else None
-        cv = cross_validate(
-            tune, base, grid=grid, k=cfg.k_folds, gamma=cfg.gamma,
-            seed=cfg.seed, linear=cfg.linear_risk, model_temp=cfg.model_temp,
-            spectra=spectra,
-        )
-        est = final_estimate(cv.fold_models, test)
-        report["families"][fam] = _family_entry(cv, est)
-        grids[fam] = cv.grid
-        # the fold models hold (n, n) cores; free them before the next
-        # family fits its own
-        del cv
-    return report, grids
-
-
 def _write_fold_csv(path, grids):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -214,6 +117,8 @@ def _parse_float_list(text):
 
 
 def _cmd_simulate(args):
+    if args.seeds < 1:
+        raise InputError(f"need at least 1 seed, got {args.seeds}")
     thetas = _parse_float_list(args.theta_grid) if args.theta_grid else list(DEFAULT_THETAS)
     curves = []
     argmins = []
@@ -248,16 +153,27 @@ def _dump_probs_csv(path, ds):
             writer.writerow([repr(float(v)) for v in row] + [int(label)])
 
 
+def _write_json(payload, out):
+    """JSON to the `--out` file, or to stdout without one."""
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
+
+
 def _cmd_evaluate(args):
     ds = load_dataset(args.data, args.format)
+    families = tuple(f.strip() for f in args.families.split(",") if f.strip())
     grids = {}
-    for fam in args.families.split(","):
-        override = getattr(args, f"grid_{fam.replace('-', '_')}", None)
+    for fam in families:
+        override = getattr(args, f"grid_{fam}", None)
         if override:
             grids[fam] = _parse_float_list(override)
     cfg = RunConfig(
         mode=args.mode,
-        families=tuple(f.strip() for f in args.families.split(",") if f.strip()),
+        families=families,
         test_fraction=args.test_fraction,
         k_folds=args.k,
         gamma=args.gamma,
@@ -267,12 +183,7 @@ def _cmd_evaluate(args):
         model_temp=args.model_temp,
     )
     report, grids = run_evaluate(cfg, ds)
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write_json(report, args.out)
     if args.emit_csv:
         _write_fold_csv(args.emit_csv, grids)
     return 0
@@ -280,24 +191,18 @@ def _cmd_evaluate(args):
 
 def _cmd_risk_curve(args):
     ds = load_dataset(args.data, args.format)
-    if args.mode == "tce":
-        ds = top_label_dataset(ds)
-    grid = _parse_float_list(args.grid) if args.grid else None
-    tune, _ = split_dataset(ds, args.test_fraction, args.seed)
-    cv = cross_validate(tune, args.family, grid=grid, k=args.k,
-                        gamma=args.gamma, seed=args.seed)
+    grids = {args.family: _parse_float_list(args.grid)} if args.grid else {}
+    cfg = RunConfig(mode=args.mode, families=(args.family,),
+                    test_fraction=args.test_fraction, k_folds=args.k,
+                    gamma=args.gamma, seed=args.seed, grids=grids)
+    report, grids = run_evaluate(cfg, ds)
     rows = [
         {"hyper": p.hyper, "mean_risk": p.mean_risk, "risk_se": p.risk_se}
-        for p in cv.grid
+        for p in grids[args.family]
     ]
-    out = {"family": args.family, "mode": args.mode, "seed": args.seed,
-           "best_hyper": cv.best_hyper, "grid": rows}
-    text = json.dumps(out, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write_json({"family": args.family, "mode": args.mode, "seed": args.seed,
+                 "best_hyper": report["families"][args.family]["best_hyper"],
+                 "grid": rows}, args.out)
     return 0
 
 
@@ -321,37 +226,33 @@ def build_parser():
     p_sim.add_argument("--out", type=str, required=True)
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_eval = sub.add_parser("evaluate", help="full calibration-evaluation pipeline")
-    p_eval.add_argument("--data", type=str, required=True)
-    p_eval.add_argument("--format", choices=["logits-csv", "probs-csv"],
-                        default="logits-csv")
-    p_eval.add_argument("--mode", choices=["tce", "cce"], default="tce")
+    # the dataset and run flags evaluate and risk-curve share
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--data", type=str, required=True)
+    run.add_argument("--format", choices=["logits-csv", "probs-csv"],
+                     default="logits-csv")
+    run.add_argument("--mode", choices=["tce", "cce"], default="tce")
+    run.add_argument("--test-fraction", type=float, default=0.2)
+    run.add_argument("--k", type=int, default=5)
+    run.add_argument("--gamma", type=float, default=0.5)
+    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--out", type=str, default=None)
+
+    p_eval = sub.add_parser("evaluate", parents=[run],
+                            help="full calibration-evaluation pipeline")
     p_eval.add_argument("--families", type=str, default="bin,bin15,kde,kkr,ukkr")
-    p_eval.add_argument("--test-fraction", type=float, default=0.2)
-    p_eval.add_argument("--k", type=int, default=5)
-    p_eval.add_argument("--gamma", type=float, default=0.5)
-    p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--model-temp", type=float, default=0.3)
     p_eval.add_argument("--linear-risk", action="store_true")
-    p_eval.add_argument("--out", type=str, default=None)
     p_eval.add_argument("--emit-csv", type=str, default=None)
     for fam in REPORT_FAMILIES:
         p_eval.add_argument(f"--grid-{fam}", type=str, default=None,
                             help=f"comma-separated grid override for {fam}")
     p_eval.set_defaults(func=_cmd_evaluate)
 
-    p_curve = sub.add_parser("risk-curve", help="holdout risks per grid point")
-    p_curve.add_argument("--data", type=str, required=True)
-    p_curve.add_argument("--format", choices=["logits-csv", "probs-csv"],
-                         default="logits-csv")
-    p_curve.add_argument("--mode", choices=["tce", "cce"], default="tce")
+    p_curve = sub.add_parser("risk-curve", parents=[run],
+                             help="holdout risks per grid point")
     p_curve.add_argument("--family", type=str, required=True)
     p_curve.add_argument("--grid", type=str, default=None)
-    p_curve.add_argument("--test-fraction", type=float, default=0.2)
-    p_curve.add_argument("--k", type=int, default=5)
-    p_curve.add_argument("--gamma", type=float, default=0.5)
-    p_curve.add_argument("--seed", type=int, default=0)
-    p_curve.add_argument("--out", type=str, default=None)
     p_curve.set_defaults(func=_cmd_risk_curve)
     return parser
 

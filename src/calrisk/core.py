@@ -26,37 +26,6 @@ class NumericError(ArithmeticError):
     """A numeric routine failed (singular system, broken Gram matrix, ...)."""
 
 
-def validate_prob_vector(values, tol=SIMPLEX_SUM_TOL):
-    """Return `values` as a float array after checking simplex membership."""
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or v.size < 1:
-        raise InputError("probability vector must be a non-empty 1-d sequence")
-    if not np.all(np.isfinite(v)):
-        raise InputError("probability vector has non-finite entries")
-    if np.any(v < 0.0) or np.any(v > 1.0):
-        raise InputError("probability vector entries must lie in [0, 1]")
-    s = float(v.sum())
-    if abs(s - 1.0) > tol:
-        raise InputError(f"probability vector sums to {s}, not 1")
-    return v
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One (prediction, label) pair."""
-
-    probs: np.ndarray
-    label: int
-
-    def __post_init__(self):
-        v = validate_prob_vector(self.probs)
-        object.__setattr__(self, "probs", v)
-        lab = int(self.label)
-        if not 0 <= lab < v.size:
-            raise InputError(f"label {lab} out of range for {v.size} classes")
-        object.__setattr__(self, "label", lab)
-
-
 @dataclass(frozen=True)
 class Dataset:
     """Homogeneous collection of predictions and labels.
@@ -105,23 +74,9 @@ class Dataset:
     def dim(self):
         return self.probs.shape[1]
 
-    def sample(self, i):
-        if self.mode != CANONICAL:
-            raise InputError("Sample extraction requires a canonical dataset")
-        return Sample(self.probs[i], int(self.labels[i]))
-
     def subset(self, idx):
         idx = np.asarray(idx, dtype=np.int64)
         return Dataset(self.probs[idx], self.labels[idx], self.mode)
-
-    @classmethod
-    def from_samples(cls, samples):
-        samples = list(samples)
-        if not samples:
-            raise InputError("empty sample list")
-        probs = np.stack([s.probs for s in samples])
-        labels = np.array([s.label for s in samples], dtype=np.int64)
-        return cls(probs, labels, CANONICAL)
 
 
 class PairModel:
@@ -154,22 +109,9 @@ def kfold_indices(n, k, seed):
     return folds
 
 
-def softmax(logits, temperature=1.0):
-    """Temperature-scaled softmax of a logit vector."""
+def softmax_rows(logits):
+    """Row-wise softmax of a (n, d) logit matrix."""
     z = np.asarray(logits, dtype=float)
-    if not np.all(np.isfinite(z)):
-        raise InputError("logits must be finite")
-    if temperature <= 0:
-        raise InputError("temperature must be positive")
-    z = z / temperature
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
-
-
-def softmax_rows(logits, temperature=1.0):
-    """Row-wise temperature-scaled softmax for a (n, d) logit matrix."""
-    z = np.asarray(logits, dtype=float) / temperature
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
@@ -182,19 +124,12 @@ def one_hot(labels, num_classes):
     return out
 
 
-def top_label_reduce(probs, label):
-    """Reduce a prediction to (top confidence, correctness).
+def top_label_dataset(ds):
+    """Reduce every sample of a canonical dataset to (top confidence, correctness).
 
     Argmax ties break toward the lowest index, so the reduction is
     deterministic and independent of sample order.
     """
-    v = np.asarray(probs, dtype=float)
-    idx = int(np.argmax(v))
-    return float(v[idx]), int(int(label) == idx)
-
-
-def top_label_dataset(ds):
-    """Apply the top-label reduction to every sample of a canonical dataset."""
     if ds.mode != CANONICAL:
         raise InputError("top-label reduction needs a canonical dataset")
     idx = np.argmax(ds.probs, axis=1)
@@ -212,27 +147,6 @@ def residual_matrix(ds):
     if ds.mode == CANONICAL:
         return ds.probs.T - one_hot(ds.labels, ds.dim).T
     return (ds.probs[:, 0] - ds.labels)[None, :]
-
-
-def pair_target(sample_i, sample_j, mode=CANONICAL):
-    """Regression target for one ordered sample pair.
-
-    Canonical mode is the inner product of the two residual columns;
-    top-label mode is the scalar product (c_i - a_i)(c_j - a_j) of the
-    reduced confidence/correctness residuals.
-    """
-    if sample_i.probs.size != sample_j.probs.size:
-        raise InputError("pair_target requires samples of equal dimension")
-    if mode == CANONICAL:
-        d = sample_i.probs.size
-        ri = sample_i.probs - one_hot([sample_i.label], d)[0]
-        rj = sample_j.probs - one_hot([sample_j.label], d)[0]
-        return float(ri @ rj)
-    if mode == TOP_LABEL:
-        ci, ai = top_label_reduce(sample_i.probs, sample_i.label)
-        cj, aj = top_label_reduce(sample_j.probs, sample_j.label)
-        return (ci - ai) * (cj - aj)
-    raise InputError(f"unknown mode {mode!r}")
 
 
 def pair_target_matrix(ds):

@@ -3,9 +3,9 @@
 Four families are provided: histogram binning, a Dirichlet-kernel density
 ratio (Nadaraya-Watson style), Kronecker kernel ridge regression solved via
 the eigendecomposition/Hadamard trick, and a two-step kernel ridge regressor
-that plugs fitted residual regressions into the inner product. A brute-force
-Kronecker solver and the pointwise kernels are kept as test oracles for the
-vectorized closed forms.
+that plugs fitted residual regressions into the inner product. Only the
+vectorized closed forms live here; the brute-force Kronecker solver and the
+pointwise kernels they are checked against are test oracles.
 
 Every fitted model is a `PairModel`: it defines `pairwise(P)`, the full
 (m, m) prediction matrix of an evaluation set, and `diag(P)`, the diagonal
@@ -52,15 +52,6 @@ DEAD_CUTOFF = -746.0
 # Kernels
 # ---------------------------------------------------------------------------
 
-def rbf_kernel(x, y, gamma):
-    """exp(-gamma * ||x - y||^2) for two vectors."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise InputError("rbf_kernel requires vectors of equal dimension")
-    return float(np.exp(-gamma * np.sum((x - y) ** 2)))
-
-
 def rbf_gram(X, Y, gamma):
     """(n, m) matrix of RBF kernel values between rows of X and rows of Y."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -78,27 +69,6 @@ def clip_simplex(P, eps=CLIP_EPS):
     """Clip simplex rows away from the boundary and renormalize."""
     P = np.clip(np.atleast_2d(np.asarray(P, dtype=float)), eps, None)
     return P / P.sum(axis=1, keepdims=True)
-
-
-def dirichlet_kernel(x, y, bandwidth):
-    """Dirichlet density of x under concentration alpha = y / bandwidth + 1.
-
-    Both arguments are clipped away from the simplex boundary and
-    renormalized, keeping the density finite everywhere.
-    """
-    if bandwidth <= 0:
-        raise InputError("bandwidth must be positive")
-    x = clip_simplex(x)[0]
-    y = clip_simplex(y)[0]
-    if x.shape != y.shape:
-        raise InputError("dirichlet_kernel requires equal dimensions")
-    alpha = y / bandwidth + 1.0
-    log_pdf = (
-        np.sum((alpha - 1.0) * np.log(x))
-        + gammaln(alpha.sum())
-        - np.sum(gammaln(alpha))
-    )
-    return float(np.exp(log_pdf))
 
 
 def _as_simplex_points(P):
@@ -342,25 +312,6 @@ def fit_kkr(train, lam, gamma, prep=None):
     X, Q = prep[0], prep[1]
     core = kkr_core(prep, lam, len(train))
     return KkrModel(X, Q, core, float(lam), float(gamma))
-
-
-def eval_kkr_naive(train, lam, gamma, p, p2):
-    """Brute-force Kronecker predictor via a dense n^2 x n^2 solve.
-
-    Test oracle only; the O(n^6) cost is guarded by an input limit.
-    """
-    n = len(train)
-    if n > 12:
-        raise InputError("naive Kronecker oracle limited to n <= 12")
-    X = train.probs
-    K = rbf_gram(X, X, gamma)
-    delta = residual_matrix(train)
-    G = delta.T @ delta
-    A = np.kron(K, K) + lam * n * n * np.eye(n * n)
-    kp = rbf_gram(X, np.atleast_2d(p), gamma).ravel()
-    kp2 = rbf_gram(X, np.atleast_2d(p2), gamma).ravel()
-    sol = np.linalg.solve(A, np.kron(kp, kp2))
-    return float(G.reshape(-1) @ sol)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,19 @@
-"""Train/validate/test calibration-evaluation pipeline.
+"""Train/validate/test calibration-evaluation pipeline: the one orchestration layer.
 
-The tuning split is cross-validated: each hyperparameter grid point is
-fitted on k-1 folds and scored by the empirical risk on the held-out fold,
-the point with minimal mean holdout risk wins, and the k fold models at the
-winner act as an ensemble for the final test-set estimate. kkr and ukkr
-decompose each fold's Gram once: its spectrum serves every lambda of both
-families and their refits.
+`run_evaluate` runs a `RunConfig` end to end: the top-label reduction in
+tce mode, the seeded tuning/test split, per-family cross-validation and the
+ensemble test-set estimate, and returns the report. The tuning split is
+cross-validated: each hyperparameter grid point is fitted on k-1 folds and
+scored by the empirical risk on the held-out fold, the point with minimal
+mean holdout risk wins, and the k fold models at the winner act as an
+ensemble for the final test-set estimate. kkr and ukkr decompose each
+fold's Gram once: its spectrum serves every lambda of both families and
+their refits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,6 +25,7 @@ from .core import (
     kfold_indices,
     pair_target_matrix,
     residual_matrix,
+    top_label_dataset,
 )
 from .estimators import (
     fit_binning,
@@ -41,6 +45,13 @@ FAMILIES = ("bin", "kde", "kkr", "ukkr", "sim")
 DENSE_FAMILIES = ("kkr", "ukkr")
 # the dataset mode a family can score; the others take either
 FAMILY_MODES = {"bin": TOP_LABEL, "sim": CANONICAL}
+# the family names a report can hold; bin15 is bin at a fixed 15 bins
+REPORT_FAMILIES = ("bin", "bin15", "kde", "kkr", "ukkr", "sim")
+
+
+def _report_family(name):
+    """The family a report entry cross-validates, and its default grid."""
+    return ("bin", [15]) if name == "bin15" else (name, None)
 
 
 def check_family_mode(family, mode):
@@ -225,6 +236,7 @@ def cross_validate(tune, family, grid=None, k=5, gamma=0.5, seed=0,
             f"{k}-fold cross-validation needs at least {2 * k} tuning "
             f"samples, got {len(tune)}"
         )
+    folds = kfold_indices(len(tune), k, seed)
     if grid is None:
         grid = default_grid(family, tune.mode, len(tune) * (k - 1) // k)
     grid = list(grid)
@@ -233,7 +245,6 @@ def cross_validate(tune, family, grid=None, k=5, gamma=0.5, seed=0,
     factored = family not in DENSE_FAMILIES
     if spectra is None:
         spectra = {}
-    folds = kfold_indices(len(tune), k, seed)
     all_idx = np.arange(len(tune))
     risk_table = {h: [] for h in grid}
     failures = {}
@@ -336,3 +347,96 @@ def final_estimate(fold_models, test):
     clipped = squared < 0.0
     value = float(np.sqrt(max(squared, 0.0)))
     return CalibrationEstimate(squared, value, clipped, fold_se, dropped)
+
+
+@dataclass
+class RunConfig:
+    mode: str = "tce"                      # tce | cce
+    families: tuple = ("kde", "kkr", "ukkr")
+    test_fraction: float = 0.2
+    k_folds: int = 5
+    gamma: float = 0.5
+    seed: int = 0
+    grids: dict = field(default_factory=dict)  # per-family overrides
+    linear_risk: bool = False
+    model_temp: float = 0.3                # only used by the sim family
+
+    def __post_init__(self):
+        if self.mode not in ("tce", "cce"):
+            raise InputError(f"unknown mode {self.mode!r}")
+        if self.k_folds < 2:
+            raise InputError(f"need at least 2 folds, got {self.k_folds}")
+        if not self.gamma > 0:
+            raise InputError(f"kernel gamma must be positive, got {self.gamma}")
+        if not self.model_temp > 0:
+            raise InputError(f"model temperature must be positive, got {self.model_temp}")
+        data_mode = TOP_LABEL if self.mode == "tce" else CANONICAL
+        for fam in self.families:
+            if fam not in REPORT_FAMILIES:
+                raise InputError(f"unknown family {fam!r}")
+            check_family_mode(_report_family(fam)[0], data_mode)
+
+
+def _family_entry(cv, est):
+    sqrt_risks = np.array([np.sqrt(r.value) * 100.0 for r in cv.fold_risks])
+    return {
+        "best_hyper": cv.best_hyper,
+        "best_at_grid_edge": cv.best_at_grid_edge,
+        "val_sqrt_risk_x100": float(sqrt_risks.mean()),
+        "val_sqrt_risk_x100_se": float(sqrt_risks.std(ddof=1) / np.sqrt(len(sqrt_risks))),
+        "estimate": est.value,
+        "estimate_squared": est.squared_value,
+        "estimate_clipped": est.clipped,
+        "estimate_fold_se": est.fold_se,
+        "risk_dropped_nan": int(sum(r.dropped_nan for r in cv.fold_risks)),
+        "estimate_dropped_nan": est.dropped_nan,
+        "skipped_grid_points": [
+            {"hyper": h, "reason": why} for h, why in cv.skipped
+        ],
+    }
+
+
+def run_evaluate(cfg, ds):
+    """Execute split -> per-family CV -> ensemble estimate on a canonical dataset.
+
+    Returns the report and, per family, its `CvResult.grid`: the per-point
+    fold risks. kkr and ukkr share one spectrum per fold (see
+    `cross_validate`). A family's fold models are dropped once its estimate
+    is in the report.
+    """
+    work = top_label_dataset(ds) if cfg.mode == "tce" else ds
+    tune, test = split_dataset(work, cfg.test_fraction, cfg.seed)
+    report = {
+        "metadata": {
+            "mode": cfg.mode,
+            "families": list(cfg.families),
+            "n_total": len(work),
+            "n_tune": len(tune),
+            "n_test": len(test),
+            "test_fraction": cfg.test_fraction,
+            "k_folds": cfg.k_folds,
+            "gamma": cfg.gamma,
+            "seed": cfg.seed,
+            "linear_risk": cfg.linear_risk,
+            "num_classes": ds.dim,
+        },
+        "families": {},
+    }
+    spectra = {}
+    grids = {}
+    for fam in cfg.families:
+        base, grid = _report_family(fam)
+        if cfg.grids.get(fam) is not None:
+            grid = cfg.grids[fam]
+        cv = cross_validate(
+            tune, base, grid=grid, k=cfg.k_folds,
+            gamma=cfg.gamma, seed=cfg.seed, linear=cfg.linear_risk,
+            model_temp=cfg.model_temp, spectra=spectra,
+        )
+        est = final_estimate(cv.fold_models, test)
+        report["families"][fam] = _family_entry(cv, est)
+        grids[fam] = cv.grid
+        # the fold models hold (n, n) cores; free them before the next
+        # family fits its own
+        del cv
+    return report, grids

@@ -11,9 +11,10 @@ the U-statistic follows exactly from d x d Gram norms in O(m d^2)
 pairwise. ukkr has a feature map through its Gram eigenbasis, but that
 order of operations rounds differently at the small-lambda end of its grids
 and moves its top-label estimates by up to 1.5e-3 relative, so it keeps its
-dense arithmetic. Those two, a plain callable h(p, p2) and the linear
-variant score a dense prediction matrix against the pair-target matrix
-(`risk_from_matrix`).
+dense arithmetic. Those two and the linear variant score a dense
+prediction matrix against the pair-target matrix (`risk_from_matrix`).
+Every risk scores a fitted model's `features` or `pairwise` over a
+`Dataset`; nothing evaluates h one pair at a time.
 """
 
 from __future__ import annotations
@@ -99,37 +100,11 @@ def linear_risk_from_matrix(H, T, seed):
     return RiskValue(value, pairs, n - pairs)
 
 
-class _PointwisePairs:
-    """H[rows, cols] of a plain callable, evaluated only at the pairs read."""
-
-    def __init__(self, h, P):
-        self.h, self.P = h, P
-
-    def __getitem__(self, index):
-        rows, cols = index
-        return np.array([self.h(self.P[i], self.P[j]) for i, j in zip(rows, cols)],
-                        dtype=float)
-
-
-def _prediction_matrix(h, eval_set):
-    P = eval_set.probs
-    if hasattr(h, "pairwise"):
-        return np.asarray(h.pairwise(P), dtype=float)
-    n = len(eval_set)
-    H = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                H[i, j] = h(P[i], P[j])
-    return H
-
-
 def empirical_risk(h, eval_set):
     """U-statistic risk over all ordered pairs i != j.
 
-    `h` is a fitted model or a plain callable h(p, p2) evaluated pointwise.
-    A model with `features` is scored in factored form, any other model
-    through its vectorized `pairwise` matrix. The evaluation set must be
+    `h` is a fitted model. One with `features` is scored in factored form,
+    any other through its `pairwise` matrix. The evaluation set must be
     disjoint from the data used to fit h; this is the caller's
     responsibility.
     """
@@ -137,9 +112,7 @@ def empirical_risk(h, eval_set):
         raise InputError("risk needs at least two evaluation samples")
     if hasattr(h, "features"):
         return risk_from_factors(h.features(eval_set.probs), residual_matrix(eval_set).T)
-    T = pair_target_matrix(eval_set)
-    H = _prediction_matrix(h, eval_set)
-    return risk_from_matrix(H, T)
+    return risk_from_matrix(h.pairwise(eval_set.probs), pair_target_matrix(eval_set))
 
 
 def empirical_risk_linear(h, eval_set, seed=0):
@@ -147,12 +120,8 @@ def empirical_risk_linear(h, eval_set, seed=0):
 
     Every sample is used in exactly two ordered pairs (i, i+1 mod n), which
     keeps the estimator unbiased for the risk while scoring only n pairs.
-    A plain callable is evaluated at those n pairs only.
     """
     if len(eval_set) < 2:
         raise InputError("risk needs at least two evaluation samples")
-    if hasattr(h, "pairwise"):
-        H = _prediction_matrix(h, eval_set)
-    else:
-        H = _PointwisePairs(h, eval_set.probs)
-    return linear_risk_from_matrix(H, pair_target_matrix(eval_set), seed)
+    return linear_risk_from_matrix(h.pairwise(eval_set.probs),
+                                   pair_target_matrix(eval_set), seed)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CANONICAL, Dataset, InputError, PairModel, kfold_indices
+from .core import CANONICAL, Dataset, InputError, PairModel, kfold_indices, softmax_rows
 from .risk import empirical_risk
 
 LOG_CLIP = 1e-12
@@ -48,14 +48,6 @@ class SimDataset:
     config: SimConfig
 
 
-def _softened_rows(P, factor):
-    # softmax(factor * log P) row-wise, with boundary-safe log
-    z = factor * np.log(np.clip(P, LOG_CLIP, None))
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def simulate(cfg):
     """Draw latent probabilities, labels, and miscalibrated predictions."""
     rng = np.random.default_rng(cfg.seed)
@@ -70,7 +62,8 @@ def simulate(cfg):
     u = rng.random(cfg.n)
     labels = (P.cumsum(axis=1) < u[:, None]).sum(axis=1)
     labels = np.minimum(labels, cfg.d - 1)
-    preds = _softened_rows(P, cfg.model_temp)
+    # softmax(t log P) row-wise, with boundary-safe log
+    preds = softmax_rows(cfg.model_temp * np.log(np.clip(P, LOG_CLIP, None)))
     return SimDataset(Dataset(preds, labels, CANONICAL), P, cfg)
 
 
@@ -88,7 +81,8 @@ class SimModel(PairModel):
     def features(self, P):
         """(m, d) candidate residuals p - softmax((theta/t) log p)."""
         P = np.atleast_2d(np.asarray(P, dtype=float))
-        return P - _softened_rows(P, self.theta / self.model_temp)
+        factor = self.theta / self.model_temp
+        return P - softmax_rows(factor * np.log(np.clip(P, LOG_CLIP, None)))
 
     def pairwise(self, P):
         f = self.features(P)

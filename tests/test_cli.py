@@ -9,9 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from calrisk.cli import RunConfig, load_dataset, main, run_evaluate
-from calrisk.core import CANONICAL, InputError, softmax
+from calrisk.cli import load_dataset, main
+from calrisk.core import CANONICAL, InputError
+from calrisk.pipeline import RunConfig, run_evaluate
 from calrisk.sim import SimConfig, simulate
+from oracles import softmax
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -200,12 +202,14 @@ class TestEvaluateCommand:
     def test_grid_override(self, tmp_path):
         data = write_random_logits(tmp_path / "d.csv", np.random.default_rng(3), 60)
         out = tmp_path / "report.json"
-        assert main([
-            "evaluate", "--data", data, "--mode", "tce", "--families", "bin",
-            "--grid-bin", "5,10", "--out", str(out),
-        ]) == 0
-        report = json.loads(out.read_text())
-        assert report["families"]["bin"]["best_hyper"] in (5, 10)
+        # spaces around a family name must not drop its override
+        for families in ("bin", "bin15, bin "):
+            assert main([
+                "evaluate", "--data", data, "--mode", "tce", "--families", families,
+                "--grid-bin", "7,12", "--out", str(out),
+            ]) == 0
+            report = json.loads(out.read_text())
+            assert report["families"]["bin"]["best_hyper"] in (7, 12)
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main([
@@ -333,6 +337,48 @@ class TestRiskCurveCommand:
             "--out", str(tmp_path / "curve.json"),
         ]) == 2
         assert f"the {family} family needs" in capsys.readouterr().err
+
+
+    def test_agrees_with_evaluate_fold_csv(self, tmp_path):
+        data = write_random_logits(tmp_path / "d.csv", np.random.default_rng(9), 80)
+        curve, report, folds = (tmp_path / name for name in ("c.json", "r.json", "f.csv"))
+        assert main([
+            "risk-curve", "--data", data, "--family", "kkr", "--seed", "4",
+            "--out", str(curve),
+        ]) == 0
+        assert main([
+            "evaluate", "--data", data, "--families", "kkr", "--seed", "4",
+            "--out", str(report), "--emit-csv", str(folds),
+        ]) == 0
+        curve = json.loads(curve.read_text())
+        entry = json.loads(report.read_text())["families"]["kkr"]
+        assert curve["best_hyper"] == entry["best_hyper"]
+        fold_risks = {}
+        with open(folds, newline="") as fh:
+            for row in csv.DictReader(fh):
+                fold_risks.setdefault(float(row["hyper"]), []).append(float(row["risk"]))
+        assert [point["hyper"] for point in curve["grid"]] == list(fold_risks)
+        for point in curve["grid"]:
+            assert point["mean_risk"] == np.mean(fold_risks[point["hyper"]])
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--k", "0"],
+    ["risk-curve", "--family", "kkr", "--k", "0"],
+    ["evaluate", "--mode", "cce", "--families", "sim", "--model-temp", "0"],
+    ["evaluate", "--model-temp", "-1"],
+    ["evaluate", "--gamma", "0"],
+    ["evaluate", "--gamma", "-1"],
+    ["simulate", "--seeds", "0"],
+], ids=lambda argv: " ".join(argv))
+def test_edge_inputs_exit_code(tmp_path, capsys, argv):
+    if argv[0] == "simulate":
+        argv = argv + ["--n", "50", "--out", str(tmp_path / "curve.csv")]
+    else:
+        data = write_random_logits(tmp_path / "d.csv", np.random.default_rng(8), 60)
+        argv = argv + ["--data", data, "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_compare_estimators_script():

@@ -8,15 +8,12 @@ from calrisk.core import (
     TOP_LABEL,
     Dataset,
     InputError,
-    Sample,
     one_hot,
-    pair_target,
     pair_target_matrix,
     residual_matrix,
-    softmax,
     top_label_dataset,
-    top_label_reduce,
 )
+from oracles import pair_target, softmax, top_label
 
 # high-precision reference evaluation of exp/sum for logits (1, 2, 3)
 SOFTMAX_123 = (0.09003057317038046, 0.24472847105479765, 0.6652409557748219)
@@ -31,9 +28,14 @@ def simplex_vectors(min_dim=2, max_dim=6):
 
 
 def samples(min_dim=2, max_dim=6):
+    # (probs, label) tuples
     return simplex_vectors(min_dim, max_dim).flatmap(
-        lambda p: st.integers(0, p.size - 1).map(lambda y: Sample(p, y))
+        lambda p: st.integers(0, p.size - 1).map(lambda y: (p, y))
     )
+
+
+def dataset_of(sample_list):
+    return Dataset(np.stack([p for p, _ in sample_list]), [y for _, y in sample_list])
 
 
 def sample_pairs():
@@ -67,35 +69,23 @@ class TestSoftmax:
             softmax([1.0, 2.0], temperature=0.0)
 
 
-class TestTopLabelReduce:
-    def test_correct_prediction(self):
-        assert top_label_reduce([0.7, 0.2, 0.1], 0) == (0.7, 1)
-
-    def test_tie_breaks_to_lowest_index(self):
-        assert top_label_reduce([0.5, 0.5], 1) == (0.5, 0)
-        assert top_label_reduce([0.5, 0.5], 0) == (0.5, 1)
-
-    def test_wrong_prediction(self):
-        assert top_label_reduce([0.1, 0.6, 0.3], 2) == (0.6, 0)
-
-
 class TestPairTarget:
     def test_zero_residual(self):
-        s = Sample([0.0, 1.0, 0.0], 1)
+        s = ([0.0, 1.0, 0.0], 1)
         assert pair_target(s, s) == 0.0
 
     def test_hand_computed_cross_pair(self):
-        si = Sample([0.5, 0.5], 0)
-        sj = Sample([0.5, 0.5], 1)
+        si = ([0.5, 0.5], 0)
+        sj = ([0.5, 0.5], 1)
         assert pair_target(si, sj) == pytest.approx(-0.5, abs=1e-15)
 
     def test_hand_computed_self_pair(self):
-        s = Sample([0.8, 0.2], 0)
+        s = ([0.8, 0.2], 0)
         assert pair_target(s, s) == pytest.approx(0.08, abs=1e-15)
 
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
-            pair_target(Sample([0.5, 0.5], 0), Sample([0.2, 0.3, 0.5], 1))
+            pair_target(([0.5, 0.5], 0), ([0.2, 0.3, 0.5], 1))
 
     @given(sample_pairs())
     def test_symmetric(self, pair):
@@ -111,9 +101,9 @@ class TestPairTarget:
         # the scalar (c-a)(c'-a') form against the canonical inner product
         # of ((c, 1-c), correctness one-hot) residuals, which is 2x larger
         reduced = []
-        for s in pair:
-            c, a = top_label_reduce(s.probs, s.label)
-            reduced.append(Sample([c, 1.0 - c], 0 if a else 1))
+        for p, y in pair:
+            c, a = top_label(p, y)
+            reduced.append(([c, 1.0 - c], 0 if a else 1))
         scalar = pair_target(pair[0], pair[1], mode=TOP_LABEL)
         vector = pair_target(reduced[0], reduced[1], mode=CANONICAL)
         assert 2.0 * scalar == pytest.approx(vector, abs=1e-12)
@@ -121,13 +111,13 @@ class TestPairTarget:
     @given(sample_pairs())
     def test_canonical_bound(self, pair):
         si, sj = pair
-        assert abs(pair_target(si, sj)) <= si.probs.size * 1.0 + 1e-12
+        assert abs(pair_target(si, sj)) <= si[0].size * 1.0 + 1e-12
 
 
 class TestResidualMatrix:
     @given(st.lists(samples(4, 4), min_size=1, max_size=20))
     def test_columns_sum_to_zero(self, sample_list):
-        ds = Dataset.from_samples(sample_list)
+        ds = dataset_of(sample_list)
         delta = residual_matrix(ds)
         assert delta.shape == (4, len(sample_list))
         np.testing.assert_allclose(delta.sum(axis=0), 0.0, atol=1e-12)
@@ -139,11 +129,11 @@ class TestResidualMatrix:
 
     @given(st.lists(samples(3, 3), min_size=2, max_size=10))
     def test_pair_target_matrix_matches_pointwise(self, sample_list):
-        ds = Dataset.from_samples(sample_list)
+        ds = dataset_of(sample_list)
         T = pair_target_matrix(ds)
         for i in range(len(ds)):
             for j in range(len(ds)):
-                expected = pair_target(ds.sample(i), ds.sample(j))
+                expected = pair_target(sample_list[i], sample_list[j])
                 assert T[i, j] == pytest.approx(expected, abs=1e-12)
 
 
@@ -167,15 +157,17 @@ class TestDataset:
         np.testing.assert_allclose(sub.probs[:, 0], [0.3, 0.9])
 
     def test_top_label_dataset(self):
+        # a correct and a wrong prediction, then argmax ties, which break
+        # toward the lowest index
         ds = Dataset(
-            np.array([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3]]),
-            np.array([0, 2]),
+            np.array([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3], [0.4, 0.4, 0.2], [0.4, 0.4, 0.2]]),
+            np.array([0, 2, 1, 0]),
             CANONICAL,
         )
         top = top_label_dataset(ds)
         assert top.mode == TOP_LABEL
-        np.testing.assert_allclose(top.probs[:, 0], [0.7, 0.6])
-        np.testing.assert_array_equal(top.labels, [1, 0])
+        np.testing.assert_allclose(top.probs[:, 0], [0.7, 0.6, 0.4, 0.4])
+        np.testing.assert_array_equal(top.labels, [1, 0, 0, 1])
 
 
 @given(st.integers(0, 4))

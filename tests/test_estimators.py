@@ -15,18 +15,16 @@ from calrisk.estimators import (
     _as_simplex_points,
     _exp_inplace,
     clip_simplex,
-    dirichlet_kernel,
-    eval_kkr_naive,
     fit_binning,
     fit_kde,
     fit_kkr,
     fit_ukkr,
     kde_regress,
     rbf_gram,
-    rbf_kernel,
 )
 from calrisk.pipeline import default_grid
 from calrisk.sim import SimConfig, SimModel, simulate
+from oracles import dirichlet_kernel, eval_kkr_naive, rbf_kernel
 
 
 def random_canonical(rng, n, d):

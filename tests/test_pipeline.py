@@ -200,6 +200,12 @@ class TestCrossValidate:
                             grid=[5], k=5)
         assert cv.best_hyper == 5
 
+    def test_bad_fold_count_rejected_before_the_default_grid(self):
+        ds = random_top_label(np.random.default_rng(11), 40)
+        for k in (0, 1):
+            with pytest.raises(InputError, match="need k >= 2 folds"):
+                cross_validate(ds, "bin", k=k)
+
     @pytest.mark.parametrize("mode,family", [(CANONICAL, "bin"), (TOP_LABEL, "sim")])
     def test_family_of_other_mode_rejected(self, mode, family):
         ds = random_canonical(np.random.default_rng(23), 40, 3)

@@ -8,8 +8,6 @@ from calrisk.core import (
     Dataset,
     InputError,
     NumericError,
-    Sample,
-    pair_target,
     pair_target_matrix,
 )
 from calrisk.estimators import fit_kde, fit_kkr
@@ -18,11 +16,11 @@ from calrisk.risk import (
     RiskValue,
     empirical_risk,
     empirical_risk_linear,
-    linear_risk_from_matrix,
     risk_from_factors,
     risk_from_matrix,
 )
 from calrisk.sim import SimConfig, SimModel, simulate
+from oracles import pair_target, pointwise_risk
 
 
 def random_canonical(rng, n, d):
@@ -44,21 +42,17 @@ class ConstantModel:
         return np.full(len(P), self.c)
 
 
-def zero_h(p, p2):
-    return 0.0
-
-
 class TestEmpiricalRisk:
     def test_perfect_predictions_zero_risk(self):
         # one-hot predictions with matching labels: all targets are zero
         ds = Dataset(np.eye(3)[[0, 1, 2, 0]], np.array([0, 1, 2, 0]), CANONICAL)
-        assert empirical_risk(zero_h, ds).value == 0.0
+        assert empirical_risk(ConstantModel(0.0), ds).value == 0.0
 
     def test_two_sample_hand_computation(self):
         ds = Dataset(
             np.array([[0.5, 0.5], [0.5, 0.5]]), np.array([0, 1]), CANONICAL
         )
-        t = pair_target(ds.sample(0), ds.sample(1))  # -0.5
+        t = pair_target((ds.probs[0], ds.labels[0]), (ds.probs[1], ds.labels[1]))  # -0.5
         c = 0.3
         rv = empirical_risk(ConstantModel(c), ds)
         assert rv.value == pytest.approx((t - c) ** 2, abs=1e-15)
@@ -67,14 +61,14 @@ class TestEmpiricalRisk:
     def test_rejects_tiny_eval_set(self):
         ds = Dataset(np.array([[0.5, 0.5]]), np.array([0]), CANONICAL)
         with pytest.raises(InputError):
-            empirical_risk(zero_h, ds)
+            empirical_risk(ConstantModel(0.0), ds)
 
     def test_callable_and_model_paths_agree(self):
         rng = np.random.default_rng(0)
         ds = random_canonical(rng, 15, 3)
         model = fit_kkr(random_canonical(rng, 10, 3), 0.1, 0.5)
         fast = empirical_risk(model, ds)
-        slow = empirical_risk(lambda p, p2: model.predict(p, p2), ds)
+        slow = pointwise_risk(model, ds)
         assert fast.value == pytest.approx(slow.value, rel=1e-12)
 
     @given(st.integers(0, 500))
@@ -170,7 +164,7 @@ class TestNanAccounting:
 class TestLinearRisk:
     def test_zero_case(self):
         ds = Dataset(np.eye(3)[[0, 1, 2]], np.array([0, 1, 2]), CANONICAL)
-        assert empirical_risk_linear(zero_h, ds).value == 0.0
+        assert empirical_risk_linear(ConstantModel(0.0), ds).value == 0.0
 
     def test_two_samples_match_quadratic(self):
         ds = random_canonical(np.random.default_rng(2), 2, 3)
@@ -193,22 +187,7 @@ class TestLinearRisk:
 
     def test_pair_count(self):
         ds = random_canonical(np.random.default_rng(4), 20, 3)
-        assert empirical_risk_linear(zero_h, ds).pairs_used == 20
-
-    def test_callable_evaluated_only_at_scored_pairs(self):
-        ds = random_canonical(np.random.default_rng(22), 20, 3)
-        calls = []
-
-        def h(p, p2):
-            calls.append(1)
-            return 0.3 * float(p @ p2) - 0.1
-
-        got = empirical_risk_linear(h, ds, seed=5)
-        assert len(calls) == 20
-        P = ds.probs
-        H = np.array([[h(p, p2) for p2 in P] for p in P])
-        want = linear_risk_from_matrix(H, pair_target_matrix(ds), 5)
-        assert got == want
+        assert empirical_risk_linear(ConstantModel(0.0), ds).pairs_used == 20
 
 
 class TestKkrRisk:
@@ -230,7 +209,7 @@ class TestKkrRisk:
         evalset = random_canonical(rng, 20, 3)
         model = fit_kkr(train, 0.5, 0.5)
         fast = empirical_risk(model, evalset)
-        slow = empirical_risk(lambda p, p2: model.predict(p, p2), evalset)
+        slow = pointwise_risk(model, evalset)
         assert fast.value == pytest.approx(slow.value, abs=1e-10)
 
     def test_ridge_limit_is_mean_squared_target(self):
@@ -239,7 +218,7 @@ class TestKkrRisk:
         evalset = random_canonical(rng, 12, 3)
         model = fit_kkr(train, 1e12, 0.5)
         rv = empirical_risk(model, evalset)
-        baseline = empirical_risk(zero_h, evalset)
+        baseline = empirical_risk(ConstantModel(0.0), evalset)
         assert rv.value == pytest.approx(baseline.value, rel=1e-6)
 
     def test_equivalence_across_default_grid(self):
@@ -249,7 +228,7 @@ class TestKkrRisk:
         for lam in default_grid("kkr", CANONICAL, len(train)):
             model = fit_kkr(train, lam, 0.5)
             fast = empirical_risk(model, evalset)
-            slow = empirical_risk(lambda p, p2: model.predict(p, p2), evalset)
+            slow = pointwise_risk(model, evalset)
             assert fast.value == pytest.approx(slow.value, rel=1e-8, abs=1e-12)
 
 

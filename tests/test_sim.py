@@ -106,8 +106,9 @@ class TestRiskCurve:
         rng = np.random.default_rng(6)
         P = rng.dirichlet(np.ones(5), size=10)
         logP = np.log(P)
-        direct = softmax_rows(logP, temperature=1 / 0.3)
-        shifted = softmax_rows(logP + 3.7, temperature=1 / 0.3)
+        factor = 0.3
+        direct = softmax_rows(factor * logP)
+        shifted = softmax_rows(factor * (logP + 3.7))
         np.testing.assert_allclose(direct, shifted, atol=1e-12)
 
     def test_mean_risk_separation_at_theta_one(self):
