@@ -14,10 +14,12 @@ evaluates one pair through `pairwise`. Binning and kde are inner products
 of a feature map, h(p, p2) = <phi(p), phi(p2)>: their `features(P)` gives
 the (m, d') rows phi(p), `pairwise` and `diag` are derived from it, and
 cross-validation scores the features without any (m, m) matrix. kkr is
-genuinely pairwise. ukkr could be factored through its Gram eigenbasis, but
-that rounds differently at the small-lambda end of its grids and moves its
-top-label estimates by up to 1.5e-3 relative, so it keeps its dense
-`pairwise` arithmetic.
+genuinely pairwise. ukkr's cross-validation is factored too
+(`ukkr_cv_features`): it only ranks a lambda grid, and the factored and
+dense holdout risks agree to rounding. Its refit and estimate stay dense,
+because factoring them moves the estimates: by up to 1.5e-3 relative
+through the Gram eigenbasis, 7.9e-3 through Q^T G Q computed as V V^T.
+So `UkkrModel` has no `features`.
 """
 
 from __future__ import annotations
@@ -339,13 +341,8 @@ class UkkrModel(PairModel):
         return np.sum(B * (self.core @ B), axis=0)
 
 
-def ukkr_rotated_core(prep, lam, n):
-    """Core of the two-step solve in the Gram eigenbasis.
-
-    The full core is Q @ rotated @ Q^T; cross-validation works directly in
-    the rotated basis so each lambda costs O(n^2) instead of O(n^3).
-    """
-    _, _, evals, QtGQ = prep
+def _ukkr_shift(evals, lam, n):
+    """The Gram eigenvalues shifted by lam n, checked for a solvable system."""
     if lam < 0:
         raise InputError("lambda must be nonnegative")
     shifted = evals + lam * n
@@ -354,7 +351,33 @@ def ukkr_rotated_core(prep, lam, n):
             f"singular system in two-step solve (min shifted eigenvalue "
             f"{shifted.min()})"
         )
+    return shifted
+
+
+def ukkr_rotated_core(prep, lam, n):
+    """Core of the two-step solve in the Gram eigenbasis.
+
+    The full core is Q @ rotated @ Q^T; the refit at the winning lambda
+    builds it from the fold's one Gram eigendecomposition.
+    """
+    _, _, evals, QtGQ = prep
+    shifted = _ukkr_shift(evals, lam, n)
     return QtGQ / np.outer(shifted, shifted)
+
+
+def ukkr_cv_features(prep, V, basis, lam, n):
+    """(m, d) holdout rows Phi with Phi Phi^T = basis^T rotated basis.
+
+    `rotated` is `ukkr_rotated_core(prep, lam, n)`, `basis` the holdout
+    basis Q^T k(X, P) and V = Q^T D^T the training residuals in the Gram
+    eigenbasis, so Q^T G Q = V V^T and Phi = basis^T diag(1/s) V with
+    s = evals + lam n: the two-step KRR of Stock, Pahikkala et al. (2018)
+    in O(n m d) per lambda. It agrees with the dense matrix to rounding, so
+    it serves to rank a lambda grid; the refit keeps the dense core, since
+    factoring it moves the estimates (see the module docstring).
+    """
+    shifted = _ukkr_shift(prep[2], lam, n)
+    return basis.T @ (V / shifted[:, None])
 
 
 def ukkr_core(prep, lam, n):

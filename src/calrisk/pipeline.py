@@ -8,7 +8,8 @@ scored by the empirical risk on the held-out fold, the point with minimal
 mean holdout risk wins, and the k fold models at the winner act as an
 ensemble for the final test-set estimate. kkr and ukkr decompose each
 fold's Gram once: its spectrum serves every lambda of both families and
-their refits.
+their refits. Every family but kkr is scored from (m, d') holdout feature
+rows; ukkr's come from that spectrum, while its refit stays dense.
 """
 
 from __future__ import annotations
@@ -35,14 +36,16 @@ from .estimators import (
     kkr_core,
     kkr_prepare,
     rbf_gram,
-    ukkr_rotated_core,
+    ukkr_cv_features,
 )
 from .risk import linear_risk_from_matrix, risk_from_factors, risk_from_matrix
 from .sim import DEFAULT_THETAS, SimModel
 
 FAMILIES = ("bin", "kde", "kkr", "ukkr", "sim")
-# scored through their (m, m) prediction matrix; the others through features
-DENSE_FAMILIES = ("kkr", "ukkr")
+# scored through its (m, m) prediction matrix; the others through features
+DENSE_FAMILIES = ("kkr",)
+# cross-validated and refitted from one Gram spectrum per fold
+SPECTRAL_FAMILIES = ("kkr", "ukkr")
 # the dataset mode a family can score; the others take either
 FAMILY_MODES = {"bin": TOP_LABEL, "sim": CANONICAL}
 # the family names a report can hold; bin15 is bin at a fixed 15 bins
@@ -164,43 +167,43 @@ def fit_family(family, train, hyper, gamma=0.5, model_temp=0.3, prep=None):
 
 def _fold_spectrum(spectra, train, hold, gamma):
     """The fold's `kkr_prepare` result, holdout basis Q^T k(X, P_hold) and
-    holdout target matrix.
+    rotated training residuals V = Q^T D^T.
 
     Computed once per key and kept in `spectra`, a dict the caller owns.
     The key is gamma and the fold's data itself, so an entry can only
     serve the split, tuning set and gamma it was computed for.
     """
     key = (float(gamma), train.mode, train.probs.tobytes(),
-           train.labels.tobytes(), hold.probs.tobytes(), hold.labels.tobytes())
+           train.labels.tobytes(), hold.probs.tobytes())
     if key not in spectra:
         prep = kkr_prepare(train, gamma)
-        spectra[key] = (prep, prep[1].T @ rbf_gram(prep[0], hold.probs, gamma),
-                        pair_target_matrix(hold))
+        Q = prep[1]
+        spectra[key] = (prep, Q.T @ rbf_gram(prep[0], hold.probs, gamma),
+                        Q.T @ residual_matrix(train).T)
     return spectra[key]
 
 
 def _fold_predictions(family, train, hold, grid, gamma, model_temp, spectrum):
     """Holdout predictions per grid point, sharing fold-level work.
 
-    kkr/ukkr give the (m, m) prediction matrix from `spectrum`, the fold's
+    kkr gives the (m, m) prediction matrix and every other family its
+    (m, d') feature rows. kkr and ukkr read `spectrum`, the fold's
     `_fold_spectrum`: one Gram eigendecomposition and one holdout basis serve
-    the whole lambda grid. The factored families give their (m, d') feature
-    rows and take `spectrum` None.
+    the whole lambda grid. The other families take `spectrum` None.
     """
     out = {}
-    if family in DENSE_FAMILIES:
-        prep, basis, _ = spectrum
+    if family in SPECTRAL_FAMILIES:
+        prep, basis, V = spectrum
         n = len(train)
-        # both families predict in the Gram eigenbasis, so each lambda
-        # costs one (n, n) x (n, m) product instead of O(n^3)
-        core_fn = kkr_core if family == "kkr" else ukkr_rotated_core
         for hyper in grid:
             try:
-                core = core_fn(prep, hyper, n)
+                if family == "kkr":
+                    # one (n, n) x (n, m) product per lambda instead of O(n^3)
+                    out[hyper] = basis.T @ (kkr_core(prep, hyper, n) @ basis)
+                else:
+                    out[hyper] = ukkr_cv_features(prep, V, basis, hyper, n)
             except NumericError as exc:
                 out[hyper] = exc
-                continue
-            out[hyper] = basis.T @ (core @ basis)
         return out
     for hyper in grid:
         try:
@@ -218,8 +221,8 @@ def cross_validate(tune, family, grid=None, k=5, gamma=0.5, seed=0,
     Returns the winning grid point together with its k fold models, which
     downstream code uses as an ensemble. Grid points that fail to fit (or
     whose predictions are all dropped) on any fold are skipped and recorded.
-    bin, kde and sim are scored from their holdout feature rows; kkr, ukkr
-    and the linear risk from (m, m) prediction matrices.
+    bin, kde, sim and ukkr are scored from their holdout feature rows; kkr
+    and the linear risk from (m, m) prediction and target matrices.
 
     kkr and ukkr take each fold's spectrum from `spectra` (see
     `_fold_spectrum`), filling it on first use, and refit from the same
@@ -242,7 +245,7 @@ def cross_validate(tune, family, grid=None, k=5, gamma=0.5, seed=0,
     grid = list(grid)
     if not grid:
         raise InputError("empty hyperparameter grid")
-    factored = family not in DENSE_FAMILIES
+    dense = family in DENSE_FAMILIES
     if spectra is None:
         spectra = {}
     all_idx = np.arange(len(tune))
@@ -252,14 +255,15 @@ def cross_validate(tune, family, grid=None, k=5, gamma=0.5, seed=0,
     for fold in folds:
         train_idx = np.setdiff1d(all_idx, fold, assume_unique=True)
         train, hold = tune.subset(train_idx), tune.subset(fold)
-        spectrum = None if factored else _fold_spectrum(spectra, train, hold, gamma)
+        spectrum = (_fold_spectrum(spectra, train, hold, gamma)
+                    if family in SPECTRAL_FAMILIES else None)
         fold_splits.append((train, spectrum))
         preds = _fold_predictions(family, train, hold, grid, gamma, model_temp,
                                   spectrum)
-        if factored and not linear:
-            D = residual_matrix(hold).T
+        if dense or linear:
+            T = pair_target_matrix(hold)
         else:
-            T = pair_target_matrix(hold) if factored else spectrum[2]
+            D = residual_matrix(hold).T
         for hyper in grid:
             pred = preds[hyper]
             if isinstance(pred, Exception):
@@ -267,12 +271,12 @@ def cross_validate(tune, family, grid=None, k=5, gamma=0.5, seed=0,
                 continue
             try:
                 if linear:
-                    H = pred @ pred.T if factored else pred
+                    H = pred if dense else pred @ pred.T
                     rv = linear_risk_from_matrix(H, T, seed)
-                elif factored:
-                    rv = risk_from_factors(pred, D)
-                else:
+                elif dense:
                     rv = risk_from_matrix(pred, T)
+                else:
+                    rv = risk_from_factors(pred, D)
             except NumericError as exc:
                 failures.setdefault(hyper, str(exc))
                 continue
@@ -370,6 +374,11 @@ class RunConfig:
             raise InputError(f"kernel gamma must be positive, got {self.gamma}")
         if not self.model_temp > 0:
             raise InputError(f"model temperature must be positive, got {self.model_temp}")
+        if not self.families:
+            raise InputError("no family to evaluate")
+        repeated = [f for i, f in enumerate(self.families) if f in self.families[:i]]
+        if repeated:
+            raise InputError(f"family {repeated[0]!r} given more than once")
         data_mode = TOP_LABEL if self.mode == "tce" else CANONICAL
         for fam in self.families:
             if fam not in REPORT_FAMILIES:

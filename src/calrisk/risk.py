@@ -7,11 +7,12 @@ The pair target is bilinear, T_ij = <delta_i, delta_j> with delta the
 residual p - e_y, and so are the bin, kde and sim models:
 h(p, p2) = <phi(p), phi(p2)> with phi at most d wide (`features`). For them
 the U-statistic follows exactly from d x d Gram norms in O(m d^2)
-(`risk_from_factors`), and no (m, m) matrix is built. kkr is genuinely
-pairwise. ukkr has a feature map through its Gram eigenbasis, but that
-order of operations rounds differently at the small-lambda end of its grids
-and moves its top-label estimates by up to 1.5e-3 relative, so it keeps its
-dense arithmetic. Those two and the linear variant score a dense
+(`risk_from_factors`), and no (m, m) matrix is built. ukkr's
+cross-validation scores its holdout rows the same way; its refit and
+estimate stay dense, because factoring them moves the estimates (by up to
+1.5e-3 relative through the Gram eigenbasis, 7.9e-3 through Q^T G Q as
+V V^T), so a fitted ukkr model has no `features`. kkr is genuinely
+pairwise. It, a ukkr model and the linear variant score a dense
 prediction matrix against the pair-target matrix (`risk_from_matrix`).
 Every risk scores a fitted model's `features` or `pairwise` over a
 `Dataset`; nothing evaluates h one pair at a time.

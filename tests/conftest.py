@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -29,4 +31,27 @@ def pair_target_calls(monkeypatch):
         return pair_target_matrix(ds)
 
     monkeypatch.setattr(pipeline, "pair_target_matrix", counted)
+    return calls
+
+
+@pytest.fixture
+def ukkr_core_calls(monkeypatch):
+    """Lambdas passed to estimators.ukkr_rotated_core during the test.
+
+    The function is replaced at every calrisk module that binds it, so a
+    call counts whichever module makes it.
+    """
+    from calrisk import estimators
+
+    calls = []
+    ukkr_rotated_core = estimators.ukkr_rotated_core
+
+    def counted(prep, lam, n):
+        calls.append(lam)
+        return ukkr_rotated_core(prep, lam, n)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("calrisk") and \
+                getattr(module, "ukkr_rotated_core", None) is ukkr_rotated_core:
+            monkeypatch.setattr(module, "ukkr_rotated_core", counted)
     return calls

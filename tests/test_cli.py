@@ -381,6 +381,15 @@ def test_edge_inputs_exit_code(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("families", [",", " , ", "bin,bin", "kde,,kde", "kkr, kkr"])
+def test_bad_family_list_exit_code(tmp_path, capsys, families):
+    data = write_random_logits(tmp_path / "d.csv", np.random.default_rng(8), 60)
+    out = tmp_path / "r.json"
+    assert main(["evaluate", "--data", data, "--families", families, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_compare_estimators_script():
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "compare_estimators.py"), "--n", "200"],
@@ -413,10 +422,17 @@ class TestSharedSpectra:
         run_evaluate(RunConfig(mode=mode, families=("kkr", "ukkr"), k_folds=5), dataset)
         assert len(pair_target_calls) == 5
 
+    @pytest.mark.parametrize("mode", ["tce", "cce"])
+    def test_ukkr_alone_builds_no_target_matrix(self, pair_target_calls, dataset, mode):
+        # ukkr scores its holdout feature rows against the residual rows
+        run_evaluate(RunConfig(mode=mode, families=("ukkr",), k_folds=5), dataset)
+        assert pair_target_calls == []
+
     @pytest.mark.parametrize("mode,families,linear", [
         ("tce", ("bin", "kde", "kkr", "ukkr"), False),
         ("cce", ("kkr", "ukkr"), False),
         ("cce", ("kkr", "ukkr", "sim"), True),
+        ("tce", ("ukkr", "kkr"), True),
     ])
     def test_shared_run_matches_one_family_runs(self, dataset, mode, families, linear):
         shared, shared_grids = run_evaluate(

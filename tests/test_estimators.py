@@ -64,7 +64,7 @@ def test_pairwise_and_diag_match_pointwise(family):
     d = model.diag(P)
     assert H.shape == (5, 5) and d.shape == (5,)
     np.testing.assert_allclose(d, np.diagonal(H), rtol=1e-12, atol=1e-15)
-    # kkr is genuinely pairwise; ukkr keeps its dense arithmetic
+    # kkr is genuinely pairwise; a fitted ukkr keeps its dense arithmetic
     assert hasattr(model, "features") == (family not in ("kkr", "ukkr"))
     if hasattr(model, "features"):
         F = model.features(P)

@@ -10,7 +10,13 @@ from calrisk.core import (
     pair_target_matrix,
     top_label_dataset,
 )
-from calrisk.estimators import fit_binning
+from calrisk.estimators import (
+    fit_binning,
+    kkr_prepare,
+    rbf_gram,
+    ukkr_cv_features,
+    ukkr_rotated_core,
+)
 from calrisk.pipeline import (
     CvResult,
     GridPointResult,
@@ -266,6 +272,75 @@ def test_factored_cv_matches_dense_reference(mode, family, grid):
     if (mode, family) == ("cce", "kde"):
         # the smallest bandwidths underflow the kernel weights of some rows
         assert sum(r.dropped_nan for p in cv.grid for r in p.fold_risks) > 0
+
+
+def ukkr_dense_fold_risks(tune, grid, k, seed, gamma=0.5):
+    """ukkr holdout risks per grid point from each fold's dense rotated core,
+    and the first failure reason per skipped point."""
+    risks, skipped = {h: [] for h in grid}, {}
+    for fold in kfold_indices(len(tune), k, seed):
+        train = tune.subset(np.setdiff1d(np.arange(len(tune)), fold))
+        hold = tune.subset(fold)
+        prep = kkr_prepare(train, gamma)
+        basis = prep[1].T @ rbf_gram(prep[0], hold.probs, gamma)
+        T = pair_target_matrix(hold)
+        for hyper in grid:
+            try:
+                core = ukkr_rotated_core(prep, hyper, len(train))
+            except NumericError as exc:
+                skipped.setdefault(hyper, str(exc))
+                continue
+            risks[hyper].append(risk_from_matrix(basis.T @ (core @ basis), T))
+    return {h: r for h, r in risks.items() if h not in skipped}, skipped
+
+
+class TestUkkrFactoredCv:
+    """ukkr ranks its lambda grid from (m, d) holdout rows; the ranking and
+    the skips must be those of its dense (m, m) prediction matrices."""
+
+    def check(self, tune, grid=None, k=5, seed=1):
+        cv = cross_validate(tune, "ukkr", grid=grid, k=k, seed=seed)
+        grid = grid or default_grid("ukkr", tune.mode, len(tune) * (k - 1) // k)
+        risks, skipped = ukkr_dense_fold_risks(tune, grid, k, seed)
+        assert list(cv.skipped) == list(skipped.items())
+        assert [p.hyper for p in cv.grid] == list(risks)
+        for point in cv.grid:
+            want = risks[point.hyper]
+            assert [r.value for r in point.fold_risks] == pytest.approx(
+                [r.value for r in want], rel=1e-12)
+            assert [(r.pairs_used, r.dropped_nan) for r in point.fold_risks] == [
+                (r.pairs_used, r.dropped_nan) for r in want]
+        means = {h: np.mean([r.value for r in rs]) for h, rs in risks.items()}
+        assert cv.best_hyper == min(means, key=means.get)
+        return cv
+
+    @pytest.mark.parametrize("mode", ["tce", "cce"])
+    def test_default_grid_matches_dense_cores(self, mode):
+        ds = simulate(SimConfig(n=300, seed=4)).dataset
+        self.check(top_label_dataset(ds) if mode == "tce" else ds)
+
+    def test_rank_deficient_gram_skips_lambda_zero_alike(self):
+        # ten distinct confidences: every fold's Gram has rank <= 10
+        rng = np.random.default_rng(30)
+        conf = rng.choice(np.linspace(0.3, 0.95, 10), size=60)
+        correct = (rng.random(60) < conf).astype(int)
+        cv = self.check(Dataset(conf[:, None], correct, TOP_LABEL),
+                        grid=[0.0, 1e-3, 0.1])
+        assert [h for h, _ in cv.skipped] == [0.0]
+        assert cv.skipped[0][1].startswith("singular system in two-step solve")
+
+    def test_negative_lambda_raises(self):
+        tune = random_canonical(np.random.default_rng(31), 50, 3)
+        with pytest.raises(InputError, match="lambda must be nonnegative"):
+            cross_validate(tune, "ukkr", grid=[0.1, -1.0], k=5)
+        prep = kkr_prepare(tune, 0.5)
+        with pytest.raises(InputError, match="lambda must be nonnegative"):
+            ukkr_cv_features(prep, np.zeros((50, 3)), np.zeros((50, 4)), -1.0, 50)
+
+    def test_rotated_core_serves_only_the_refits(self, ukkr_core_calls):
+        tune = random_canonical(np.random.default_rng(32), 50, 3)
+        cv = cross_validate(tune, "ukkr", grid=[0.01, 0.1, 1.0], k=5)
+        assert ukkr_core_calls == [cv.best_hyper] * 5
 
 
 class TestSharedSpectra:
