@@ -1,0 +1,124 @@
+#!/usr/bin/env python3
+"""Check that two source trees of calrisk write byte-identical outputs.
+
+Runs the same commands with `python -m calrisk` once with each tree's
+`src` directory on PYTHONPATH, and compares every file they write, with
+each command's standard output, byte for byte:
+
+  evaluate --mode tce (default families)        report and --emit-csv
+  evaluate --mode cce, kde,kkr,ukkr,sim, d=10   report and --emit-csv
+  evaluate --mode cce, kde,sim, n=4000          report and --emit-csv
+  the d=10 cce evaluate with --linear-risk      report and --emit-csv
+  risk-curve --mode tce --family kkr            curve JSON
+  simulate --n 500 --seeds 40                   curve CSV
+
+The evaluate inputs are the benchmark's seeded logits (perfbench/inputs.py)
+at instance 31, so the outputs are those of perfbench's evaluate workloads.
+Exits 0 when every file is identical, 1 naming each file that differs, and
+2 when a command fails.
+
+Usage:
+    python scripts/compare_outputs.py PARENT_SRC CHANGE_SRC [--workdir DIR]
+"""
+
+import argparse
+import filecmp
+import importlib.util
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+INSTANCE = 31
+# input name -> (n, d), the sizes of perfbench's evaluate workloads
+INPUTS = {"tce": (1200, 5), "cce-d10": (1200, 10), "kde": (4000, 5)}
+CCE_D10 = ["evaluate", "--mode", "cce", "--families", "kde,kkr,ukkr,sim"]
+# case -> (input name or None, argv without the input and output paths)
+CASES = {
+    "evaluate-tce": ("tce", ["evaluate", "--mode", "tce"]),
+    "evaluate-cce-d10": ("cce-d10", CCE_D10),
+    "evaluate-kde": ("kde", ["evaluate", "--mode", "cce", "--families", "kde,sim"]),
+    "evaluate-cce-d10-linear": ("cce-d10", CCE_D10 + ["--linear-risk"]),
+    "risk-curve-kkr": ("tce", ["risk-curve", "--mode", "tce", "--family", "kkr"]),
+    "simulate": (None, ["simulate", "--n", "500", "--d", "5", "--alpha", "0.04",
+                        "--seeds", "40", "--seed", str(40 * INSTANCE)]),
+}
+
+
+def load_inputs():
+    """perfbench/inputs.py as a module, without writing bytecode under perfbench/."""
+    sys.dont_write_bytecode = True
+    spec = importlib.util.spec_from_file_location("perfbench_inputs",
+                                                  ROOT / "perfbench" / "inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def write_inputs(workdir):
+    inputs = load_inputs()
+    paths = {}
+    for name, (n, d) in INPUTS.items():
+        logits, labels = inputs.sample_logits(n, d, seed=INSTANCE)
+        paths[name] = workdir / f"input-{name}.csv"
+        inputs.write_logits_csv(paths[name], logits, labels)
+    return paths
+
+
+def run_cases(src, outdir, inputs):
+    """Run every case with `src` on PYTHONPATH; None, or the first failure."""
+    outdir.mkdir(exist_ok=True)
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    for case, (data, argv) in CASES.items():
+        argv = list(argv)
+        if data is not None:
+            argv += ["--data", str(inputs[data])]
+        if argv[0] == "evaluate":
+            argv += ["--out", str(outdir / f"{case}.json"),
+                     "--emit-csv", str(outdir / f"{case}.csv")]
+        else:
+            suffix = ".csv" if argv[0] == "simulate" else ".json"
+            argv += ["--out", str(outdir / f"{case}{suffix}")]
+        proc = subprocess.run([sys.executable, "-m", "calrisk", *argv], env=env,
+                              cwd=outdir, capture_output=True, text=True)
+        if proc.returncode != 0:
+            return f"{case} exited {proc.returncode} with {src}: {proc.stderr.strip()}"
+        (outdir / f"{case}.stdout").write_text(proc.stdout)
+    return None
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent_src", type=Path)
+    parser.add_argument("change_src", type=Path)
+    parser.add_argument("--workdir", type=Path, default=None,
+                        help="keep inputs and outputs here (default: a temporary directory)")
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = (args.workdir or Path(tmp)).resolve()
+        workdir.mkdir(parents=True, exist_ok=True)
+        inputs = write_inputs(workdir)
+        sides = {"parent": args.parent_src.resolve(), "change": args.change_src.resolve()}
+        for side, src in sides.items():
+            failure = run_cases(src, workdir / side, inputs)
+            if failure:
+                print(failure, file=sys.stderr)
+                return 2
+        names = sorted({p.name for side in sides for p in (workdir / side).iterdir()})
+        differ = [name for name in names
+                  if not ((workdir / "parent" / name).is_file()
+                          and (workdir / "change" / name).is_file()
+                          and filecmp.cmp(workdir / "parent" / name,
+                                          workdir / "change" / name, shallow=False))]
+    for name in differ:
+        print(f"differs: {name}")
+    if differ:
+        return 1
+    print(f"identical: {len(names)} files")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

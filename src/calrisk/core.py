@@ -87,12 +87,25 @@ class PairModel:
     pair is evaluated through `pairwise`, so the surfaces cannot disagree.
     A model that is an inner product of a feature map also defines
     `features(P)`, the (m, d') rows whose Gram matrix is `pairwise(P)`; the
-    risk then needs no (m, m) matrix.
+    risk then needs no (m, m) matrix. Such a model binds `feature_pairwise`
+    and `feature_diag` as its `pairwise` and `diag`.
     """
 
     def predict(self, p, p2):
         P = np.vstack([np.atleast_2d(p), np.atleast_2d(p2)])
         return float(self.pairwise(P)[0, 1])
+
+
+def feature_pairwise(model, P):
+    """`pairwise` of a feature-map model: the Gram matrix of its rows."""
+    f = model.features(P)
+    return f @ f.T
+
+
+def feature_diag(model, P):
+    """`diag` of a feature-map model: the squared norm of each row."""
+    f = model.features(P)
+    return np.sum(f * f, axis=1)
 
 
 def kfold_indices(n, k, seed):

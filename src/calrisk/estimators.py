@@ -10,16 +10,20 @@ pointwise kernels they are checked against are test oracles.
 Every fitted model is a `PairModel`: it defines `pairwise(P)`, the full
 (m, m) prediction matrix of an evaluation set, and `diag(P)`, the diagonal
 predictions h(p_i, p_i) that the final estimate averages; `predict(p, p2)`
-evaluates one pair through `pairwise`. Binning and kde are inner products
-of a feature map, h(p, p2) = <phi(p), phi(p2)>: their `features(P)` gives
-the (m, d') rows phi(p), `pairwise` and `diag` are derived from it, and
-cross-validation scores the features without any (m, m) matrix. kkr is
-genuinely pairwise. ukkr's cross-validation is factored too
-(`ukkr_cv_features`): it only ranks a lambda grid, and the factored and
-dense holdout risks agree to rounding. Its refit and estimate stay dense,
-because factoring them moves the estimates: by up to 1.5e-3 relative
-through the Gram eigenbasis, 7.9e-3 through Q^T G Q computed as V V^T.
-So `UkkrModel` has no `features`.
+evaluates one pair through `pairwise`. A model has one of two shapes, and
+each shape has one `pairwise`/`diag` pair. Binning and kde are inner
+products of a feature map, h(p, p2) = <phi(p), phi(p2)>: their
+`features(P)` gives the (m, d') rows phi(p), `core.feature_pairwise` and
+`core.feature_diag` are derived from it, and cross-validation scores the
+features without any (m, m) matrix. kkr and ukkr are kernel quadratic
+forms B^T core B over a basis B of the evaluation rows
+(`_quadratic_pairwise`, `_quadratic_diag`).
+
+ukkr's cross-validation is factored (`ukkr_cv_features`): it only ranks a
+lambda grid, and the factored and dense holdout risks agree to rounding.
+Its refit and estimate stay dense, because factoring them moves the
+estimates: by up to 1.5e-3 relative through the Gram eigenbasis, 7.9e-3
+through Q^T G Q computed as V V^T. So `UkkrModel` has no `features`.
 """
 
 from __future__ import annotations
@@ -36,6 +40,8 @@ from .core import (
     InputError,
     NumericError,
     PairModel,
+    feature_diag,
+    feature_pairwise,
     one_hot,
     residual_matrix,
 )
@@ -97,13 +103,8 @@ class BinningModel(PairModel):
         """(m, 1) bin gaps; h(p, p2) is their product."""
         return self.gaps[_bin_index(self.edges, _conf_column(P))][:, None]
 
-    def pairwise(self, P):
-        f = self.features(P)
-        return f @ f.T
-
-    def diag(self, P):
-        f = self.features(P)
-        return np.sum(f * f, axis=1)
+    pairwise = feature_pairwise
+    diag = feature_diag
 
 
 def _conf_column(P):
@@ -126,9 +127,9 @@ def fit_binning(train, num_bins):
         raise InputError("binning requires a top-label dataset")
     if len(train) < 1:
         raise InputError("empty training set")
+    if not (float(num_bins).is_integer() and num_bins >= 1):
+        raise InputError(f"number of bins must be a positive integer, got {num_bins}")
     num_bins = int(num_bins)
-    if num_bins < 1:
-        raise InputError("number of bins must be >= 1")
     edges = np.linspace(0.0, 1.0, num_bins + 1)
     conf = train.probs[:, 0]
     correct = train.labels.astype(float)
@@ -155,16 +156,14 @@ class KdeModel(PairModel):
 
     def features(self, P):
         """(m, d) residuals p - g(p), (m, 1) in top-label mode; NaN rows kept."""
-        r = kde_residuals(self, P)
-        return r.reshape(len(r), -1)
+        P = np.atleast_2d(np.asarray(P, dtype=float))
+        ghat = kde_regress(self.train, P, self.bandwidth)
+        if self.train.mode == CANONICAL:
+            return P - ghat
+        return (P[:, 0] - ghat)[:, None]
 
-    def pairwise(self, P):
-        f = self.features(P)
-        return f @ f.T
-
-    def diag(self, P):
-        f = self.features(P)
-        return np.sum(f * f, axis=1)
+    pairwise = feature_pairwise
+    diag = feature_diag
 
 
 def fit_kde(train, bandwidth):
@@ -223,28 +222,28 @@ def kde_regress(train, queries, bandwidth):
     bad = ~np.isfinite(denom) | (denom == 0.0)
     denom[bad] = 1.0
     if train.mode == CANONICAL:
-        num = w.T @ one_hot(train.labels, train.dim)
-        ghat = num / denom[:, None]
-        ghat[bad] = np.nan
+        ghat = (w.T @ one_hot(train.labels, train.dim)) / denom[:, None]
     else:
-        num = w.T @ train.labels.astype(float)
-        ghat = num / denom
-        ghat[bad] = np.nan
+        ghat = (w.T @ train.labels.astype(float)) / denom
+    ghat[bad] = np.nan
     return ghat
 
 
-def kde_residuals(model, P):
-    """p - g(p) for each evaluation row; NaN rows propagate."""
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    ghat = kde_regress(model.train, P, model.bandwidth)
-    if model.train.mode == CANONICAL:
-        return P - ghat
-    return P[:, 0] - ghat
+# ---------------------------------------------------------------------------
+# Kernel quadratic forms: Kronecker and two-step kernel ridge regression
+# ---------------------------------------------------------------------------
+
+def _quadratic_pairwise(model, P):
+    """`pairwise` of a kernel model: B^T core B with B = model._basis(P)."""
+    B = model._basis(P)
+    return B.T @ (model.core @ B)
 
 
-# ---------------------------------------------------------------------------
-# Kronecker kernel ridge regression
-# ---------------------------------------------------------------------------
+def _quadratic_diag(model, P):
+    """`diag` of a kernel model: the diagonal of B^T core B."""
+    B = model._basis(P)
+    return np.sum(B * (model.core @ B), axis=0)
+
 
 @dataclass(frozen=True)
 class KkrModel(PairModel):
@@ -263,13 +262,8 @@ class KkrModel(PairModel):
     def _basis(self, P):
         return self.Q.T @ rbf_gram(self.train_predictions, P, self.gamma)
 
-    def pairwise(self, P):
-        B = self._basis(P)
-        return B.T @ (self.core @ B)
-
-    def diag(self, P):
-        B = self._basis(P)
-        return np.sum(B * (self.core @ B), axis=0)
+    pairwise = _quadratic_pairwise
+    diag = _quadratic_diag
 
 
 def kkr_prepare(train, gamma):
@@ -316,10 +310,6 @@ def fit_kkr(train, lam, gamma, prep=None):
     return KkrModel(X, Q, core, float(lam), float(gamma))
 
 
-# ---------------------------------------------------------------------------
-# Two-step kernel ridge regression
-# ---------------------------------------------------------------------------
-
 @dataclass(frozen=True)
 class UkkrModel(PairModel):
     """Two-step model: core = (K + lam n I)^-1 D^T D (K + lam n I)^-1."""
@@ -332,13 +322,8 @@ class UkkrModel(PairModel):
     def _basis(self, P):
         return rbf_gram(self.train_predictions, P, self.gamma)
 
-    def pairwise(self, P):
-        B = self._basis(P)
-        return B.T @ (self.core @ B)
-
-    def diag(self, P):
-        B = self._basis(P)
-        return np.sum(B * (self.core @ B), axis=0)
+    pairwise = _quadratic_pairwise
+    diag = _quadratic_diag
 
 
 def _ukkr_shift(evals, lam, n):
@@ -380,14 +365,10 @@ def ukkr_cv_features(prep, V, basis, lam, n):
     return basis.T @ (V / shifted[:, None])
 
 
-def ukkr_core(prep, lam, n):
-    Q = prep[1]
-    return Q @ ukkr_rotated_core(prep, lam, n) @ Q.T
-
-
 def fit_ukkr(train, lam, gamma, prep=None):
     """Fit the two-step kernel ridge model via a symmetric solve."""
     if prep is None:
         prep = kkr_prepare(train, gamma)
-    core = ukkr_core(prep, lam, len(train))
+    Q = prep[1]
+    core = Q @ ukkr_rotated_core(prep, lam, len(train)) @ Q.T
     return UkkrModel(prep[0], core, float(lam), float(gamma))

@@ -9,7 +9,9 @@ mean holdout risk wins, and the k fold models at the winner act as an
 ensemble for the final test-set estimate. kkr and ukkr decompose each
 fold's Gram once: its spectrum serves every lambda of both families and
 their refits. Every family but kkr is scored from (m, d') holdout feature
-rows; ukkr's come from that spectrum, while its refit stays dense.
+rows; ukkr's come from that spectrum, while its refit stays dense. A fold
+predicts and scores one grid point at a time, and a point that fails
+numerically is skipped from then on.
 """
 
 from __future__ import annotations
@@ -42,8 +44,6 @@ from .risk import linear_risk_from_matrix, risk_from_factors, risk_from_matrix
 from .sim import DEFAULT_THETAS, SimModel
 
 FAMILIES = ("bin", "kde", "kkr", "ukkr", "sim")
-# scored through its (m, m) prediction matrix; the others through features
-DENSE_FAMILIES = ("kkr",)
 # cross-validated and refitted from one Gram spectrum per fold
 SPECTRAL_FAMILIES = ("kkr", "ukkr")
 # the dataset mode a family can score; the others take either
@@ -153,7 +153,7 @@ def fit_family(family, train, hyper, gamma=0.5, model_temp=0.3, prep=None):
     ukkr fit its own Gram eigendecomposition.
     """
     if family == "bin":
-        return fit_binning(train, int(hyper))
+        return fit_binning(train, hyper)
     if family == "kde":
         return fit_kde(train, hyper)
     if family == "kkr":
@@ -183,35 +183,32 @@ def _fold_spectrum(spectra, train, hold, gamma):
     return spectra[key]
 
 
-def _fold_predictions(family, train, hold, grid, gamma, model_temp, spectrum):
-    """Holdout predictions per grid point, sharing fold-level work.
+def _holdout_risk(family, train, hold, hyper, targets, model_temp, spectrum,
+                  linear, seed):
+    """The holdout risk of one grid point fitted on one fold's training part.
 
-    kkr gives the (m, m) prediction matrix and every other family its
-    (m, d') feature rows. kkr and ukkr read `spectrum`, the fold's
-    `_fold_spectrum`: one Gram eigendecomposition and one holdout basis serve
-    the whole lambda grid. The other families take `spectrum` None.
+    kkr predicts the (m, m) matrix and is scored against the pair-target
+    matrix `targets`; every other family predicts (m, d') feature rows,
+    scored against the (m, d) residual rows `targets` or, for the linear
+    risk, through their Gram matrix against the pair targets. kkr and ukkr
+    read `spectrum`, the fold's `_fold_spectrum`, so one Gram
+    eigendecomposition and one holdout basis serve the whole lambda grid.
     """
-    out = {}
-    if family in SPECTRAL_FAMILIES:
+    if family == "kkr":
+        prep, basis, _ = spectrum
+        # one (n, n) x (n, m) product per lambda instead of O(n^3)
+        H = basis.T @ (kkr_core(prep, hyper, len(train)) @ basis)
+        if linear:
+            return linear_risk_from_matrix(H, targets, seed)
+        return risk_from_matrix(H, targets)
+    if family == "ukkr":
         prep, basis, V = spectrum
-        n = len(train)
-        for hyper in grid:
-            try:
-                if family == "kkr":
-                    # one (n, n) x (n, m) product per lambda instead of O(n^3)
-                    out[hyper] = basis.T @ (kkr_core(prep, hyper, n) @ basis)
-                else:
-                    out[hyper] = ukkr_cv_features(prep, V, basis, hyper, n)
-            except NumericError as exc:
-                out[hyper] = exc
-        return out
-    for hyper in grid:
-        try:
-            model = fit_family(family, train, hyper, gamma, model_temp)
-            out[hyper] = model.features(hold.probs)
-        except (NumericError, InputError) as exc:
-            out[hyper] = exc
-    return out
+        F = ukkr_cv_features(prep, V, basis, hyper, len(train))
+    else:
+        F = fit_family(family, train, hyper, model_temp=model_temp).features(hold.probs)
+    if linear:
+        return linear_risk_from_matrix(F @ F.T, targets, seed)
+    return risk_from_factors(F, targets)
 
 
 def cross_validate(tune, family, grid=None, k=5, gamma=0.5, seed=0,
@@ -219,10 +216,15 @@ def cross_validate(tune, family, grid=None, k=5, gamma=0.5, seed=0,
     """Grid search by k-fold cross-validated empirical risk.
 
     Returns the winning grid point together with its k fold models, which
-    downstream code uses as an ensemble. Grid points that fail to fit (or
-    whose predictions are all dropped) on any fold are skipped and recorded.
-    bin, kde, sim and ukkr are scored from their holdout feature rows; kkr
-    and the linear risk from (m, m) prediction and target matrices.
+    downstream code uses as an ensemble. Each fold fits and scores one grid
+    point at a time. A point whose fit or score fails numerically on a fold
+    (a NumericError: a singular system, or every holdout prediction
+    dropped) is skipped with that first reason and not fitted again on
+    later folds. A value the family cannot take (a non-finite value, a
+    bandwidth that is not positive, a negative lambda, a bin count that is
+    not a positive integer) is an InputError and ends the call. bin, kde,
+    sim and ukkr are scored from their holdout feature rows; kkr and the
+    linear risk from (m, m) prediction and target matrices.
 
     kkr and ukkr take each fold's spectrum from `spectra` (see
     `_fold_spectrum`), filling it on first use, and refit from the same
@@ -245,7 +247,8 @@ def cross_validate(tune, family, grid=None, k=5, gamma=0.5, seed=0,
     grid = list(grid)
     if not grid:
         raise InputError("empty hyperparameter grid")
-    dense = family in DENSE_FAMILIES
+    if not np.isfinite(grid).all():
+        raise InputError(f"grid values must be finite, got {grid}")
     if spectra is None:
         spectra = {}
     all_idx = np.arange(len(tune))
@@ -258,29 +261,19 @@ def cross_validate(tune, family, grid=None, k=5, gamma=0.5, seed=0,
         spectrum = (_fold_spectrum(spectra, train, hold, gamma)
                     if family in SPECTRAL_FAMILIES else None)
         fold_splits.append((train, spectrum))
-        preds = _fold_predictions(family, train, hold, grid, gamma, model_temp,
-                                  spectrum)
-        if dense or linear:
-            T = pair_target_matrix(hold)
+        if family == "kkr" or linear:
+            targets = pair_target_matrix(hold)
         else:
-            D = residual_matrix(hold).T
+            targets = residual_matrix(hold).T
         for hyper in grid:
-            pred = preds[hyper]
-            if isinstance(pred, Exception):
-                failures.setdefault(hyper, str(pred))
-                continue
+            if hyper in failures:
+                continue  # failed on an earlier fold: not fitted again
             try:
-                if linear:
-                    H = pred if dense else pred @ pred.T
-                    rv = linear_risk_from_matrix(H, T, seed)
-                elif dense:
-                    rv = risk_from_matrix(pred, T)
-                else:
-                    rv = risk_from_factors(pred, D)
+                risk_table[hyper].append(_holdout_risk(
+                    family, train, hold, hyper, targets, model_temp, spectrum,
+                    linear, seed))
             except NumericError as exc:
-                failures.setdefault(hyper, str(exc))
-                continue
-            risk_table[hyper].append(rv)
+                failures[hyper] = str(exc)
 
     results = []
     for hyper in grid:

@@ -8,12 +8,11 @@ residual p - e_y, and so are the bin, kde and sim models:
 h(p, p2) = <phi(p), phi(p2)> with phi at most d wide (`features`). For them
 the U-statistic follows exactly from d x d Gram norms in O(m d^2)
 (`risk_from_factors`), and no (m, m) matrix is built. ukkr's
-cross-validation scores its holdout rows the same way; its refit and
-estimate stay dense, because factoring them moves the estimates (by up to
-1.5e-3 relative through the Gram eigenbasis, 7.9e-3 through Q^T G Q as
-V V^T), so a fitted ukkr model has no `features`. kkr is genuinely
-pairwise. It, a ukkr model and the linear variant score a dense
-prediction matrix against the pair-target matrix (`risk_from_matrix`).
+cross-validation scores its holdout rows the same way, but a fitted ukkr
+model stays dense and has no `features` (the `estimators` module
+docstring says why). kkr is genuinely pairwise. It, a ukkr model and the
+linear variant score a dense prediction matrix against the pair-target
+matrix (`risk_from_matrix`).
 Every risk scores a fitted model's `features` or `pairwise` over a
 `Dataset`; nothing evaluates h one pair at a time.
 """

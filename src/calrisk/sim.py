@@ -13,7 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CANONICAL, Dataset, InputError, PairModel, kfold_indices, softmax_rows
+from .core import (
+    CANONICAL,
+    Dataset,
+    InputError,
+    PairModel,
+    feature_diag,
+    feature_pairwise,
+    kfold_indices,
+    softmax_rows,
+)
 from .risk import empirical_risk
 
 LOG_CLIP = 1e-12
@@ -84,13 +93,8 @@ class SimModel(PairModel):
         factor = self.theta / self.model_temp
         return P - softmax_rows(factor * np.log(np.clip(P, LOG_CLIP, None)))
 
-    def pairwise(self, P):
-        f = self.features(P)
-        return f @ f.T
-
-    def diag(self, P):
-        f = self.features(P)
-        return np.sum(f * f, axis=1)
+    pairwise = feature_pairwise
+    diag = feature_diag
 
 
 def risk_curve(sim, thetas, k_folds=5, seed=0):

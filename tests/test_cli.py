@@ -370,6 +370,16 @@ class TestRiskCurveCommand:
     ["evaluate", "--gamma", "0"],
     ["evaluate", "--gamma", "-1"],
     ["simulate", "--seeds", "0"],
+    # a grid value the family cannot take; "=" keeps argparse from reading
+    # a negative value as a flag
+    ["evaluate", "--families", "bin", "--grid-bin=2.5"],
+    ["evaluate", "--families", "bin", "--grid-bin=inf,10"],
+    ["evaluate", "--families", "bin", "--grid-bin=0"],
+    ["evaluate", "--families", "kde", "--grid-kde=0"],
+    ["evaluate", "--families", "kde", "--grid-kde=-1"],
+    ["evaluate", "--families", "kde", "--grid-kde=nan,0.1"],
+    ["evaluate", "--families", "kkr", "--grid-kkr=-1"],
+    ["evaluate", "--families", "ukkr", "--grid-ukkr=-1"],
 ], ids=lambda argv: " ".join(argv))
 def test_edge_inputs_exit_code(tmp_path, capsys, argv):
     if argv[0] == "simulate":
@@ -418,7 +428,8 @@ class TestSharedSpectra:
 
     @pytest.mark.parametrize("mode", ["tce", "cce"])
     def test_one_target_matrix_per_fold(self, pair_target_calls, dataset, mode):
-        # kkr and ukkr score every lambda against the same holdout targets
+        # only kkr scores against holdout target matrices: one per fold
+        # serves its whole lambda grid, and ukkr builds none
         run_evaluate(RunConfig(mode=mode, families=("kkr", "ukkr"), k_folds=5), dataset)
         assert len(pair_target_calls) == 5
 

@@ -17,6 +17,7 @@ from calrisk.estimators import (
     ukkr_cv_features,
     ukkr_rotated_core,
 )
+from calrisk import pipeline
 from calrisk.pipeline import (
     CvResult,
     GridPointResult,
@@ -185,6 +186,25 @@ class TestCrossValidate:
         cv = cross_validate(ds, "kkr", grid=[0.0, 0.5], k=5)
         assert cv.best_hyper == 0.5
         assert [h for h, _ in cv.skipped] == [0.0]
+
+    @pytest.mark.parametrize("mode", ["tce", "cce"])
+    def test_failed_point_is_not_fitted_again(self, monkeypatch, mode):
+        # at a bandwidth of 1e-30 every kernel weight sum underflows, so the
+        # first fold drops every holdout prediction
+        ds = simulate(SimConfig(n=150, seed=3)).dataset
+        tune = top_label_dataset(ds) if mode == "tce" else ds
+        fitted = []
+        fit_family = pipeline.fit_family
+
+        def counted(family, train, hyper, *args, **kwargs):
+            fitted.append(hyper)
+            return fit_family(family, train, hyper, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "fit_family", counted)
+        cv = cross_validate(tune, "kde", grid=[1e-30, 0.1], k=5)
+        assert list(cv.skipped) == [(1e-30, "no usable pairs (all predictions dropped)")]
+        assert fitted.count(1e-30) == 1
+        assert cv.best_hyper == 0.1
 
     def test_all_points_failing_raises(self):
         probs = np.tile([[0.6, 0.4]], (30, 1))
