@@ -9,7 +9,6 @@ each command's standard output, byte for byte:
   evaluate --mode cce, kde,kkr,ukkr,sim, d=10   report and --emit-csv
   evaluate --mode cce, kde,sim, n=4000          report and --emit-csv
   the d=10 cce evaluate with --linear-risk      report and --emit-csv
-  risk-curve --mode tce --family kkr            curve JSON
   simulate --n 500 --seeds 40                   curve CSV
 
 The evaluate inputs are the benchmark's seeded logits (perfbench/inputs.py)
@@ -41,7 +40,6 @@ CASES = {
     "evaluate-cce-d10": ("cce-d10", CCE_D10),
     "evaluate-kde": ("kde", ["evaluate", "--mode", "cce", "--families", "kde,sim"]),
     "evaluate-cce-d10-linear": ("cce-d10", CCE_D10 + ["--linear-risk"]),
-    "risk-curve-kkr": ("tce", ["risk-curve", "--mode", "tce", "--family", "kkr"]),
     "simulate": (None, ["simulate", "--n", "500", "--d", "5", "--alpha", "0.04",
                         "--seeds", "40", "--seed", str(40 * INSTANCE)]),
 }
@@ -79,8 +77,7 @@ def run_cases(src, outdir, inputs):
             argv += ["--out", str(outdir / f"{case}.json"),
                      "--emit-csv", str(outdir / f"{case}.csv")]
         else:
-            suffix = ".csv" if argv[0] == "simulate" else ".json"
-            argv += ["--out", str(outdir / f"{case}{suffix}")]
+            argv += ["--out", str(outdir / f"{case}.csv")]
         proc = subprocess.run([sys.executable, "-m", "calrisk", *argv], env=env,
                               cwd=outdir, capture_output=True, text=True)
         if proc.returncode != 0:

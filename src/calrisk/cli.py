@@ -3,13 +3,13 @@
 Subcommands:
   simulate    ground-truth simulation risk curves over a temperature grid
   evaluate    split / cross-validate / ensemble-estimate on a dataset file
-  risk-curve  per-hyperparameter holdout risks for one estimator family
 
-`evaluate` and `risk-curve` parse a CSV dataset (`load_dataset`) and a
-`pipeline.RunConfig`, and hand both to `pipeline.run_evaluate`. Reports
-are machine-readable JSON (optionally with a flat CSV of per-fold risks
-for external plotting). Exit codes: 0 success, 2 input/parse error,
-3 numeric failure.
+`evaluate` parses a CSV dataset (`load_dataset`) and a
+`pipeline.RunConfig`, and hands both to `pipeline.run_evaluate`. Reports
+are machine-readable JSON, each family's entry with its risk curve
+(`grid`: mean holdout risk and its standard error per grid point), and
+optionally a flat CSV of per-fold risks for external plotting. Exit codes:
+0 success, 2 input/parse error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .core import CANONICAL, Dataset, InputError, NumericError, softmax_rows
-from .pipeline import REPORT_FAMILIES, RunConfig, run_evaluate
+from .pipeline import FAMILIES, RunConfig, run_evaluate
 from .sim import DEFAULT_THETAS, SimConfig, risk_curve, simulate
 
 
@@ -166,11 +166,8 @@ def _write_json(payload, out):
 def _cmd_evaluate(args):
     ds = load_dataset(args.data, args.format)
     families = tuple(f.strip() for f in args.families.split(",") if f.strip())
-    grids = {}
-    for fam in families:
-        override = getattr(args, f"grid_{fam}", None)
-        if override:
-            grids[fam] = _parse_float_list(override)
+    grids = {fam: _parse_float_list(getattr(args, f"grid_{fam}"))
+             for fam in FAMILIES if getattr(args, f"grid_{fam}") is not None}
     cfg = RunConfig(
         mode=args.mode,
         families=families,
@@ -186,23 +183,6 @@ def _cmd_evaluate(args):
     _write_json(report, args.out)
     if args.emit_csv:
         _write_fold_csv(args.emit_csv, grids)
-    return 0
-
-
-def _cmd_risk_curve(args):
-    ds = load_dataset(args.data, args.format)
-    grids = {args.family: _parse_float_list(args.grid)} if args.grid else {}
-    cfg = RunConfig(mode=args.mode, families=(args.family,),
-                    test_fraction=args.test_fraction, k_folds=args.k,
-                    gamma=args.gamma, seed=args.seed, grids=grids)
-    report, grids = run_evaluate(cfg, ds)
-    rows = [
-        {"hyper": p.hyper, "mean_risk": p.mean_risk, "risk_se": p.risk_se}
-        for p in grids[args.family]
-    ]
-    _write_json({"family": args.family, "mode": args.mode, "seed": args.seed,
-                 "best_hyper": report["families"][args.family]["best_hyper"],
-                 "grid": rows}, args.out)
     return 0
 
 
@@ -226,34 +206,24 @@ def build_parser():
     p_sim.add_argument("--out", type=str, required=True)
     p_sim.set_defaults(func=_cmd_simulate)
 
-    # the dataset and run flags evaluate and risk-curve share
-    run = argparse.ArgumentParser(add_help=False)
-    run.add_argument("--data", type=str, required=True)
-    run.add_argument("--format", choices=["logits-csv", "probs-csv"],
-                     default="logits-csv")
-    run.add_argument("--mode", choices=["tce", "cce"], default="tce")
-    run.add_argument("--test-fraction", type=float, default=0.2)
-    run.add_argument("--k", type=int, default=5)
-    run.add_argument("--gamma", type=float, default=0.5)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--out", type=str, default=None)
-
-    p_eval = sub.add_parser("evaluate", parents=[run],
-                            help="full calibration-evaluation pipeline")
+    p_eval = sub.add_parser("evaluate", help="full calibration-evaluation pipeline")
+    p_eval.add_argument("--data", type=str, required=True)
+    p_eval.add_argument("--format", choices=["logits-csv", "probs-csv"],
+                        default="logits-csv")
+    p_eval.add_argument("--mode", choices=["tce", "cce"], default="tce")
+    p_eval.add_argument("--test-fraction", type=float, default=0.2)
+    p_eval.add_argument("--k", type=int, default=5)
+    p_eval.add_argument("--gamma", type=float, default=0.5)
+    p_eval.add_argument("--seed", type=int, default=0)
+    p_eval.add_argument("--out", type=str, default=None)
     p_eval.add_argument("--families", type=str, default="bin,bin15,kde,kkr,ukkr")
     p_eval.add_argument("--model-temp", type=float, default=0.3)
     p_eval.add_argument("--linear-risk", action="store_true")
     p_eval.add_argument("--emit-csv", type=str, default=None)
-    for fam in REPORT_FAMILIES:
+    for fam in FAMILIES:
         p_eval.add_argument(f"--grid-{fam}", type=str, default=None,
                             help=f"comma-separated grid override for {fam}")
     p_eval.set_defaults(func=_cmd_evaluate)
-
-    p_curve = sub.add_parser("risk-curve", parents=[run],
-                             help="holdout risks per grid point")
-    p_curve.add_argument("--family", type=str, required=True)
-    p_curve.add_argument("--grid", type=str, default=None)
-    p_curve.set_defaults(func=_cmd_risk_curve)
     return parser
 
 

@@ -220,9 +220,10 @@ def cross_validate(tune, family, grid=None, k=5, gamma=0.5, seed=0,
     point at a time. A point whose fit or score fails numerically on a fold
     (a NumericError: a singular system, or every holdout prediction
     dropped) is skipped with that first reason and not fitted again on
-    later folds. A value the family cannot take (a non-finite value, a
-    bandwidth that is not positive, a negative lambda, a bin count that is
-    not a positive integer) is an InputError and ends the call. bin, kde,
+    later folds. A grid that is empty or repeats a value, and a value the
+    family cannot take (a non-finite value, a bandwidth that is not
+    positive, a negative lambda, a bin count that is not a positive
+    integer), is an InputError and ends the call. bin, kde,
     sim and ukkr are scored from their holdout feature rows; kkr and the
     linear risk from (m, m) prediction and target matrices.
 
@@ -249,6 +250,9 @@ def cross_validate(tune, family, grid=None, k=5, gamma=0.5, seed=0,
         raise InputError("empty hyperparameter grid")
     if not np.isfinite(grid).all():
         raise InputError(f"grid values must be finite, got {grid}")
+    repeated = [h for i, h in enumerate(grid) if h in grid[:i]]
+    if repeated:
+        raise InputError(f"grid value {repeated[0]!r} given more than once")
     if spectra is None:
         spectra = {}
     all_idx = np.arange(len(tune))
@@ -377,6 +381,11 @@ class RunConfig:
             if fam not in REPORT_FAMILIES:
                 raise InputError(f"unknown family {fam!r}")
             check_family_mode(_report_family(fam)[0], data_mode)
+        for fam in self.grids:
+            if fam == "bin15":
+                raise InputError("bin15 is bin at a fixed 15 bins and takes no grid")
+            if fam not in self.families:
+                raise InputError(f"a {fam} grid is given, but the {fam} family is not run")
 
 
 def _family_entry(cv, est):
@@ -392,6 +401,10 @@ def _family_entry(cv, est):
         "estimate_fold_se": est.fold_se,
         "risk_dropped_nan": int(sum(r.dropped_nan for r in cv.fold_risks)),
         "estimate_dropped_nan": est.dropped_nan,
+        "grid": [
+            {"hyper": p.hyper, "mean_risk": p.mean_risk, "risk_se": p.risk_se}
+            for p in cv.grid
+        ],
         "skipped_grid_points": [
             {"hyper": h, "reason": why} for h, why in cv.skipped
         ],
@@ -402,7 +415,8 @@ def run_evaluate(cfg, ds):
     """Execute split -> per-family CV -> ensemble estimate on a canonical dataset.
 
     Returns the report and, per family, its `CvResult.grid`: the per-point
-    fold risks. kkr and ukkr share one spectrum per fold (see
+    fold risks, whose means and standard errors the report's `grid` rows
+    hold. kkr and ukkr share one spectrum per fold (see
     `cross_validate`). A family's fold models are dropped once its estimate
     is in the report.
     """
@@ -428,10 +442,8 @@ def run_evaluate(cfg, ds):
     grids = {}
     for fam in cfg.families:
         base, grid = _report_family(fam)
-        if cfg.grids.get(fam) is not None:
-            grid = cfg.grids[fam]
         cv = cross_validate(
-            tune, base, grid=grid, k=cfg.k_folds,
+            tune, base, grid=cfg.grids.get(fam, grid), k=cfg.k_folds,
             gamma=cfg.gamma, seed=cfg.seed, linear=cfg.linear_risk,
             model_temp=cfg.model_temp, spectra=spectra,
         )

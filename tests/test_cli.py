@@ -144,6 +144,21 @@ class TestRunConfig:
         with pytest.raises(InputError):
             RunConfig(mode="classwise")
 
+    @pytest.mark.parametrize("families,grids,message", [
+        (("bin15",), {"bin15": [5]}, "bin15 is bin at a fixed 15 bins"),
+        (("bin",), {"kkr": [1]}, "the kkr family is not run"),
+    ], ids=["bin15", "family-not-run"])
+    def test_bad_grid_key(self, families, grids, message):
+        with pytest.raises(InputError, match=message):
+            RunConfig(mode="tce", families=families, grids=grids)
+
+    def test_no_bin15_grid_flag(self, tmp_path):
+        data = write_random_logits(tmp_path / "d.csv", np.random.default_rng(0), 60)
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--data", data, "--families", "bin15",
+                  "--grid-bin15=5,10", "--out", str(tmp_path / "r.json")])
+        assert exc.value.code == 2
+
 
 class TestEvaluateCommand:
     def test_bin15_fixed_baseline(self, tmp_path):
@@ -315,56 +330,52 @@ def test_python_m_calrisk_simulate(tmp_path):
         assert next(csv.reader(fh)) == ["theta", "risk_mean", "risk_std"]
 
 
-class TestRiskCurveCommand:
+class TestReportGrid:
     def test_emits_grid_risks(self, tmp_path):
         data = write_random_logits(tmp_path / "d.csv", np.random.default_rng(5), 80)
-        out = tmp_path / "curve.json"
+        out = tmp_path / "report.json"
         assert main([
-            "risk-curve", "--data", data, "--mode", "tce", "--family", "bin",
-            "--grid", "5,10,15", "--out", str(out),
+            "evaluate", "--data", data, "--mode", "tce", "--families", "bin",
+            "--grid-bin", "5,10,15", "--out", str(out),
         ]) == 0
-        payload = json.loads(out.read_text())
-        assert [row["hyper"] for row in payload["grid"]] == [5.0, 10.0, 15.0]
-        assert payload["best_hyper"] in (5.0, 10.0, 15.0)
-        for row in payload["grid"]:
+        entry = json.loads(out.read_text())["families"]["bin"]
+        assert [row["hyper"] for row in entry["grid"]] == [5.0, 10.0, 15.0]
+        assert entry["best_hyper"] in (5.0, 10.0, 15.0)
+        for row in entry["grid"]:
             assert row["mean_risk"] >= 0.0 and row["risk_se"] >= 0.0
 
     @pytest.mark.parametrize("mode,family", [("tce", "sim"), ("cce", "bin")])
     def test_family_of_other_mode_exit_code(self, tmp_path, capsys, mode, family):
         data = write_random_logits(tmp_path / "d.csv", np.random.default_rng(7), 80)
         assert main([
-            "risk-curve", "--data", data, "--mode", mode, "--family", family,
-            "--out", str(tmp_path / "curve.json"),
+            "evaluate", "--data", data, "--mode", mode, "--families", family,
+            "--out", str(tmp_path / "report.json"),
         ]) == 2
         assert f"the {family} family needs" in capsys.readouterr().err
 
-
     def test_agrees_with_evaluate_fold_csv(self, tmp_path):
         data = write_random_logits(tmp_path / "d.csv", np.random.default_rng(9), 80)
-        curve, report, folds = (tmp_path / name for name in ("c.json", "r.json", "f.csv"))
-        assert main([
-            "risk-curve", "--data", data, "--family", "kkr", "--seed", "4",
-            "--out", str(curve),
-        ]) == 0
+        report, folds = tmp_path / "r.json", tmp_path / "f.csv"
         assert main([
             "evaluate", "--data", data, "--families", "kkr", "--seed", "4",
             "--out", str(report), "--emit-csv", str(folds),
         ]) == 0
-        curve = json.loads(curve.read_text())
         entry = json.loads(report.read_text())["families"]["kkr"]
-        assert curve["best_hyper"] == entry["best_hyper"]
+        best = min(entry["grid"], key=lambda point: point["mean_risk"])
+        assert entry["best_hyper"] == best["hyper"]
         fold_risks = {}
         with open(folds, newline="") as fh:
             for row in csv.DictReader(fh):
                 fold_risks.setdefault(float(row["hyper"]), []).append(float(row["risk"]))
-        assert [point["hyper"] for point in curve["grid"]] == list(fold_risks)
-        for point in curve["grid"]:
-            assert point["mean_risk"] == np.mean(fold_risks[point["hyper"]])
+        assert [point["hyper"] for point in entry["grid"]] == list(fold_risks)
+        for point in entry["grid"]:
+            risks = fold_risks[point["hyper"]]
+            assert point["mean_risk"] == np.mean(risks)
+            assert point["risk_se"] == np.std(risks, ddof=1) / np.sqrt(len(risks))
 
 
 @pytest.mark.parametrize("argv", [
     ["evaluate", "--k", "0"],
-    ["risk-curve", "--family", "kkr", "--k", "0"],
     ["evaluate", "--mode", "cce", "--families", "sim", "--model-temp", "0"],
     ["evaluate", "--model-temp", "-1"],
     ["evaluate", "--gamma", "0"],
@@ -380,6 +391,10 @@ class TestRiskCurveCommand:
     ["evaluate", "--families", "kde", "--grid-kde=nan,0.1"],
     ["evaluate", "--families", "kkr", "--grid-kkr=-1"],
     ["evaluate", "--families", "ukkr", "--grid-ukkr=-1"],
+    # a repeated grid value, and a grid for a family that is not run
+    ["evaluate", "--families", "bin", "--grid-bin=10,10"],
+    ["evaluate", "--families", "kkr", "--grid-kkr=1,1"],
+    ["evaluate", "--families", "bin", "--grid-kkr=1"],
 ], ids=lambda argv: " ".join(argv))
 def test_edge_inputs_exit_code(tmp_path, capsys, argv):
     if argv[0] == "simulate":
