@@ -6,6 +6,8 @@ Runs the same commands with `python -m calrisk` once with each tree's
 each command's standard output, byte for byte:
 
   evaluate --mode tce (default families)        report and --emit-csv
+  the tce evaluate of kkr,ukkr with lambda=0    report and --emit-csv
+    in both grids, which skips it (singular Gram)
   evaluate --mode cce, kde,kkr,ukkr,sim, d=10   report and --emit-csv
   evaluate --mode cce, kde,sim, n=4000          report and --emit-csv
   the d=10 cce evaluate with --linear-risk      report and --emit-csv
@@ -37,6 +39,9 @@ CCE_D10 = ["evaluate", "--mode", "cce", "--families", "kde,kkr,ukkr,sim"]
 # case -> (input name or None, argv without the input and output paths)
 CASES = {
     "evaluate-tce": ("tce", ["evaluate", "--mode", "tce"]),
+    # the skip path: its NumericError messages are in the report
+    "evaluate-tce-skips": ("tce", ["evaluate", "--mode", "tce", "--families", "kkr,ukkr",
+                                   "--grid-kkr=0,1e-3,1", "--grid-ukkr=0,1e-6,1"]),
     "evaluate-cce-d10": ("cce-d10", CCE_D10),
     "evaluate-kde": ("kde", ["evaluate", "--mode", "cce", "--families", "kde,sim"]),
     "evaluate-cce-d10-linear": ("cce-d10", CCE_D10 + ["--linear-risk"]),

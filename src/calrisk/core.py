@@ -108,6 +108,20 @@ def feature_diag(model, P):
     return np.sum(f * f, axis=1)
 
 
+def check_grid(grid):
+    """The grid as a list; an InputError if it is empty, holds a non-finite
+    value or repeats one."""
+    grid = list(grid)
+    if not grid:
+        raise InputError("empty hyperparameter grid")
+    if not np.isfinite(grid).all():
+        raise InputError(f"grid values must be finite, got {grid}")
+    repeated = [h for i, h in enumerate(grid) if h in grid[:i]]
+    if repeated:
+        raise InputError(f"grid value {repeated[0]!r} given more than once")
+    return grid
+
+
 def kfold_indices(n, k, seed):
     """Seeded shuffle, k contiguous blocks, remainder one-per-fold in front."""
     if k < 2 or n < k:

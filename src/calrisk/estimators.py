@@ -16,8 +16,8 @@ products of a feature map, h(p, p2) = <phi(p), phi(p2)>: their
 `features(P)` gives the (m, d') rows phi(p), `core.feature_pairwise` and
 `core.feature_diag` are derived from it, and cross-validation scores the
 features without any (m, m) matrix. kkr and ukkr are kernel quadratic
-forms B^T core B over a basis B of the evaluation rows
-(`_quadratic_pairwise`, `_quadratic_diag`).
+forms B^T core B over a basis B of the evaluation rows (`_quadratic_pairwise`,
+`_quadratic_diag`), both built from one `Spectrum` of the training Gram.
 
 ukkr's cross-validation is factored (`ukkr_cv_features`): it only ranks a
 lambda grid, and the factored and dense holdout risks agree to rounding.
@@ -246,6 +246,28 @@ def _quadratic_diag(model, P):
 
 
 @dataclass(frozen=True)
+class Spectrum:
+    """The lambda-independent part of every kkr and ukkr fit on one training set.
+
+    X holds the training predictions, Q and evals the eigenvectors and
+    clipped eigenvalues of their RBF Gram at `gamma` (n = evals.size), QtGQ
+    the residual Gram D^T D rotated into that eigenbasis and V = Q^T D^T the
+    rotated residuals. Every lambda of either family, and its refit, needs only these.
+    """
+
+    X: np.ndarray
+    gamma: float
+    Q: np.ndarray
+    evals: np.ndarray
+    QtGQ: np.ndarray
+    V: np.ndarray
+
+    def basis(self, P):
+        """Q^T k(X, P): the evaluation rows P in the Gram eigenbasis."""
+        return self.Q.T @ rbf_gram(self.X, P, self.gamma)
+
+
+@dataclass(frozen=True)
 class KkrModel(PairModel):
     """Closed-form Kronecker kernel ridge model.
 
@@ -253,27 +275,19 @@ class KkrModel(PairModel):
     so a prediction is k(p)^T Q core Q^T k(p2).
     """
 
-    train_predictions: np.ndarray
-    Q: np.ndarray
+    spectrum: Spectrum
     core: np.ndarray
     lam: float
-    gamma: float
 
     def _basis(self, P):
-        return self.Q.T @ rbf_gram(self.train_predictions, P, self.gamma)
+        return self.spectrum.basis(P)
 
     pairwise = _quadratic_pairwise
     diag = _quadratic_diag
 
 
 def kkr_prepare(train, gamma):
-    """The lambda-independent part of every kkr and ukkr fit on `train`.
-
-    Returns (X, Q, evals, QtGQ): the training predictions, the eigenvectors
-    and clipped eigenvalues of their RBF Gram, and the residual Gram
-    D^T D rotated into that eigenbasis. Every lambda of either family,
-    and the refit at the winning lambda, needs only this 4-tuple.
-    """
+    """The `Spectrum` of `train`: one eigendecomposition of its RBF Gram."""
     if len(train) < 1:
         raise InputError("empty training set")
     X = train.probs
@@ -286,11 +300,11 @@ def kkr_prepare(train, gamma):
     evals = np.clip(evals, 0.0, None)
     delta = residual_matrix(train)
     G = delta.T @ delta
-    return X, Q, evals, Q.T @ G @ Q
+    return Spectrum(X, float(gamma), Q, evals, Q.T @ G @ Q, Q.T @ delta.T)
 
 
-def kkr_core(prep, lam, n):
-    _, _, evals, QtGQ = prep
+def kkr_core(spec, lam):
+    evals, n = spec.evals, spec.evals.size
     if lam < 0:
         raise InputError("lambda must be nonnegative")
     if lam == 0 and evals.min() < SINGULAR_TOL:
@@ -298,16 +312,14 @@ def kkr_core(prep, lam, n):
             f"lambda=0 with singular Gram matrix (min eigenvalue {evals.min()})"
         )
     scale = 1.0 / (np.outer(evals, evals) + lam * n * n)
-    return scale * QtGQ
+    return scale * spec.QtGQ
 
 
-def fit_kkr(train, lam, gamma, prep=None):
+def fit_kkr(train, lam, gamma, spectrum=None):
     """Fit the O(n^3) Kronecker kernel ridge closed form."""
-    if prep is None:
-        prep = kkr_prepare(train, gamma)
-    X, Q = prep[0], prep[1]
-    core = kkr_core(prep, lam, len(train))
-    return KkrModel(X, Q, core, float(lam), float(gamma))
+    if spectrum is None:
+        spectrum = kkr_prepare(train, gamma)
+    return KkrModel(spectrum, kkr_core(spectrum, lam), float(lam))
 
 
 @dataclass(frozen=True)
@@ -326,11 +338,11 @@ class UkkrModel(PairModel):
     diag = _quadratic_diag
 
 
-def _ukkr_shift(evals, lam, n):
+def _ukkr_shift(spec, lam):
     """The Gram eigenvalues shifted by lam n, checked for a solvable system."""
     if lam < 0:
         raise InputError("lambda must be nonnegative")
-    shifted = evals + lam * n
+    shifted = spec.evals + lam * spec.evals.size
     if np.any(shifted < SINGULAR_TOL):
         raise NumericError(
             f"singular system in two-step solve (min shifted eigenvalue "
@@ -339,36 +351,33 @@ def _ukkr_shift(evals, lam, n):
     return shifted
 
 
-def ukkr_rotated_core(prep, lam, n):
+def ukkr_rotated_core(spec, lam):
     """Core of the two-step solve in the Gram eigenbasis.
 
     The full core is Q @ rotated @ Q^T; the refit at the winning lambda
     builds it from the fold's one Gram eigendecomposition.
     """
-    _, _, evals, QtGQ = prep
-    shifted = _ukkr_shift(evals, lam, n)
-    return QtGQ / np.outer(shifted, shifted)
+    shifted = _ukkr_shift(spec, lam)
+    return spec.QtGQ / np.outer(shifted, shifted)
 
 
-def ukkr_cv_features(prep, V, basis, lam, n):
+def ukkr_cv_features(spec, basis, lam):
     """(m, d) holdout rows Phi with Phi Phi^T = basis^T rotated basis.
 
-    `rotated` is `ukkr_rotated_core(prep, lam, n)`, `basis` the holdout
-    basis Q^T k(X, P) and V = Q^T D^T the training residuals in the Gram
-    eigenbasis, so Q^T G Q = V V^T and Phi = basis^T diag(1/s) V with
-    s = evals + lam n: the two-step KRR of Stock, Pahikkala et al. (2018)
+    `rotated` is `ukkr_rotated_core(spec, lam)` and `basis` the holdout
+    basis `spec.basis(P)`. Since Q^T G Q = V V^T, Phi = basis^T diag(1/s) V
+    with s = evals + lam n: the two-step KRR of Stock, Pahikkala et al. (2018)
     in O(n m d) per lambda. It agrees with the dense matrix to rounding, so
     it serves to rank a lambda grid; the refit keeps the dense core, since
     factoring it moves the estimates (see the module docstring).
     """
-    shifted = _ukkr_shift(prep[2], lam, n)
-    return basis.T @ (V / shifted[:, None])
+    return basis.T @ (spec.V / _ukkr_shift(spec, lam)[:, None])
 
 
-def fit_ukkr(train, lam, gamma, prep=None):
+def fit_ukkr(train, lam, gamma, spectrum=None):
     """Fit the two-step kernel ridge model via a symmetric solve."""
-    if prep is None:
-        prep = kkr_prepare(train, gamma)
-    Q = prep[1]
-    core = Q @ ukkr_rotated_core(prep, lam, len(train)) @ Q.T
-    return UkkrModel(prep[0], core, float(lam), float(gamma))
+    if spectrum is None:
+        spectrum = kkr_prepare(train, gamma)
+    Q = spectrum.Q
+    core = Q @ ukkr_rotated_core(spectrum, lam) @ Q.T
+    return UkkrModel(spectrum.X, core, float(lam), float(gamma))

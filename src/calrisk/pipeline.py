@@ -7,11 +7,12 @@ cross-validated: each hyperparameter grid point is fitted on k-1 folds and
 scored by the empirical risk on the held-out fold, the point with minimal
 mean holdout risk wins, and the k fold models at the winner act as an
 ensemble for the final test-set estimate. kkr and ukkr decompose each
-fold's Gram once: its spectrum serves every lambda of both families and
-their refits. Every family but kkr is scored from (m, d') holdout feature
-rows; ukkr's come from that spectrum, while its refit stays dense. A fold
-predicts and scores one grid point at a time, and a point that fails
-numerically is skipped from then on.
+fold's Gram once: its `estimators.Spectrum` (eigenvectors Q, eigenvalues
+evals, rotated residual Gram QtGQ and residuals V) serves every lambda of
+both families and their refits. Every family but kkr is scored from
+(m, d') holdout feature rows; ukkr's come from that spectrum, while its
+refit stays dense. A fold predicts and scores one grid point at a time,
+and a point that fails numerically is skipped from then on.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .core import (
     TOP_LABEL,
     InputError,
     NumericError,
+    check_grid,
     kfold_indices,
     pair_target_matrix,
     residual_matrix,
@@ -37,7 +39,6 @@ from .estimators import (
     fit_ukkr,
     kkr_core,
     kkr_prepare,
-    rbf_gram,
     ukkr_cv_features,
 )
 from .risk import linear_risk_from_matrix, risk_from_factors, risk_from_matrix
@@ -146,28 +147,27 @@ def default_grid(family, mode, n_train):
     raise InputError(f"unknown family {family!r}")
 
 
-def fit_family(family, train, hyper, gamma=0.5, model_temp=0.3, prep=None):
+def fit_family(family, train, hyper, gamma=0.5, model_temp=0.3, spectrum=None):
     """Fit one model of the given family at one hyperparameter point.
 
-    `prep`, `kkr_prepare(train, gamma)` computed earlier, spares a kkr or
-    ukkr fit its own Gram eigendecomposition.
+    `spectrum`, `kkr_prepare(train, gamma)` computed earlier, spares a kkr
+    or ukkr fit its own Gram eigendecomposition.
     """
     if family == "bin":
         return fit_binning(train, hyper)
     if family == "kde":
         return fit_kde(train, hyper)
     if family == "kkr":
-        return fit_kkr(train, hyper, gamma, prep)
+        return fit_kkr(train, hyper, gamma, spectrum)
     if family == "ukkr":
-        return fit_ukkr(train, hyper, gamma, prep)
+        return fit_ukkr(train, hyper, gamma, spectrum)
     if family == "sim":
         return SimModel(float(hyper), model_temp)
     raise InputError(f"unknown family {family!r}")
 
 
 def _fold_spectrum(spectra, train, hold, gamma):
-    """The fold's `kkr_prepare` result, holdout basis Q^T k(X, P_hold) and
-    rotated training residuals V = Q^T D^T.
+    """The fold's `Spectrum` and its holdout basis `spectrum.basis(P_hold)`.
 
     Computed once per key and kept in `spectra`, a dict the caller owns.
     The key is gamma and the fold's data itself, so an entry can only
@@ -176,34 +176,30 @@ def _fold_spectrum(spectra, train, hold, gamma):
     key = (float(gamma), train.mode, train.probs.tobytes(),
            train.labels.tobytes(), hold.probs.tobytes())
     if key not in spectra:
-        prep = kkr_prepare(train, gamma)
-        Q = prep[1]
-        spectra[key] = (prep, Q.T @ rbf_gram(prep[0], hold.probs, gamma),
-                        Q.T @ residual_matrix(train).T)
+        spectrum = kkr_prepare(train, gamma)
+        spectra[key] = (spectrum, spectrum.basis(hold.probs))
     return spectra[key]
 
 
 def _holdout_risk(family, train, hold, hyper, targets, model_temp, spectrum,
-                  linear, seed):
+                  basis, linear, seed):
     """The holdout risk of one grid point fitted on one fold's training part.
 
     kkr predicts the (m, m) matrix and is scored against the pair-target
     matrix `targets`; every other family predicts (m, d') feature rows,
     scored against the (m, d) residual rows `targets` or, for the linear
     risk, through their Gram matrix against the pair targets. kkr and ukkr
-    read `spectrum`, the fold's `_fold_spectrum`, so one Gram
-    eigendecomposition and one holdout basis serve the whole lambda grid.
+    read the fold's `spectrum` and holdout `basis` (`_fold_spectrum`), so one
+    Gram eigendecomposition and one basis serve the whole lambda grid.
     """
     if family == "kkr":
-        prep, basis, _ = spectrum
         # one (n, n) x (n, m) product per lambda instead of O(n^3)
-        H = basis.T @ (kkr_core(prep, hyper, len(train)) @ basis)
+        H = basis.T @ (kkr_core(spectrum, hyper) @ basis)
         if linear:
             return linear_risk_from_matrix(H, targets, seed)
         return risk_from_matrix(H, targets)
     if family == "ukkr":
-        prep, basis, V = spectrum
-        F = ukkr_cv_features(prep, V, basis, hyper, len(train))
+        F = ukkr_cv_features(spectrum, basis, hyper)
     else:
         F = fit_family(family, train, hyper, model_temp=model_temp).features(hold.probs)
     if linear:
@@ -245,14 +241,7 @@ def cross_validate(tune, family, grid=None, k=5, gamma=0.5, seed=0,
     folds = kfold_indices(len(tune), k, seed)
     if grid is None:
         grid = default_grid(family, tune.mode, len(tune) * (k - 1) // k)
-    grid = list(grid)
-    if not grid:
-        raise InputError("empty hyperparameter grid")
-    if not np.isfinite(grid).all():
-        raise InputError(f"grid values must be finite, got {grid}")
-    repeated = [h for i, h in enumerate(grid) if h in grid[:i]]
-    if repeated:
-        raise InputError(f"grid value {repeated[0]!r} given more than once")
+    grid = check_grid(grid)
     if spectra is None:
         spectra = {}
     all_idx = np.arange(len(tune))
@@ -262,8 +251,8 @@ def cross_validate(tune, family, grid=None, k=5, gamma=0.5, seed=0,
     for fold in folds:
         train_idx = np.setdiff1d(all_idx, fold, assume_unique=True)
         train, hold = tune.subset(train_idx), tune.subset(fold)
-        spectrum = (_fold_spectrum(spectra, train, hold, gamma)
-                    if family in SPECTRAL_FAMILIES else None)
+        spectrum, basis = (_fold_spectrum(spectra, train, hold, gamma)
+                           if family in SPECTRAL_FAMILIES else (None, None))
         fold_splits.append((train, spectrum))
         if family == "kkr" or linear:
             targets = pair_target_matrix(hold)
@@ -275,7 +264,7 @@ def cross_validate(tune, family, grid=None, k=5, gamma=0.5, seed=0,
             try:
                 risk_table[hyper].append(_holdout_risk(
                     family, train, hold, hyper, targets, model_temp, spectrum,
-                    linear, seed))
+                    basis, linear, seed))
             except NumericError as exc:
                 failures[hyper] = str(exc)
 
@@ -297,8 +286,7 @@ def cross_validate(tune, family, grid=None, k=5, gamma=0.5, seed=0,
     # first strict minimum in grid order breaks ties toward the simpler model
     best = min(results, key=lambda r: r.mean_risk)
     fold_models = tuple(
-        fit_family(family, train, best.hyper, gamma, model_temp,
-                   prep=None if spectrum is None else spectrum[0])
+        fit_family(family, train, best.hyper, gamma, model_temp, spectrum)
         for train, spectrum in fold_splits
     )
     return CvResult(
@@ -371,6 +359,8 @@ class RunConfig:
             raise InputError(f"kernel gamma must be positive, got {self.gamma}")
         if not self.model_temp > 0:
             raise InputError(f"model temperature must be positive, got {self.model_temp}")
+        if self.seed < 0:
+            raise InputError(f"seed must be nonnegative, got {self.seed}")
         if not self.families:
             raise InputError("no family to evaluate")
         repeated = [f for i, f in enumerate(self.families) if f in self.families[:i]]
@@ -381,11 +371,12 @@ class RunConfig:
             if fam not in REPORT_FAMILIES:
                 raise InputError(f"unknown family {fam!r}")
             check_family_mode(_report_family(fam)[0], data_mode)
-        for fam in self.grids:
+        for fam, grid in self.grids.items():
             if fam == "bin15":
                 raise InputError("bin15 is bin at a fixed 15 bins and takes no grid")
             if fam not in self.families:
                 raise InputError(f"a {fam} grid is given, but the {fam} family is not run")
+            check_grid(grid)
 
 
 def _family_entry(cv, est):

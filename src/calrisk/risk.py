@@ -61,7 +61,8 @@ def risk_from_factors(F, D):
     column of H non-finite, so dropping those rows drops exactly the pairs
     `risk_from_matrix` drops. The rounding error is of order
     eps * (||D||^2 + ||F||^2)^2 / pairs, which is far below the risk unless
-    F F^T nearly reproduces D D^T off the diagonal.
+    F F^T nearly reproduces D D^T off the diagonal; there the expansion can
+    round below 0, so the value is clamped at 0, as the sum of squares is.
     """
     F = np.asarray(F, dtype=float)
     D = np.asarray(D, dtype=float)
@@ -78,7 +79,7 @@ def risk_from_factors(F, D):
         + np.sum((F.T @ F) ** 2)
     )
     diagonal = np.sum((np.sum(D * D, axis=1) - np.sum(F * F, axis=1)) ** 2)
-    value = float((gram_norms - diagonal) / pairs)
+    value = max(float((gram_norms - diagonal) / pairs), 0.0)
     return RiskValue(value, pairs, m * (m - 1) - pairs)
 
 

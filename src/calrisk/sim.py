@@ -18,6 +18,7 @@ from .core import (
     Dataset,
     InputError,
     PairModel,
+    check_grid,
     feature_diag,
     feature_pairwise,
     kfold_indices,
@@ -48,6 +49,8 @@ class SimConfig:
             raise InputError("concentration must be positive")
         if self.model_temp <= 0:
             raise InputError("model temperature must be positive")
+        if self.seed < 0:
+            raise InputError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -103,7 +106,7 @@ def risk_curve(sim, thetas, k_folds=5, seed=0):
     The per-theta standard error comes from evaluating the risk on k
     disjoint folds of the dataset.
     """
-    thetas = list(thetas)
+    thetas = check_grid(thetas)
     if len(thetas) < 2:
         raise InputError("risk_curve needs at least two temperatures")
     ds = sim.dataset

@@ -46,9 +46,9 @@ def ukkr_core_calls(monkeypatch):
     calls = []
     ukkr_rotated_core = estimators.ukkr_rotated_core
 
-    def counted(prep, lam, n):
+    def counted(spectrum, lam):
         calls.append(lam)
-        return ukkr_rotated_core(prep, lam, n)
+        return ukkr_rotated_core(spectrum, lam)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("calrisk") and \

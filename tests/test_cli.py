@@ -395,6 +395,10 @@ class TestReportGrid:
     ["evaluate", "--families", "bin", "--grid-bin=10,10"],
     ["evaluate", "--families", "kkr", "--grid-kkr=1,1"],
     ["evaluate", "--families", "bin", "--grid-kkr=1"],
+    ["simulate", "--theta-grid=nan,1"],
+    ["simulate", "--theta-grid=1,1"],
+    ["evaluate", "--seed=-1"],
+    ["simulate", "--seed=-1"],
 ], ids=lambda argv: " ".join(argv))
 def test_edge_inputs_exit_code(tmp_path, capsys, argv):
     if argv[0] == "simulate":
@@ -404,6 +408,44 @@ def test_edge_inputs_exit_code(tmp_path, capsys, argv):
         argv = argv + ["--data", data, "--out", str(tmp_path / "r.json")]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_bad_grid_exits_before_any_family_runs(tmp_path, capsys, monkeypatch):
+    from calrisk import pipeline
+
+    calls = []
+    cross_validate = pipeline.cross_validate
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return cross_validate(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "cross_validate", counted)
+    data = write_random_logits(tmp_path / "d.csv", np.random.default_rng(8), 60)
+    assert main(["evaluate", "--data", data, "--families", "bin,kde,kkr",
+                 "--grid-kkr=1,1", "--out", str(tmp_path / "r.json")]) == 2
+    assert "grid value 1.0 given more than once" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_report_is_strict_json_when_holdout_risks_vanish(tmp_path):
+    # six distinct predictions: at small bandwidths kde reproduces every
+    # holdout residual, and the factored risk rounds to about -1e-16
+    rng = np.random.default_rng(0)
+    P = rng.dirichlet(np.ones(3), 6)
+    labels = np.array([0, 1, 2, 0, 1, 2])
+    rows = [[repr(float(v)) for v in P[i]] + [labels[i]] for i in rng.integers(0, 6, 200)]
+    data = write_csv(tmp_path / "d.csv", rows)
+    out = tmp_path / "r.json"
+    assert main(["evaluate", "--data", data, "--format", "probs-csv", "--mode", "cce",
+                 "--families", "kde", "--out", str(out)]) == 0
+
+    def reject(name):
+        raise ValueError(f"{name} in the report")
+
+    entry = json.loads(out.read_text(), parse_constant=reject)["families"]["kde"]
+    assert entry["val_sqrt_risk_x100"] >= 0.0
+    assert all(point["mean_risk"] >= 0.0 for point in entry["grid"])
 
 
 @pytest.mark.parametrize("families", [",", " , ", "bin,bin", "kde,,kde", "kkr, kkr"])

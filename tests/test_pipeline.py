@@ -301,12 +301,12 @@ def ukkr_dense_fold_risks(tune, grid, k, seed, gamma=0.5):
     for fold in kfold_indices(len(tune), k, seed):
         train = tune.subset(np.setdiff1d(np.arange(len(tune)), fold))
         hold = tune.subset(fold)
-        prep = kkr_prepare(train, gamma)
-        basis = prep[1].T @ rbf_gram(prep[0], hold.probs, gamma)
+        spectrum = kkr_prepare(train, gamma)
+        basis = spectrum.Q.T @ rbf_gram(spectrum.X, hold.probs, gamma)
         T = pair_target_matrix(hold)
         for hyper in grid:
             try:
-                core = ukkr_rotated_core(prep, hyper, len(train))
+                core = ukkr_rotated_core(spectrum, hyper)
             except NumericError as exc:
                 skipped.setdefault(hyper, str(exc))
                 continue
@@ -353,9 +353,9 @@ class TestUkkrFactoredCv:
         tune = random_canonical(np.random.default_rng(31), 50, 3)
         with pytest.raises(InputError, match="lambda must be nonnegative"):
             cross_validate(tune, "ukkr", grid=[0.1, -1.0], k=5)
-        prep = kkr_prepare(tune, 0.5)
+        spectrum = kkr_prepare(tune, 0.5)
         with pytest.raises(InputError, match="lambda must be nonnegative"):
-            ukkr_cv_features(prep, np.zeros((50, 3)), np.zeros((50, 4)), -1.0, 50)
+            ukkr_cv_features(spectrum, np.zeros((50, 4)), -1.0)
 
     def test_rotated_core_serves_only_the_refits(self, ukkr_core_calls):
         tune = random_canonical(np.random.default_rng(32), 50, 3)
@@ -372,6 +372,15 @@ class TestSharedSpectra:
         tune = random_canonical(np.random.default_rng(20), 50, 3)
         cross_validate(tune, "kkr", grid=[0.1, 1.0], k=5)
         assert len(eigh_calls) == 5
+
+    def test_refits_hold_the_dict_spectra(self):
+        tune = random_canonical(np.random.default_rng(20), 50, 3)
+        spectra = {}
+        cv = cross_validate(tune, "kkr", grid=[0.1, 1.0], k=5, spectra=spectra)
+        held = [spectrum for spectrum, _ in spectra.values()]
+        assert len(held) == len(cv.fold_models) == 5
+        assert all(model.spectrum is spectrum
+                   for model, spectrum in zip(cv.fold_models, held))
 
     def test_dict_serves_only_its_own_gamma_seed_and_data(self, eigh_calls):
         data = {name: random_canonical(np.random.default_rng(seed), 50, 3)

@@ -8,6 +8,7 @@ from calrisk.core import (
     Dataset,
     InputError,
     NumericError,
+    one_hot,
     pair_target_matrix,
 )
 from calrisk.estimators import fit_kde, fit_kkr
@@ -114,6 +115,17 @@ class TestRiskFromFactors:
         got, want = risk_from_factors(F, D), self.dense(F, D)
         assert (got.pairs_used, got.dropped_nan) == (want.pairs_used, want.dropped_nan)
         assert got.value == pytest.approx(want.value, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_never_negative_where_f_reproduces_d(self, seed):
+        # F = D R with R orthogonal has F F^T = D D^T, so the risk is 0; on
+        # most of these seeds the expansion rounds to about -1e-16 unclamped
+        rng = np.random.default_rng(seed)
+        D = rng.dirichlet(np.ones(3), 20) - one_hot(rng.integers(0, 3, 20), 3)
+        R, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        got = risk_from_factors(D @ R, D)
+        assert 0.0 <= got.value < 1e-12
+        assert got.value == pytest.approx(self.dense(D @ R, D).value, abs=1e-12)
 
     @pytest.mark.parametrize("finite", [0, 1])
     def test_fewer_than_two_finite_rows_raise(self, finite):
