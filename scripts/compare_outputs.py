@@ -11,6 +11,8 @@ each command's standard output, byte for byte:
   evaluate --mode cce, kde,kkr,ukkr,sim, d=10   report and --emit-csv
   evaluate --mode cce, kde,sim, n=4000          report and --emit-csv
   the d=10 cce evaluate with --linear-risk      report and --emit-csv
+  the d=10 cce evaluate of kde,kkr,ukkr at      report and --emit-csv
+    k=7 (uneven folds) and gamma=2
   simulate --n 500 --seeds 40                   curve CSV
 
 The evaluate inputs are the benchmark's seeded logits (perfbench/inputs.py)
@@ -45,6 +47,10 @@ CASES = {
     "evaluate-cce-d10": ("cce-d10", CCE_D10),
     "evaluate-kde": ("kde", ["evaluate", "--mode", "cce", "--families", "kde,sim"]),
     "evaluate-cce-d10-linear": ("cce-d10", CCE_D10 + ["--linear-risk"]),
+    # 960 tuning rows in 7 folds of 138 or 137: pins the fold construction
+    # and the default grids' n_train, which the 5-fold cases do not vary
+    "evaluate-cce-d10-k7": ("cce-d10", ["evaluate", "--mode", "cce", "--families",
+                                        "kde,kkr,ukkr", "--k", "7", "--gamma", "2"]),
     "simulate": (None, ["simulate", "--n", "500", "--d", "5", "--alpha", "0.04",
                         "--seeds", "40", "--seed", str(40 * INSTANCE)]),
 }

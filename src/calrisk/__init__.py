@@ -28,6 +28,7 @@ from .pipeline import (
     cross_validate,
     default_grid,
     final_estimate,
+    kfold_splits,
     run_evaluate,
     split_dataset,
 )

@@ -56,6 +56,17 @@ FAST_EXP_FLOOR = -700.0
 DEAD_CUTOFF = -746.0
 
 
+def check_hyper(family, value):
+    """InputError unless `value` lies in `family`'s hyperparameter range: the
+    one rule that the fits and `pipeline.RunConfig`'s grid overrides apply."""
+    if family == "bin" and not (float(value).is_integer() and value >= 1):
+        raise InputError(f"number of bins must be a positive integer, got {value}")
+    if family == "kde" and value <= 0:
+        raise InputError("bandwidth must be positive")
+    if family in ("kkr", "ukkr") and value < 0:
+        raise InputError("lambda must be nonnegative")
+
+
 # ---------------------------------------------------------------------------
 # Kernels
 # ---------------------------------------------------------------------------
@@ -125,10 +136,7 @@ def fit_binning(train, num_bins):
     """Per-bin confidence/accuracy gaps on an equal-width partition."""
     if train.mode != TOP_LABEL:
         raise InputError("binning requires a top-label dataset")
-    if len(train) < 1:
-        raise InputError("empty training set")
-    if not (float(num_bins).is_integer() and num_bins >= 1):
-        raise InputError(f"number of bins must be a positive integer, got {num_bins}")
+    check_hyper("bin", num_bins)
     num_bins = int(num_bins)
     edges = np.linspace(0.0, 1.0, num_bins + 1)
     conf = train.probs[:, 0]
@@ -167,10 +175,7 @@ class KdeModel(PairModel):
 
 
 def fit_kde(train, bandwidth):
-    if len(train) < 1:
-        raise InputError("empty training set")
-    if bandwidth <= 0:
-        raise InputError("bandwidth must be positive")
+    check_hyper("kde", bandwidth)
     return KdeModel(train, float(bandwidth))
 
 
@@ -207,8 +212,7 @@ def kde_regress(train, queries, bandwidth):
     restores the exact underflowed values, so the weights, and every result,
     are bit for bit those of a plain np.exp.
     """
-    if bandwidth <= 0:
-        raise InputError("bandwidth must be positive")
+    check_hyper("kde", bandwidth)
     Xs = clip_simplex(_as_simplex_points(train.probs))
     Qs = clip_simplex(_as_simplex_points(queries))
     d = Xs.shape[1]
@@ -288,8 +292,6 @@ class KkrModel(PairModel):
 
 def kkr_prepare(train, gamma):
     """The `Spectrum` of `train`: one eigendecomposition of its RBF Gram."""
-    if len(train) < 1:
-        raise InputError("empty training set")
     X = train.probs
     K = rbf_gram(X, X, gamma)
     evals, Q = np.linalg.eigh(K)
@@ -305,8 +307,7 @@ def kkr_prepare(train, gamma):
 
 def kkr_core(spec, lam):
     evals, n = spec.evals, spec.evals.size
-    if lam < 0:
-        raise InputError("lambda must be nonnegative")
+    check_hyper("kkr", lam)
     if lam == 0 and evals.min() < SINGULAR_TOL:
         raise NumericError(
             f"lambda=0 with singular Gram matrix (min eigenvalue {evals.min()})"
@@ -340,8 +341,7 @@ class UkkrModel(PairModel):
 
 def _ukkr_shift(spec, lam):
     """The Gram eigenvalues shifted by lam n, checked for a solvable system."""
-    if lam < 0:
-        raise InputError("lambda must be nonnegative")
+    check_hyper("ukkr", lam)
     shifted = spec.evals + lam * spec.evals.size
     if np.any(shifted < SINGULAR_TOL):
         raise NumericError(

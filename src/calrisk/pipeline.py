@@ -6,24 +6,27 @@ ensemble test-set estimate, and returns the report. The tuning split is
 cross-validated: each hyperparameter grid point is fitted on k-1 folds and
 scored by the empirical risk on the held-out fold, the point with minimal
 mean holdout risk wins, and the k fold models at the winner act as an
-ensemble for the final test-set estimate. kkr and ukkr decompose each
-fold's Gram once: its `estimators.Spectrum` (eigenvectors Q, eigenvalues
-evals, rotated residual Gram QtGQ and residuals V) serves every lambda of
-both families and their refits. Every family but kkr is scored from
-(m, d') holdout feature rows; ukkr's come from that spectrum, while its
-refit stays dense. A fold predicts and scores one grid point at a time,
-and a point that fails numerically is skipped from then on.
+ensemble for the final test-set estimate. Every family is scored on the
+same `Fold`s, and each fold decomposes its Gram once, on first use: its
+`estimators.Spectrum` (eigenvectors Q, eigenvalues evals, rotated residual
+Gram QtGQ and residuals V) serves every lambda of kkr and ukkr and their
+refits. Every family but kkr is scored from (m, d') holdout feature rows;
+ukkr's come from that spectrum, while its refit stays dense. A fold
+predicts and scores one grid point at a time, and a point that fails
+numerically is skipped from then on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .core import (
     CANONICAL,
     TOP_LABEL,
+    Dataset,
     InputError,
     NumericError,
     check_grid,
@@ -33,6 +36,7 @@ from .core import (
     top_label_dataset,
 )
 from .estimators import (
+    check_hyper,
     fit_binning,
     fit_kde,
     fit_kkr,
@@ -45,8 +49,6 @@ from .risk import linear_risk_from_matrix, risk_from_factors, risk_from_matrix
 from .sim import DEFAULT_THETAS, SimModel
 
 FAMILIES = ("bin", "kde", "kkr", "ukkr", "sim")
-# cross-validated and refitted from one Gram spectrum per fold
-SPECTRAL_FAMILIES = ("kkr", "ukkr")
 # the dataset mode a family can score; the others take either
 FAMILY_MODES = {"bin": TOP_LABEL, "sim": CANONICAL}
 # the family names a report can hold; bin15 is bin at a fixed 15 bins
@@ -147,69 +149,81 @@ def default_grid(family, mode, n_train):
     raise InputError(f"unknown family {family!r}")
 
 
-def fit_family(family, train, hyper, gamma=0.5, model_temp=0.3, spectrum=None):
-    """Fit one model of the given family at one hyperparameter point.
-
-    `spectrum`, `kkr_prepare(train, gamma)` computed earlier, spares a kkr
-    or ukkr fit its own Gram eigendecomposition.
-    """
+def fit_family(family, fold, hyper, model_temp=0.3):
+    """Fit one model of the given family at one hyperparameter point on
+    the fold's training part; kkr and ukkr fit from the fold's spectrum."""
     if family == "bin":
-        return fit_binning(train, hyper)
+        return fit_binning(fold.train, hyper)
     if family == "kde":
-        return fit_kde(train, hyper)
+        return fit_kde(fold.train, hyper)
     if family == "kkr":
-        return fit_kkr(train, hyper, gamma, spectrum)
+        return fit_kkr(fold.train, hyper, fold.gamma, fold.spectrum)
     if family == "ukkr":
-        return fit_ukkr(train, hyper, gamma, spectrum)
+        return fit_ukkr(fold.train, hyper, fold.gamma, fold.spectrum)
     if family == "sim":
         return SimModel(float(hyper), model_temp)
     raise InputError(f"unknown family {family!r}")
 
 
-def _fold_spectrum(spectra, train, hold, gamma):
-    """The fold's `Spectrum` and its holdout basis `spectrum.basis(P_hold)`.
+@dataclass(frozen=True, eq=False)
+class Fold:
+    """One cross-validation fold and the RBF kernel width of kkr and ukkr.
 
-    Computed once per key and kept in `spectra`, a dict the caller owns.
-    The key is gamma and the fold's data itself, so an entry can only
-    serve the split, tuning set and gamma it was computed for.
+    `spectrum` and the holdout `basis` are computed on first use and kept,
+    so kkr, ukkr and their refits share one Gram eigendecomposition per
+    fold, and bin, kde and sim pay none.
     """
-    key = (float(gamma), train.mode, train.probs.tobytes(),
-           train.labels.tobytes(), hold.probs.tobytes())
-    if key not in spectra:
-        spectrum = kkr_prepare(train, gamma)
-        spectra[key] = (spectrum, spectrum.basis(hold.probs))
-    return spectra[key]
+
+    train: Dataset
+    hold: Dataset
+    gamma: float
+
+    @cached_property
+    def spectrum(self):
+        return kkr_prepare(self.train, self.gamma)
+
+    @cached_property
+    def basis(self):
+        return self.spectrum.basis(self.hold.probs)
 
 
-def _holdout_risk(family, train, hold, hyper, targets, model_temp, spectrum,
-                  basis, linear, seed):
+def kfold_splits(tune, k, seed, gamma):
+    """The k `Fold`s of `tune` (`core.kfold_indices`); build them once per
+    tuning set so that every family is scored on the same holdout folds."""
+    if len(tune) < 2 * k:
+        # a one-sample holdout fold has no pairs to score at any grid point
+        raise InputError(f"{k}-fold cross-validation needs at least {2 * k} tuning "
+                         f"samples, got {len(tune)}")
+    all_idx = np.arange(len(tune))
+    return [Fold(tune.subset(np.setdiff1d(all_idx, hold, assume_unique=True)),
+                 tune.subset(hold), gamma) for hold in kfold_indices(len(tune), k, seed)]
+
+
+def _holdout_risk(family, fold, hyper, targets, model_temp, linear, seed):
     """The holdout risk of one grid point fitted on one fold's training part.
 
     kkr predicts the (m, m) matrix and is scored against the pair-target
     matrix `targets`; every other family predicts (m, d') feature rows,
     scored against the (m, d) residual rows `targets` or, for the linear
-    risk, through their Gram matrix against the pair targets. kkr and ukkr
-    read the fold's `spectrum` and holdout `basis` (`_fold_spectrum`), so one
-    Gram eigendecomposition and one basis serve the whole lambda grid.
+    risk, through their Gram matrix against the pair targets.
     """
     if family == "kkr":
         # one (n, n) x (n, m) product per lambda instead of O(n^3)
-        H = basis.T @ (kkr_core(spectrum, hyper) @ basis)
+        H = fold.basis.T @ (kkr_core(fold.spectrum, hyper) @ fold.basis)
         if linear:
             return linear_risk_from_matrix(H, targets, seed)
         return risk_from_matrix(H, targets)
     if family == "ukkr":
-        F = ukkr_cv_features(spectrum, basis, hyper)
+        F = ukkr_cv_features(fold.spectrum, fold.basis, hyper)
     else:
-        F = fit_family(family, train, hyper, model_temp=model_temp).features(hold.probs)
+        F = fit_family(family, fold, hyper, model_temp).features(fold.hold.probs)
     if linear:
         return linear_risk_from_matrix(F @ F.T, targets, seed)
     return risk_from_factors(F, targets)
 
 
-def cross_validate(tune, family, grid=None, k=5, gamma=0.5, seed=0,
-                   linear=False, model_temp=0.3, spectra=None):
-    """Grid search by k-fold cross-validated empirical risk.
+def cross_validate(folds, family, grid=None, seed=0, linear=False, model_temp=0.3):
+    """Grid search by cross-validated empirical risk over `kfold_splits` folds.
 
     Returns the winning grid point together with its k fold models, which
     downstream code uses as an ensemble. Each fold fits and scores one grid
@@ -221,50 +235,31 @@ def cross_validate(tune, family, grid=None, k=5, gamma=0.5, seed=0,
     positive, a negative lambda, a bin count that is not a positive
     integer), is an InputError and ends the call. bin, kde,
     sim and ukkr are scored from their holdout feature rows; kkr and the
-    linear risk from (m, m) prediction and target matrices.
-
-    kkr and ukkr take each fold's spectrum from `spectra` (see
-    `_fold_spectrum`), filling it on first use, and refit from the same
-    spectrum. A caller that cross-validates both families on one tuning set
-    passes one dict to both calls, so each fold's Gram is decomposed once;
-    without one, the call keeps its own for its grid and refits.
+    linear risk from (m, m) prediction and target matrices. `seed` orders
+    the linear risk's pairs.
     """
     if family not in FAMILIES:
         raise InputError(f"unknown family {family!r}")
-    check_family_mode(family, tune.mode)
-    if len(tune) < 2 * k:
-        # a one-sample holdout fold has no pairs to score at any grid point
-        raise InputError(
-            f"{k}-fold cross-validation needs at least {2 * k} tuning "
-            f"samples, got {len(tune)}"
-        )
-    folds = kfold_indices(len(tune), k, seed)
+    mode = folds[0].train.mode
+    check_family_mode(family, mode)
     if grid is None:
-        grid = default_grid(family, tune.mode, len(tune) * (k - 1) // k)
+        grid = default_grid(family, mode, len(folds[0].train))
     grid = check_grid(grid)
-    if spectra is None:
-        spectra = {}
-    all_idx = np.arange(len(tune))
     risk_table = {h: [] for h in grid}
     failures = {}
-    fold_splits = []
     for fold in folds:
-        train_idx = np.setdiff1d(all_idx, fold, assume_unique=True)
-        train, hold = tune.subset(train_idx), tune.subset(fold)
-        spectrum, basis = (_fold_spectrum(spectra, train, hold, gamma)
-                           if family in SPECTRAL_FAMILIES else (None, None))
-        fold_splits.append((train, spectrum))
+        if family in ("kkr", "ukkr"):
+            fold.basis  # a Gram that fails to decompose ends the call, not one point
         if family == "kkr" or linear:
-            targets = pair_target_matrix(hold)
+            targets = pair_target_matrix(fold.hold)
         else:
-            targets = residual_matrix(hold).T
+            targets = residual_matrix(fold.hold).T
         for hyper in grid:
             if hyper in failures:
                 continue  # failed on an earlier fold: not fitted again
             try:
                 risk_table[hyper].append(_holdout_risk(
-                    family, train, hold, hyper, targets, model_temp, spectrum,
-                    basis, linear, seed))
+                    family, fold, hyper, targets, model_temp, linear, seed))
             except NumericError as exc:
                 failures[hyper] = str(exc)
 
@@ -286,8 +281,7 @@ def cross_validate(tune, family, grid=None, k=5, gamma=0.5, seed=0,
     # first strict minimum in grid order breaks ties toward the simpler model
     best = min(results, key=lambda r: r.mean_risk)
     fold_models = tuple(
-        fit_family(family, train, best.hyper, gamma, model_temp, spectrum)
-        for train, spectrum in fold_splits
+        fit_family(family, fold, best.hyper, model_temp) for fold in folds
     )
     return CvResult(
         family=family,
@@ -312,8 +306,6 @@ def final_estimate(fold_models, test):
     fold_models = list(fold_models)
     if not fold_models:
         raise InputError("final_estimate needs at least one fold model")
-    if len(test) < 1:
-        raise InputError("empty test set")
     diags = np.stack([np.asarray(m.diag(test.probs), dtype=float)
                       for m in fold_models])
     finite = np.isfinite(diags)
@@ -376,7 +368,8 @@ class RunConfig:
                 raise InputError("bin15 is bin at a fixed 15 bins and takes no grid")
             if fam not in self.families:
                 raise InputError(f"a {fam} grid is given, but the {fam} family is not run")
-            check_grid(grid)
+            for hyper in check_grid(grid):
+                check_hyper(fam, hyper)
 
 
 def _family_entry(cv, est):
@@ -407,9 +400,10 @@ def run_evaluate(cfg, ds):
 
     Returns the report and, per family, its `CvResult.grid`: the per-point
     fold risks, whose means and standard errors the report's `grid` rows
-    hold. kkr and ukkr share one spectrum per fold (see
-    `cross_validate`). A family's fold models are dropped once its estimate
-    is in the report.
+    hold. The tuning set is split into folds once (`kfold_splits`), so
+    every family is scored on the same holdout folds and kkr and ukkr share
+    each fold's spectrum. A family's fold models are dropped once its
+    estimate is in the report.
     """
     work = top_label_dataset(ds) if cfg.mode == "tce" else ds
     tune, test = split_dataset(work, cfg.test_fraction, cfg.seed)
@@ -429,14 +423,13 @@ def run_evaluate(cfg, ds):
         },
         "families": {},
     }
-    spectra = {}
+    folds = kfold_splits(tune, cfg.k_folds, cfg.seed, cfg.gamma)
     grids = {}
     for fam in cfg.families:
         base, grid = _report_family(fam)
         cv = cross_validate(
-            tune, base, grid=cfg.grids.get(fam, grid), k=cfg.k_folds,
-            gamma=cfg.gamma, seed=cfg.seed, linear=cfg.linear_risk,
-            model_temp=cfg.model_temp, spectra=spectra,
+            folds, base, grid=cfg.grids.get(fam, grid), seed=cfg.seed,
+            linear=cfg.linear_risk, model_temp=cfg.model_temp,
         )
         est = final_estimate(cv.fold_models, test)
         report["families"][fam] = _family_entry(cv, est)

@@ -104,12 +104,15 @@ def risk_curve(sim, thetas, k_folds=5, seed=0):
     """Empirical risk of each candidate temperature on the full dataset.
 
     The per-theta standard error comes from evaluating the risk on k
-    disjoint folds of the dataset.
+    disjoint folds of the dataset, so each fold needs two samples to pair.
     """
     thetas = check_grid(thetas)
     if len(thetas) < 2:
         raise InputError("risk_curve needs at least two temperatures")
     ds = sim.dataset
+    if len(ds) < 2 * k_folds:
+        raise InputError(f"a risk curve over {k_folds} folds needs n >= {2 * k_folds}, "
+                         f"got n={len(ds)}")
     folds = kfold_indices(len(ds), k_folds, seed)
     out = []
     for theta in thetas:

@@ -399,10 +399,14 @@ class TestReportGrid:
     ["simulate", "--theta-grid=1,1"],
     ["evaluate", "--seed=-1"],
     ["simulate", "--seed=-1"],
+    # too few samples for the curve's 5 folds of at least two
+    ["simulate", "--n", "5"],
 ], ids=lambda argv: " ".join(argv))
 def test_edge_inputs_exit_code(tmp_path, capsys, argv):
     if argv[0] == "simulate":
-        argv = argv + ["--n", "50", "--out", str(tmp_path / "curve.csv")]
+        if "--n" not in argv:
+            argv = argv + ["--n", "50"]
+        argv = argv + ["--out", str(tmp_path / "curve.csv")]
     else:
         data = write_random_logits(tmp_path / "d.csv", np.random.default_rng(8), 60)
         argv = argv + ["--data", data, "--out", str(tmp_path / "r.json")]
@@ -410,7 +414,13 @@ def test_edge_inputs_exit_code(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_bad_grid_exits_before_any_family_runs(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("grid,message", [
+    ("--grid-kkr=1,1", "grid value 1.0 given more than once"),
+    ("--grid-kkr=-1", "lambda must be nonnegative"),
+    ("--grid-kde=0", "bandwidth must be positive"),
+    ("--grid-bin=2.5", "number of bins must be a positive integer, got 2.5"),
+], ids=["kkr-repeated", "kkr-negative", "kde-zero", "bin-fractional"])
+def test_bad_grid_exits_before_any_family_runs(tmp_path, capsys, monkeypatch, grid, message):
     from calrisk import pipeline
 
     calls = []
@@ -423,8 +433,8 @@ def test_bad_grid_exits_before_any_family_runs(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(pipeline, "cross_validate", counted)
     data = write_random_logits(tmp_path / "d.csv", np.random.default_rng(8), 60)
     assert main(["evaluate", "--data", data, "--families", "bin,kde,kkr",
-                 "--grid-kkr=1,1", "--out", str(tmp_path / "r.json")]) == 2
-    assert "grid value 1.0 given more than once" in capsys.readouterr().err
+                 grid, "--out", str(tmp_path / "r.json")]) == 2
+    assert message in capsys.readouterr().err
     assert calls == []
 
 

@@ -20,12 +20,14 @@ from calrisk.estimators import (
 from calrisk import pipeline
 from calrisk.pipeline import (
     CvResult,
+    Fold,
     GridPointResult,
     cross_validate,
     default_grid,
     final_estimate,
     fit_family,
     kfold_indices,
+    kfold_splits,
     split_dataset,
 )
 from calrisk.risk import risk_from_matrix
@@ -42,6 +44,13 @@ def random_top_label(rng, n):
     conf = rng.uniform(0.2, 1.0, size=n)
     correct = (rng.random(n) < conf).astype(int)
     return Dataset(conf[:, None], correct, TOP_LABEL)
+
+
+def cv_on(tune, family, grid=None, k=5, seed=0, **kwargs):
+    """cross_validate on `tune`'s k folds at `seed`, which also orders the
+    linear risk's pairs."""
+    return cross_validate(kfold_splits(tune, k, seed, 0.5), family, grid=grid,
+                          seed=seed, **kwargs)
 
 
 class ConstantModel:
@@ -109,6 +118,26 @@ class TestKfold:
             kfold_indices(3, 5, seed=0)
 
 
+class TestKfoldSplits:
+    def test_folds_partition_tune(self, eigh_calls):
+        tune = random_canonical(np.random.default_rng(24), 23, 3)
+        folds = kfold_splits(tune, 5, 0, 0.5)
+
+        def rows(*parts):
+            return sorted(map(tuple, np.vstack(
+                [np.column_stack([p.probs, p.labels]) for p in parts])))
+
+        assert rows(*(f.hold for f in folds)) == rows(tune)
+        assert all(rows(f.train, f.hold) == rows(tune) for f in folds)
+        # 23 is not a multiple of 5: the one-extra folds come first, so the
+        # first training part is the smallest, the default grid's n_train
+        assert [len(f.hold) for f in folds] == [5, 5, 5, 4, 4]
+        assert len(folds[0].train) == len(tune) * 4 // 5 == 18
+        # the Gram is decomposed only when kkr or ukkr reads the spectrum
+        cross_validate(folds, "kde", grid=[0.1])
+        assert eigh_calls == []
+
+
 class TestDefaultGrid:
     def test_bin_grid(self):
         assert default_grid("bin", TOP_LABEL, 400) == [5 * i for i in range(1, 21)]
@@ -147,7 +176,7 @@ class TestDefaultGrid:
 class TestCrossValidate:
     def test_single_point_grid(self):
         ds = random_top_label(np.random.default_rng(5), 60)
-        cv = cross_validate(ds, "bin", grid=[10], k=5)
+        cv = cv_on(ds, "bin", grid=[10], k=5)
         assert cv.best_hyper == 10
         assert len(cv.fold_models) == 5
         assert cv.mean_risk == pytest.approx(
@@ -161,19 +190,19 @@ class TestCrossValidate:
         conf = rng.uniform(0.5, 0.999, size=50)
         correct = (rng.random(50) < conf).astype(int)
         ds = Dataset(conf[:, None], correct, TOP_LABEL)
-        cv = cross_validate(ds, "bin", grid=[1, 2], k=5)
+        cv = cv_on(ds, "bin", grid=[1, 2], k=5)
         assert cv.best_hyper == 1
 
     def test_selects_true_temperature_on_simulation(self):
         sim = simulate(SimConfig(seed=0))
         tune, _ = split_dataset(sim.dataset, 0.2, seed=0)
-        cv = cross_validate(tune, "sim", k=5)
+        cv = cv_on(tune, "sim", k=5)
         assert 0.9 <= cv.best_hyper <= 1.1
 
     def test_deterministic(self):
         ds = random_top_label(np.random.default_rng(7), 80)
-        a = cross_validate(ds, "bin", k=5, seed=2)
-        b = cross_validate(ds, "bin", k=5, seed=2)
+        a = cv_on(ds, "bin", k=5, seed=2)
+        b = cv_on(ds, "bin", k=5, seed=2)
         assert a.best_hyper == b.best_hyper
         assert a.mean_risk == b.mean_risk
 
@@ -183,7 +212,7 @@ class TestCrossValidate:
         probs = np.tile([[0.6, 0.4]], (30, 1))
         labels = (np.random.default_rng(8).random(30) < 0.6).astype(int)
         ds = Dataset(probs, 1 - labels, CANONICAL)
-        cv = cross_validate(ds, "kkr", grid=[0.0, 0.5], k=5)
+        cv = cv_on(ds, "kkr", grid=[0.0, 0.5], k=5)
         assert cv.best_hyper == 0.5
         assert [h for h, _ in cv.skipped] == [0.0]
 
@@ -196,12 +225,12 @@ class TestCrossValidate:
         fitted = []
         fit_family = pipeline.fit_family
 
-        def counted(family, train, hyper, *args, **kwargs):
+        def counted(family, fold, hyper, *args, **kwargs):
             fitted.append(hyper)
-            return fit_family(family, train, hyper, *args, **kwargs)
+            return fit_family(family, fold, hyper, *args, **kwargs)
 
         monkeypatch.setattr(pipeline, "fit_family", counted)
-        cv = cross_validate(tune, "kde", grid=[1e-30, 0.1], k=5)
+        cv = cv_on(tune, "kde", grid=[1e-30, 0.1], k=5)
         assert list(cv.skipped) == [(1e-30, "no usable pairs (all predictions dropped)")]
         assert fitted.count(1e-30) == 1
         assert cv.best_hyper == 0.1
@@ -210,27 +239,26 @@ class TestCrossValidate:
         probs = np.tile([[0.6, 0.4]], (30, 1))
         ds = Dataset(probs, np.zeros(30, dtype=int), CANONICAL)
         with pytest.raises(NumericError):
-            cross_validate(ds, "kkr", grid=[0.0], k=5)
+            cv_on(ds, "kkr", grid=[0.0], k=5)
 
     def test_empty_grid_rejected(self):
         ds = random_top_label(np.random.default_rng(9), 40)
         with pytest.raises(InputError):
-            cross_validate(ds, "bin", grid=[], k=5)
+            cv_on(ds, "bin", grid=[], k=5)
 
     def test_tiny_folds_rejected(self):
         # below 2k tuning samples some holdout fold has one sample and no pairs
         with pytest.raises(InputError, match="at least 10 tuning samples"):
-            cross_validate(random_top_label(np.random.default_rng(18), 9), "bin",
-                           grid=[5], k=5)
-        cv = cross_validate(random_top_label(np.random.default_rng(18), 10), "bin",
-                            grid=[5], k=5)
+            kfold_splits(random_top_label(np.random.default_rng(18), 9), 5, 0, 0.5)
+        folds = kfold_splits(random_top_label(np.random.default_rng(18), 10), 5, 0, 0.5)
+        cv = cross_validate(folds, "bin", grid=[5])
         assert cv.best_hyper == 5
 
     def test_bad_fold_count_rejected_before_the_default_grid(self):
         ds = random_top_label(np.random.default_rng(11), 40)
         for k in (0, 1):
             with pytest.raises(InputError, match="need k >= 2 folds"):
-                cross_validate(ds, "bin", k=k)
+                kfold_splits(ds, k, 0, 0.5)
 
     @pytest.mark.parametrize("mode,family", [(CANONICAL, "bin"), (TOP_LABEL, "sim")])
     def test_family_of_other_mode_rejected(self, mode, family):
@@ -238,27 +266,27 @@ class TestCrossValidate:
         if mode == TOP_LABEL:
             ds = top_label_dataset(ds)
         with pytest.raises(InputError, match=f"the {family} family needs"):
-            cross_validate(ds, family, k=5)
+            cv_on(ds, family, k=5)
 
     def test_linear_risk_switch(self):
         ds = random_top_label(np.random.default_rng(10), 60)
-        quad = cross_validate(ds, "bin", grid=[5, 10], k=5)
-        lin = cross_validate(ds, "bin", grid=[5, 10], k=5, linear=True)
+        quad = cv_on(ds, "bin", grid=[5, 10], k=5)
+        lin = cv_on(ds, "bin", grid=[5, 10], k=5, linear=True)
         assert lin.best_hyper in (5, 10)
         assert lin.mean_risk != quad.mean_risk  # different pair sets
 
 
 def dense_cv_reference(tune, family, grid, k, seed):
     """Holdout risks per grid point from each fold model's (m, m) matrix."""
-    splits = [(tune.subset(np.setdiff1d(np.arange(len(tune)), fold)), tune.subset(fold))
-              for fold in kfold_indices(len(tune), k, seed)]
+    folds = [Fold(tune.subset(np.setdiff1d(np.arange(len(tune)), hold)), tune.subset(hold), 0.5)
+             for hold in kfold_indices(len(tune), k, seed)]
     risks, skipped = {}, []
     for hyper in grid:
         try:
             risks[hyper] = []
-            for train, hold in splits:
-                H = fit_family(family, train, hyper).pairwise(hold.probs)
-                risks[hyper].append(risk_from_matrix(H, pair_target_matrix(hold)))
+            for fold in folds:
+                H = fit_family(family, fold, hyper).pairwise(fold.hold.probs)
+                risks[hyper].append(risk_from_matrix(H, pair_target_matrix(fold.hold)))
         except NumericError:
             del risks[hyper]
             skipped.append(hyper)
@@ -277,7 +305,7 @@ KDE_GRID = [1.0, 0.1, 1e-2, 1e-3, 1e-4, 1e-5]
 def test_factored_cv_matches_dense_reference(mode, family, grid):
     ds = simulate(SimConfig(n=300, seed=4)).dataset
     tune = top_label_dataset(ds) if mode == "tce" else ds
-    cv = cross_validate(tune, family, grid=grid, k=5, seed=1)
+    cv = cv_on(tune, family, grid=grid, k=5, seed=1)
     grid = grid or default_grid(family, tune.mode, len(tune) * 4 // 5)
     risks, skipped = dense_cv_reference(tune, family, grid, 5, 1)
     assert [h for h, _ in cv.skipped] == skipped
@@ -319,7 +347,7 @@ class TestUkkrFactoredCv:
     the skips must be those of its dense (m, m) prediction matrices."""
 
     def check(self, tune, grid=None, k=5, seed=1):
-        cv = cross_validate(tune, "ukkr", grid=grid, k=k, seed=seed)
+        cv = cv_on(tune, "ukkr", grid=grid, k=k, seed=seed)
         grid = grid or default_grid("ukkr", tune.mode, len(tune) * (k - 1) // k)
         risks, skipped = ukkr_dense_fold_risks(tune, grid, k, seed)
         assert list(cv.skipped) == list(skipped.items())
@@ -352,61 +380,30 @@ class TestUkkrFactoredCv:
     def test_negative_lambda_raises(self):
         tune = random_canonical(np.random.default_rng(31), 50, 3)
         with pytest.raises(InputError, match="lambda must be nonnegative"):
-            cross_validate(tune, "ukkr", grid=[0.1, -1.0], k=5)
+            cv_on(tune, "ukkr", grid=[0.1, -1.0], k=5)
         spectrum = kkr_prepare(tune, 0.5)
         with pytest.raises(InputError, match="lambda must be nonnegative"):
             ukkr_cv_features(spectrum, np.zeros((50, 4)), -1.0)
 
     def test_rotated_core_serves_only_the_refits(self, ukkr_core_calls):
         tune = random_canonical(np.random.default_rng(32), 50, 3)
-        cv = cross_validate(tune, "ukkr", grid=[0.01, 0.1, 1.0], k=5)
+        cv = cv_on(tune, "ukkr", grid=[0.01, 0.1, 1.0], k=5)
         assert ukkr_core_calls == [cv.best_hyper] * 5
 
 
 class TestSharedSpectra:
-    @staticmethod
-    def summary(cv):
-        return cv.best_hyper, cv.grid, cv.skipped
-
     def test_refits_reuse_the_fold_spectrum(self, eigh_calls):
         tune = random_canonical(np.random.default_rng(20), 50, 3)
-        cross_validate(tune, "kkr", grid=[0.1, 1.0], k=5)
+        cv_on(tune, "kkr", grid=[0.1, 1.0], k=5)
         assert len(eigh_calls) == 5
 
     def test_refits_hold_the_dict_spectra(self):
         tune = random_canonical(np.random.default_rng(20), 50, 3)
-        spectra = {}
-        cv = cross_validate(tune, "kkr", grid=[0.1, 1.0], k=5, spectra=spectra)
-        held = [spectrum for spectrum, _ in spectra.values()]
-        assert len(held) == len(cv.fold_models) == 5
-        assert all(model.spectrum is spectrum
-                   for model, spectrum in zip(cv.fold_models, held))
-
-    def test_dict_serves_only_its_own_gamma_seed_and_data(self, eigh_calls):
-        data = {name: random_canonical(np.random.default_rng(seed), 50, 3)
-                for name, seed in (("tune", 21), ("other", 22))}
-        grid = [0.01, 0.1, 1.0]
-
-        def run(name, gamma, seed, fam, spectra=None):
-            return self.summary(cross_validate(data[name], fam, grid=grid, k=5,
-                                               gamma=gamma, seed=seed, spectra=spectra))
-
-        cases = [
-            ("tune", 0.5, 0, "kkr", 5),
-            ("tune", 0.5, 0, "ukkr", 0),
-            ("tune", 2.0, 0, "ukkr", 5),
-            ("tune", 0.5, 1, "kkr", 5),
-            # same size, seed and gamma, so the same fold indices
-            ("other", 0.5, 0, "kkr", 5),
-            ("tune", 2.0, 0, "kkr", 0),
-        ]
-        fresh = [run(*case[:4]) for case in cases]
-        spectra = {}
-        for case, want in zip(cases, fresh):
-            before = len(eigh_calls)
-            assert run(*case[:4], spectra=spectra) == want
-            assert len(eigh_calls) - before == case[4]
-        assert len(spectra) == 20
+        folds = kfold_splits(tune, 5, 0, 0.5)
+        cv = cross_validate(folds, "kkr", grid=[0.1, 1.0])
+        assert len(cv.fold_models) == 5
+        assert all(model.spectrum is fold.spectrum
+                   for model, fold in zip(cv.fold_models, folds))
 
 
 class TestBestAtGridEdge:
@@ -488,7 +485,7 @@ class TestEndToEnd:
         results = []
         for _ in range(2):
             tune, test = split_dataset(ds, 0.2, seed=5)
-            cv = cross_validate(tune, "bin", k=5, seed=5)
+            cv = cv_on(tune, "bin", k=5, seed=5)
             est = final_estimate(cv.fold_models, test)
             results.append((cv.best_hyper, cv.mean_risk, est.squared_value))
         assert results[0] == results[1]
@@ -497,6 +494,6 @@ class TestEndToEnd:
         ds = random_canonical(np.random.default_rng(19), 60, 3)
         tune, test = split_dataset(ds, 0.2, seed=0)
         for fam in ("kde", "kkr", "ukkr"):
-            cv = cross_validate(tune, fam, k=4, seed=0)
+            cv = cv_on(tune, fam, k=4, seed=0)
             est = final_estimate(cv.fold_models, test)
             assert np.isfinite(est.value)

@@ -94,6 +94,19 @@ class TestRiskCurve:
         with pytest.raises(InputError):
             risk_curve(sim, [1.0])
 
+    def test_too_few_samples_for_the_folds_rejected_before_any_risk(self, monkeypatch):
+        from calrisk import sim as sim_module
+
+        calls = []
+        monkeypatch.setattr(sim_module, "empirical_risk",
+                            lambda *args: calls.append(args) or empirical_risk(*args))
+        sim = simulate(SimConfig(n=9, seed=5))
+        with pytest.raises(InputError, match=r"5 folds needs n >= 10, got n=9"):
+            risk_curve(sim, DEFAULT_THETAS, k_folds=5)
+        assert calls == []
+        risk_curve(simulate(SimConfig(n=10, seed=5)), DEFAULT_THETAS, k_folds=5)
+        assert calls
+
     def test_interior_argmin(self):
         for seed in range(10):
             sim = simulate(SimConfig(seed=seed))
