@@ -18,7 +18,7 @@ each command's standard output, byte for byte:
 The evaluate inputs are the benchmark's seeded logits (perfbench/inputs.py)
 at instance 31, so the outputs are those of perfbench's evaluate workloads.
 Exits 0 when every file is identical, 1 naming each file that differs, and
-2 when a command fails.
+2 when a command fails or runs longer than TIMEOUT_S seconds.
 
 Usage:
     python scripts/compare_outputs.py PARENT_SRC CHANGE_SRC [--workdir DIR]
@@ -35,6 +35,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 INSTANCE = 31
+# each command takes a few seconds; one that runs this long has hung
+TIMEOUT_S = 300
 # input name -> (n, d), the sizes of perfbench's evaluate workloads
 INPUTS = {"tce": (1200, 5), "cce-d10": (1200, 10), "kde": (4000, 5)}
 CCE_D10 = ["evaluate", "--mode", "cce", "--families", "kde,kkr,ukkr,sim"]
@@ -89,8 +91,12 @@ def run_cases(src, outdir, inputs):
                      "--emit-csv", str(outdir / f"{case}.csv")]
         else:
             argv += ["--out", str(outdir / f"{case}.csv")]
-        proc = subprocess.run([sys.executable, "-m", "calrisk", *argv], env=env,
-                              cwd=outdir, capture_output=True, text=True)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "calrisk", *argv], env=env,
+                                  cwd=outdir, capture_output=True, text=True,
+                                  timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return f"{case} did not finish in {TIMEOUT_S} s with {src}"
         if proc.returncode != 0:
             return f"{case} exited {proc.returncode} with {src}: {proc.stderr.strip()}"
         (outdir / f"{case}.stdout").write_text(proc.stdout)

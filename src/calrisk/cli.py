@@ -9,7 +9,7 @@ Subcommands:
 are machine-readable JSON, each family's entry with its risk curve
 (`grid`: mean holdout risk and its standard error per grid point), and
 optionally a flat CSV of per-fold risks for external plotting. Exit codes:
-0 success, 2 input/parse error, 3 numeric failure.
+0 success, 2 input/parse or file error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 import numpy as np
@@ -116,22 +117,25 @@ def _parse_float_list(text):
         raise InputError(f"bad numeric list {text!r} ({exc})")
 
 
+def _check_outputs(*paths):
+    """InputError unless each output path names a file in an existing directory."""
+    for path in filter(None, paths):
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+            raise InputError(f"cannot write {path}: not a file in an existing directory")
+
+
 def _cmd_simulate(args):
+    _check_outputs(args.out, args.dump_data)
     if args.seeds < 1:
         raise InputError(f"need at least 1 seed, got {args.seeds}")
     thetas = _parse_float_list(args.theta_grid) if args.theta_grid else list(DEFAULT_THETAS)
     curves = []
-    argmins = []
     for seed in range(args.seed, args.seed + args.seeds):
-        cfg = SimConfig(n=args.n, d=args.d, alpha=args.alpha,
-                        model_temp=args.model_temp, seed=seed)
-        sim = simulate(cfg)
-        curve = risk_curve(sim, thetas, seed=seed)
-        curves.append([risk for _, risk, _ in curve])
-        argmins.append(thetas[int(np.argmin(curves[-1]))])
-        if args.dump_data:
+        sim = simulate(SimConfig(n=args.n, d=args.d, alpha=args.alpha,
+                                 model_temp=args.model_temp, seed=seed))
+        curves.append([risk for _, risk, _ in risk_curve(sim, thetas, seed=seed)])
+        if args.dump_data and seed == args.seed:
             _dump_probs_csv(args.dump_data, sim.dataset)
-            args.dump_data = None  # first seed only
     curves = np.array(curves)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -141,6 +145,7 @@ def _cmd_simulate(args):
                              repr(float(curves[:, i].std(ddof=1) if len(curves) > 1 else 0.0))])
     best = thetas[int(np.argmin(curves.mean(axis=0)))]
     print(f"mean-risk argmin theta: {best}")
+    argmins = [thetas[i] for i in np.argmin(curves, axis=1)]
     hist = {t: argmins.count(t) for t in thetas if argmins.count(t)}
     print(f"per-seed argmin counts: {hist}")
     return 0
@@ -164,6 +169,7 @@ def _write_json(payload, out):
 
 
 def _cmd_evaluate(args):
+    _check_outputs(args.out, args.emit_csv)
     ds = load_dataset(args.data, args.format)
     families = tuple(f.strip() for f in args.families.split(",") if f.strip())
     grids = {fam: _parse_float_list(getattr(args, f"grid_{fam}"))
@@ -232,7 +238,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, FileNotFoundError, IsADirectoryError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

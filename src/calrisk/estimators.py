@@ -17,7 +17,8 @@ products of a feature map, h(p, p2) = <phi(p), phi(p2)>: their
 `core.feature_diag` are derived from it, and cross-validation scores the
 features without any (m, m) matrix. kkr and ukkr are kernel quadratic
 forms B^T core B over a basis B of the evaluation rows (`_quadratic_pairwise`,
-`_quadratic_diag`), both built from one `Spectrum` of the training Gram.
+`_quadratic_diag`). Both fit from a training Gram's `Spectrum` alone
+(`kkr_prepare`), and a fitted model is `(spectrum, core)`.
 
 ukkr's cross-validation is factored (`ukkr_cv_features`): it only ranks a
 lambda grid, and the factored and dense holdout risks agree to rounding.
@@ -281,7 +282,6 @@ class KkrModel(PairModel):
 
     spectrum: Spectrum
     core: np.ndarray
-    lam: float
 
     def _basis(self, P):
         return self.spectrum.basis(P)
@@ -316,24 +316,20 @@ def kkr_core(spec, lam):
     return scale * spec.QtGQ
 
 
-def fit_kkr(train, lam, gamma, spectrum=None):
-    """Fit the O(n^3) Kronecker kernel ridge closed form."""
-    if spectrum is None:
-        spectrum = kkr_prepare(train, gamma)
-    return KkrModel(spectrum, kkr_core(spectrum, lam), float(lam))
+def fit_kkr(spectrum, lam):
+    """The Kronecker kernel ridge closed form at `lam` on `spectrum`'s training set."""
+    return KkrModel(spectrum, kkr_core(spectrum, lam))
 
 
 @dataclass(frozen=True)
 class UkkrModel(PairModel):
-    """Two-step model: core = (K + lam n I)^-1 D^T D (K + lam n I)^-1."""
+    """Two-step model: dense core (K + lam n I)^-1 D^T D (K + lam n I)^-1 over k(X, P)."""
 
-    train_predictions: np.ndarray
+    spectrum: Spectrum
     core: np.ndarray
-    lam: float
-    gamma: float
 
     def _basis(self, P):
-        return rbf_gram(self.train_predictions, P, self.gamma)
+        return rbf_gram(self.spectrum.X, P, self.spectrum.gamma)
 
     pairwise = _quadratic_pairwise
     diag = _quadratic_diag
@@ -352,11 +348,7 @@ def _ukkr_shift(spec, lam):
 
 
 def ukkr_rotated_core(spec, lam):
-    """Core of the two-step solve in the Gram eigenbasis.
-
-    The full core is Q @ rotated @ Q^T; the refit at the winning lambda
-    builds it from the fold's one Gram eigendecomposition.
-    """
+    """Core of the two-step solve in the Gram eigenbasis; `fit_ukkr` rotates it back."""
     shifted = _ukkr_shift(spec, lam)
     return spec.QtGQ / np.outer(shifted, shifted)
 
@@ -374,10 +366,7 @@ def ukkr_cv_features(spec, basis, lam):
     return basis.T @ (spec.V / _ukkr_shift(spec, lam)[:, None])
 
 
-def fit_ukkr(train, lam, gamma, spectrum=None):
-    """Fit the two-step kernel ridge model via a symmetric solve."""
-    if spectrum is None:
-        spectrum = kkr_prepare(train, gamma)
+def fit_ukkr(spectrum, lam):
+    """The two-step kernel ridge model at `lam` on `spectrum`'s training set."""
     Q = spectrum.Q
-    core = Q @ ukkr_rotated_core(spectrum, lam) @ Q.T
-    return UkkrModel(spectrum.X, core, float(lam), float(gamma))
+    return UkkrModel(spectrum, Q @ ukkr_rotated_core(spectrum, lam) @ Q.T)

@@ -157,9 +157,9 @@ def fit_family(family, fold, hyper, model_temp=0.3):
     if family == "kde":
         return fit_kde(fold.train, hyper)
     if family == "kkr":
-        return fit_kkr(fold.train, hyper, fold.gamma, fold.spectrum)
+        return fit_kkr(fold.spectrum, hyper)
     if family == "ukkr":
-        return fit_ukkr(fold.train, hyper, fold.gamma, fold.spectrum)
+        return fit_ukkr(fold.spectrum, hyper)
     if family == "sim":
         return SimModel(float(hyper), model_temp)
     raise InputError(f"unknown family {family!r}")

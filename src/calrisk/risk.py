@@ -35,17 +35,22 @@ class RiskValue:
     dropped_nan: int
 
 
+def _pair_risk(h, t, total):
+    """Mean squared error of the predictions `h` against the targets `t`
+    over `total` candidate pairs, dropping the non-finite predictions."""
+    use = np.isfinite(h)
+    pairs = int(use.sum())
+    if pairs == 0:
+        raise NumericError("no usable pairs (all predictions dropped)")
+    value = float(np.sum((t[use] - h[use]) ** 2) / pairs)
+    return RiskValue(value, pairs, total - pairs)
+
+
 def risk_from_matrix(H, T):
     """Mean squared error over off-diagonal pairs, dropping NaN predictions."""
     m = T.shape[0]
     off = ~np.eye(m, dtype=bool)
-    use = off & np.isfinite(H)
-    pairs = int(use.sum())
-    dropped = int(off.sum()) - pairs
-    if pairs == 0:
-        raise NumericError("no usable pairs (all predictions dropped)")
-    value = float(np.sum((T[use] - H[use]) ** 2) / pairs)
-    return RiskValue(value, pairs, dropped)
+    return _pair_risk(H[off], T[off], m * (m - 1))
 
 
 def risk_from_factors(F, D):
@@ -91,14 +96,7 @@ def linear_risk_from_matrix(H, T, seed):
     n = T.shape[0]
     order = np.random.default_rng(seed).permutation(n)
     left, right = order, np.roll(order, -1)
-    preds = H[left, right]
-    targets = T[left, right]
-    use = np.isfinite(preds)
-    pairs = int(use.sum())
-    if pairs == 0:
-        raise NumericError("no usable pairs (all predictions dropped)")
-    value = float(np.sum((targets[use] - preds[use]) ** 2) / pairs)
-    return RiskValue(value, pairs, n - pairs)
+    return _pair_risk(H[left, right], T[left, right], n)
 
 
 def empirical_risk(h, eval_set):

@@ -45,8 +45,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n < 2 or self.d < 2:
             raise InputError("simulation needs n >= 2 and d >= 2")
-        if self.alpha <= 0:
-            raise InputError("concentration must be positive")
+        if not (np.isfinite(self.alpha) and self.alpha > 0):
+            raise InputError(f"concentration must be positive and finite, got {self.alpha}")
         if self.model_temp <= 0:
             raise InputError("model temperature must be positive")
         if self.seed < 0:
@@ -64,12 +64,14 @@ def simulate(cfg):
     """Draw latent probabilities, labels, and miscalibrated predictions."""
     rng = np.random.default_rng(cfg.seed)
     g = rng.gamma(cfg.alpha, 1.0, size=(cfg.n, cfg.d))
-    # gamma draws with tiny shape can underflow to an all-zero row
-    while True:
-        zero = g.sum(axis=1) == 0.0
-        if not zero.any():
-            break
-        g[zero] = rng.gamma(cfg.alpha, 1.0, size=(int(zero.sum()), cfg.d))
+    # gamma draws with tiny shape can underflow to an all-zero row; such rows
+    # are drawn once more in log space, as Gamma(a) = Gamma(a + 1) U^(1/a)
+    zero = g.sum(axis=1) == 0.0
+    if zero.any():
+        a, size = cfg.alpha, (int(zero.sum()), cfg.d)
+        z = np.log1p(-rng.random(size)) + a * np.log(rng.gamma(a + 1.0, 1.0, size))
+        with np.errstate(over="ignore"):  # less the row max, the largest log draw is 0
+            g[zero] = softmax_rows((z - z.max(axis=1, keepdims=True)) / a)
     P = g / g.sum(axis=1, keepdims=True)
     u = rng.random(cfg.n)
     labels = (P.cumsum(axis=1) < u[:, None]).sum(axis=1)

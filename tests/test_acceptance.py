@@ -17,6 +17,7 @@ from calrisk.estimators import (
     fit_kkr,
     fit_ukkr,
     kde_regress,
+    kkr_prepare,
     rbf_gram,
 )
 from calrisk.pipeline import RunConfig, run_evaluate
@@ -81,7 +82,7 @@ def test_criterion_3_kronecker_oracle_equivalence():
         d = int(rng.choice([2, 3, 5]))
         ds = random_canonical(rng, n, d)
         for lam in (0.01, 1.0):
-            model = fit_kkr(ds, lam, 0.5)
+            model = fit_kkr(kkr_prepare(ds, 0.5), lam)
             p, p2 = rng.dirichlet(np.ones(d), size=2)
             fast = model.predict(p, p2)
             slow = eval_kkr_naive(ds, lam, 0.5, p, p2)
@@ -100,7 +101,7 @@ def test_criterion_4_fast_risk_equivalence():
         train = random_canonical(rng, 50, 3)
         evalset = random_canonical(rng, 40, 3)
         lam = float(rng.uniform(0.05, 1.0))
-        model = fit_kkr(train, lam, 0.5)
+        model = fit_kkr(kkr_prepare(train, 0.5), lam)
         fast = empirical_risk(model, evalset).value
         slow = pointwise_risk(model, evalset).value
         worst_risk = max(worst_risk, abs(fast - slow))
@@ -126,8 +127,8 @@ def test_criterion_5_two_step_identity_at_lambda_zero():
         K = rbf_gram(ds.probs, ds.probs, 0.5)
         if np.linalg.cond(K) >= 1e6:
             continue
-        kkr = fit_kkr(ds, 0.0, 0.5)
-        ukkr = fit_ukkr(ds, 0.0, 0.5)
+        kkr = fit_kkr(kkr_prepare(ds, 0.5), 0.0)
+        ukkr = fit_ukkr(kkr_prepare(ds, 0.5), 0.0)
         p, p2 = rng.dirichlet(np.ones(3), size=2)
         a = kkr.predict(p, p2)
         b = ukkr.predict(p, p2)
@@ -255,7 +256,7 @@ def test_criterion_10_cubic_scaling():
         best = np.inf
         for _ in range(3):
             start = time.perf_counter()
-            model = fit_kkr(train, 1.0, 0.5)
+            model = fit_kkr(kkr_prepare(train, 0.5), 1.0)
             empirical_risk(model, evalset)
             best = min(best, time.perf_counter() - start)
         times[n] = best

@@ -381,6 +381,7 @@ class TestReportGrid:
     ["evaluate", "--gamma", "0"],
     ["evaluate", "--gamma", "-1"],
     ["simulate", "--seeds", "0"],
+    ["simulate", "--alpha", "nan"],
     # a grid value the family cannot take; "=" keeps argparse from reading
     # a negative value as a flag
     ["evaluate", "--families", "bin", "--grid-bin=2.5"],
@@ -465,6 +466,46 @@ def test_bad_family_list_exit_code(tmp_path, capsys, families):
     assert main(["evaluate", "--data", data, "--families", families, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,path", [("--data", "d.csv/x"), ("--out", "d.csv/r.json")])
+def test_path_through_a_file_exit_code(tmp_path, capsys, flag, path):
+    data = write_random_logits(tmp_path / "d.csv", np.random.default_rng(8), 60)
+    argv = {"--data": data, "--out": str(tmp_path / "r.json")}
+    argv[flag] = str(tmp_path / path)
+    assert main(["evaluate", "--families", "bin", "--data", argv["--data"],
+                 "--out", argv["--out"]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--out", "--emit-csv"])
+def test_bad_output_path_exits_before_the_run(tmp_path, capsys, monkeypatch, flag):
+    from calrisk import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "run_evaluate", lambda *args: calls.append(args))
+    data = write_random_logits(tmp_path / "d.csv", np.random.default_rng(8), 60)
+    out = tmp_path / "r.json"
+    argv = {"--out": str(out), "--emit-csv": str(tmp_path / "f.csv")}
+    argv[flag] = str(tmp_path / "absent" / "x")
+    assert main(["evaluate", "--families", "bin", "--data", data,
+                 "--out", argv["--out"], "--emit-csv", argv["--emit-csv"]]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--out", "--dump-data"])
+def test_simulate_bad_output_path_exits_before_the_run(tmp_path, monkeypatch, flag):
+    from calrisk import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "simulate", lambda cfg: calls.append(cfg))
+    argv = {"--out": str(tmp_path / "curve.csv"), "--dump-data": str(tmp_path / "d.csv")}
+    argv[flag] = str(tmp_path / "absent" / "x")
+    assert main(["simulate", "--n", "50", "--seeds", "1", "--out", argv["--out"],
+                 "--dump-data", argv["--dump-data"]]) == 2
+    assert calls == []
 
 
 def test_compare_estimators_script():

@@ -20,6 +20,7 @@ from calrisk.estimators import (
     fit_kkr,
     fit_ukkr,
     kde_regress,
+    kkr_prepare,
     rbf_gram,
 )
 from calrisk.pipeline import default_grid
@@ -46,8 +47,8 @@ PROTOCOL_MODELS = {
     "bin": lambda rng: fit_binning(random_top_label(rng, 40), 5),
     "kde-canonical": lambda rng: fit_kde(random_canonical(rng, 20, 3), 0.3),
     "kde-top-label": lambda rng: fit_kde(random_top_label(rng, 20), 0.3),
-    "kkr": lambda rng: fit_kkr(random_canonical(rng, 8, 3), 0.2, 0.5),
-    "ukkr": lambda rng: fit_ukkr(random_canonical(rng, 8, 3), 0.2, 0.5),
+    "kkr": lambda rng: fit_kkr(kkr_prepare(random_canonical(rng, 8, 3), 0.5), 0.2),
+    "ukkr": lambda rng: fit_ukkr(kkr_prepare(random_canonical(rng, 8, 3), 0.5), 0.2),
     "sim": lambda rng: SimModel(0.8),
 }
 
@@ -405,7 +406,7 @@ class TestKkr:
         ds = Dataset(np.array([[0.6, 0.4]]), np.array([0]), CANONICAL)
         s = float((0.6 - 1.0) ** 2 + 0.4**2)
         for lam in (0.0, 0.5, 2.0):
-            model = fit_kkr(ds, lam, 0.5)
+            model = fit_kkr(kkr_prepare(ds, 0.5), lam)
             p = np.array([0.3, 0.7])
             p2 = np.array([0.8, 0.2])
             k1 = rbf_kernel(ds.probs[0], p, 0.5)
@@ -416,7 +417,7 @@ class TestKkr:
     def test_ridge_limit(self):
         rng = np.random.default_rng(12)
         ds = random_canonical(rng, 10, 3)
-        model = fit_kkr(ds, 1e12, 0.5)
+        model = fit_kkr(kkr_prepare(ds, 0.5), 1e12)
         p, p2 = rng.dirichlet(np.ones(3), size=2)
         assert abs(model.predict(p, p2)) <= 1e-6
 
@@ -425,7 +426,7 @@ class TestKkr:
         for n in range(2, 9):
             ds = random_canonical(rng, n, 3)
             for lam in (0.01, 1.0):
-                model = fit_kkr(ds, lam, 0.5)
+                model = fit_kkr(kkr_prepare(ds, 0.5), lam)
                 p, p2 = rng.dirichlet(np.ones(3), size=2)
                 fast = model.predict(p, p2)
                 slow = eval_kkr_naive(ds, lam, 0.5, p, p2)
@@ -450,7 +451,7 @@ class TestKkr:
     def test_symmetry(self):
         rng = np.random.default_rng(15)
         ds = random_canonical(rng, 12, 4)
-        model = fit_kkr(ds, 0.1, 0.5)
+        model = fit_kkr(kkr_prepare(ds, 0.5), 0.1)
         p, p2 = rng.dirichlet(np.ones(4), size=2)
         assert model.predict(p, p2) == pytest.approx(
             model.predict(p2, p), abs=1e-10
@@ -459,7 +460,7 @@ class TestKkr:
     def test_self_evaluation_nonnegative(self):
         rng = np.random.default_rng(16)
         ds = random_canonical(rng, 15, 3)
-        model = fit_kkr(ds, 0.5, 0.5)
+        model = fit_kkr(kkr_prepare(ds, 0.5), 0.5)
         for p in rng.dirichlet(np.ones(3), size=10):
             assert model.predict(p, p) >= -1e-10
 
@@ -471,8 +472,8 @@ class TestKkr:
         perm = np.array([2, 0, 3, 1])
         inv = np.argsort(perm)
         ds_perm = Dataset(ds.probs[:, perm], inv[ds.labels], CANONICAL)
-        model = fit_kkr(ds, 0.1, 0.5)
-        model_perm = fit_kkr(ds_perm, 0.1, 0.5)
+        model = fit_kkr(kkr_prepare(ds, 0.5), 0.1)
+        model_perm = fit_kkr(kkr_prepare(ds_perm, 0.5), 0.1)
         p, p2 = rng.dirichlet(np.ones(4), size=2)
         assert model.predict(p, p2) == pytest.approx(
             model_perm.predict(p[perm], p2[perm]), rel=1e-10
@@ -482,7 +483,7 @@ class TestKkr:
         probs = np.tile([[0.5, 0.5]], (5, 1))
         ds = Dataset(probs, np.zeros(5, dtype=int), CANONICAL)
         with pytest.raises(NumericError):
-            fit_kkr(ds, 0.0, 0.5)
+            fit_kkr(kkr_prepare(ds, 0.5), 0.0)
 
 
 class TestUkkr:
@@ -490,7 +491,7 @@ class TestUkkr:
         ds = Dataset(np.array([[0.6, 0.4]]), np.array([0]), CANONICAL)
         s = float((0.6 - 1.0) ** 2 + 0.4**2)
         for lam in (0.0, 0.5, 2.0):
-            model = fit_ukkr(ds, lam, 0.5)
+            model = fit_ukkr(kkr_prepare(ds, 0.5), lam)
             p = np.array([0.3, 0.7])
             p2 = np.array([0.8, 0.2])
             k1 = rbf_kernel(ds.probs[0], p, 0.5)
@@ -501,7 +502,7 @@ class TestUkkr:
     def test_ridge_limit(self):
         rng = np.random.default_rng(19)
         ds = random_canonical(rng, 10, 3)
-        model = fit_ukkr(ds, 1e12, 0.5)
+        model = fit_ukkr(kkr_prepare(ds, 0.5), 1e12)
         p, p2 = rng.dirichlet(np.ones(3), size=2)
         assert abs(model.predict(p, p2)) <= 1e-12
 
@@ -510,7 +511,7 @@ class TestUkkr:
         rng = np.random.default_rng(20)
         ds = random_canonical(rng, 3, 3)
         lam = 0.3
-        model = fit_ukkr(ds, lam, 0.5)
+        model = fit_ukkr(kkr_prepare(ds, 0.5), lam)
         K = rbf_gram(ds.probs, ds.probs, 0.5)
         delta = (ds.probs - one_hot(ds.labels, 3)).T
         W = np.linalg.solve(K + lam * 3 * np.eye(3), delta.T)
@@ -527,8 +528,8 @@ class TestUkkr:
             K = rbf_gram(ds.probs, ds.probs, 0.5)
             if np.linalg.cond(K) < 1e6:
                 break
-        kkr = fit_kkr(ds, 0.0, 0.5)
-        ukkr = fit_ukkr(ds, 0.0, 0.5)
+        kkr = fit_kkr(kkr_prepare(ds, 0.5), 0.0)
+        ukkr = fit_ukkr(kkr_prepare(ds, 0.5), 0.0)
         for p, p2 in np.split(rng.dirichlet(np.ones(3), size=10), 5):
             a = kkr.predict(p, p2)
             b = ukkr.predict(p, p2)
@@ -537,14 +538,14 @@ class TestUkkr:
     def test_self_evaluation_nonnegative(self):
         rng = np.random.default_rng(22)
         ds = random_canonical(rng, 12, 3)
-        model = fit_ukkr(ds, 0.2, 0.5)
+        model = fit_ukkr(kkr_prepare(ds, 0.5), 0.2)
         for p in rng.dirichlet(np.ones(3), size=10):
             assert model.predict(p, p) >= 0.0
 
     def test_symmetry(self):
         rng = np.random.default_rng(23)
         ds = random_canonical(rng, 10, 3)
-        model = fit_ukkr(ds, 0.1, 0.5)
+        model = fit_ukkr(kkr_prepare(ds, 0.5), 0.1)
         p, p2 = rng.dirichlet(np.ones(3), size=2)
         assert model.predict(p, p2) == pytest.approx(
             model.predict(p2, p), abs=1e-12

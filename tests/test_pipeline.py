@@ -397,13 +397,33 @@ class TestSharedSpectra:
         cv_on(tune, "kkr", grid=[0.1, 1.0], k=5)
         assert len(eigh_calls) == 5
 
-    def test_refits_hold_the_dict_spectra(self):
+    @pytest.mark.parametrize("family", ["kkr", "ukkr"])
+    def test_refits_hold_the_fold_spectrum(self, family):
         tune = random_canonical(np.random.default_rng(20), 50, 3)
         folds = kfold_splits(tune, 5, 0, 0.5)
-        cv = cross_validate(folds, "kkr", grid=[0.1, 1.0])
+        cv = cross_validate(folds, family, grid=[0.1, 1.0])
         assert len(cv.fold_models) == 5
         assert all(model.spectrum is fold.spectrum
                    for model, fold in zip(cv.fold_models, folds))
+
+    @pytest.mark.parametrize("family", ["kkr", "ukkr"])
+    def test_gram_below_the_eigenvalue_floor_ends_the_call(self, monkeypatch, family):
+        # the failed decomposition is not cached, so without the basis
+        # prefetch each grid point would decompose again and be skipped
+        calls = []
+        eigh = np.linalg.eigh
+
+        def negative(a, *args, **kwargs):
+            calls.append(a.shape)
+            evals, Q = eigh(a, *args, **kwargs)
+            evals[0] = -1.0
+            return evals, Q
+
+        monkeypatch.setattr(np.linalg, "eigh", negative)
+        tune = random_canonical(np.random.default_rng(33), 50, 3)
+        with pytest.raises(NumericError, match=r"^Gram matrix eigenvalue -1\.0 below"):
+            cv_on(tune, family, grid=[0.1, 1.0], k=5)
+        assert len(calls) == 1
 
 
 class TestBestAtGridEdge:

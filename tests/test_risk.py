@@ -11,7 +11,7 @@ from calrisk.core import (
     one_hot,
     pair_target_matrix,
 )
-from calrisk.estimators import fit_kde, fit_kkr
+from calrisk.estimators import fit_kde, fit_kkr, kkr_prepare
 from calrisk.pipeline import default_grid
 from calrisk.risk import (
     RiskValue,
@@ -67,7 +67,7 @@ class TestEmpiricalRisk:
     def test_callable_and_model_paths_agree(self):
         rng = np.random.default_rng(0)
         ds = random_canonical(rng, 15, 3)
-        model = fit_kkr(random_canonical(rng, 10, 3), 0.1, 0.5)
+        model = fit_kkr(kkr_prepare(random_canonical(rng, 10, 3), 0.5), 0.1)
         fast = empirical_risk(model, ds)
         slow = pointwise_risk(model, ds)
         assert fast.value == pytest.approx(slow.value, rel=1e-12)
@@ -207,7 +207,7 @@ class TestKkrRisk:
         rng = np.random.default_rng(5)
         train = random_canonical(rng, 6, 3)
         evalset = random_canonical(rng, 5, 3)
-        model = fit_kkr(train, 0.1, 0.5)
+        model = fit_kkr(kkr_prepare(train, 0.5), 0.1)
         H = model.pairwise(evalset.probs)
         for i in range(5):
             for j in range(5):
@@ -219,7 +219,7 @@ class TestKkrRisk:
         rng = np.random.default_rng(6)
         train = random_canonical(rng, 30, 3)
         evalset = random_canonical(rng, 20, 3)
-        model = fit_kkr(train, 0.5, 0.5)
+        model = fit_kkr(kkr_prepare(train, 0.5), 0.5)
         fast = empirical_risk(model, evalset)
         slow = pointwise_risk(model, evalset)
         assert fast.value == pytest.approx(slow.value, abs=1e-10)
@@ -228,7 +228,7 @@ class TestKkrRisk:
         rng = np.random.default_rng(7)
         train = random_canonical(rng, 10, 3)
         evalset = random_canonical(rng, 12, 3)
-        model = fit_kkr(train, 1e12, 0.5)
+        model = fit_kkr(kkr_prepare(train, 0.5), 1e12)
         rv = empirical_risk(model, evalset)
         baseline = empirical_risk(ConstantModel(0.0), evalset)
         assert rv.value == pytest.approx(baseline.value, rel=1e-6)
@@ -238,7 +238,7 @@ class TestKkrRisk:
         train = random_canonical(rng, 25, 3)
         evalset = random_canonical(rng, 15, 3)
         for lam in default_grid("kkr", CANONICAL, len(train)):
-            model = fit_kkr(train, lam, 0.5)
+            model = fit_kkr(kkr_prepare(train, 0.5), lam)
             fast = empirical_risk(model, evalset)
             slow = pointwise_risk(model, evalset)
             assert fast.value == pytest.approx(slow.value, rel=1e-8, abs=1e-12)

@@ -1,3 +1,6 @@
+import signal
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,6 +54,33 @@ class TestSimulate:
             SimConfig(alpha=0.0)
         with pytest.raises(InputError):
             SimConfig(model_temp=-1.0)
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(InputError, match="concentration must be positive and finite"):
+            SimConfig(alpha=alpha)
+
+    @pytest.mark.parametrize("alpha", [1e-300, 5e-324])
+    def test_tiny_alpha_returns_on_the_simplex(self, alpha):
+        # every gamma draw underflows to 0 here, so a sampler that redraws
+        # the all-zero rows never returns; the alarm ends such a run
+        def timeout(signum, frame):
+            raise TimeoutError("simulate did not return")
+
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(10)
+        try:
+            start = time.perf_counter()
+            sim = simulate(SimConfig(alpha=alpha))
+            elapsed = time.perf_counter() - start
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert elapsed < 1.0
+        P = sim.ground_truth
+        assert np.isfinite(P).all() and (P >= 0.0).all()
+        np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-12)
+        assert np.isfinite(sim.dataset.probs).all()
 
 
 class TestEvalHsim:
