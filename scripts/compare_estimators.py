@@ -39,10 +39,7 @@ def main():
     ds = sim.dataset
     print(f"simulated dataset: n={args.n}, d={args.d}, seed={args.seed}")
 
-    tce_cfg = RunConfig(
-        mode="tce", families=("bin", "bin15", "kde", "kkr", "ukkr"), seed=args.seed
-    )
-    report, _ = run_evaluate(tce_cfg, ds)
+    report, _ = run_evaluate(RunConfig(mode="tce", seed=args.seed), ds)
     print_report("top-label confidence calibration (tce)", report)
 
     cce_cfg = RunConfig(

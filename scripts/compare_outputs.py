@@ -13,7 +13,11 @@ each command's standard output, byte for byte:
   the d=10 cce evaluate with --linear-risk      report and --emit-csv
   the d=10 cce evaluate of kde,kkr,ukkr at      report and --emit-csv
     k=7 (uneven folds) and gamma=2
+  the d=10 cce evaluate of kde,kkr,sim with     report and --emit-csv
+    every config flag away from its default
   simulate --n 500 --seeds 40                   curve CSV
+  simulate with every config flag and          curve CSV
+    --theta-grid away from its default
 
 The evaluate inputs are the benchmark's seeded logits (perfbench/inputs.py)
 at instance 31, so the outputs are those of perfbench's evaluate workloads.
@@ -53,8 +57,17 @@ CASES = {
     # and the default grids' n_train, which the 5-fold cases do not vary
     "evaluate-cce-d10-k7": ("cce-d10", ["evaluate", "--mode", "cce", "--families",
                                         "kde,kkr,ukkr", "--k", "7", "--gamma", "2"]),
+    # every evaluate config flag away from its default (--linear-risk has
+    # its own case), so a flag the CLI failed to pass on would show
+    "evaluate-cce-d10-flags": ("cce-d10", ["evaluate", "--mode", "cce", "--families",
+                                           "kde,kkr,sim", "--test-fraction", "0.25",
+                                           "--k", "4", "--gamma", "1", "--seed", "7",
+                                           "--model-temp", "0.5"]),
     "simulate": (None, ["simulate", "--n", "500", "--d", "5", "--alpha", "0.04",
                         "--seeds", "40", "--seed", str(40 * INSTANCE)]),
+    "simulate-flags": (None, ["simulate", "--n", "300", "--d", "4", "--alpha", "0.1",
+                              "--model-temp", "0.5", "--seeds", "5", "--seed", "3",
+                              "--theta-grid", "0.5,1,2"]),
 }
 
 

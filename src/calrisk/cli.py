@@ -4,9 +4,11 @@ Subcommands:
   simulate    ground-truth simulation risk curves over a temperature grid
   evaluate    split / cross-validate / ensemble-estimate on a dataset file
 
-`evaluate` parses a CSV dataset (`load_dataset`) and a
-`pipeline.RunConfig`, and hands both to `pipeline.run_evaluate`. Reports
-are machine-readable JSON, each family's entry with its risk curve
+Each subcommand builds its `pipeline.RunConfig` or `sim.SimConfig` from
+the config flags given, before it reads any data, so a run setting's only
+default is its config field's. `evaluate` parses a CSV dataset
+(`load_dataset`) and hands it with its config to `pipeline.run_evaluate`.
+Reports are machine-readable JSON, each family's entry with its risk curve
 (`grid`: mean holdout risk and its standard error per grid point), and
 optionally a flat CSV of per-fold risks for external plotting. Exit codes:
 0 success, 2 input/parse or file error, 3 numeric failure.
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -72,21 +75,20 @@ def load_dataset(path, fmt):
     d = width - 1
     table = np.array(rows)
     vecs, label_col = table[:, :-1], table[:, -1]
-    bad_label = (label_col < 0) | (label_col >= d)
-    if fmt == "logits-csv":
-        bad_values = ~np.isfinite(vecs).all(axis=1)
-    else:
+    finite = np.isfinite(vecs).all(axis=1)
+    bad = (label_col < 0) | (label_col >= d) | ~finite
+    if fmt == "probs-csv":
         outside = ((vecs < 0.0) | (vecs > 1.0)).any(axis=1)
         sums = vecs.sum(axis=1)
-        bad_values = outside | (np.abs(sums - 1.0) > 1e-6)
-    bad = bad_label | bad_values
+        bad |= outside | (np.abs(sums - 1.0) > 1e-6)
     if bad.any():
         i = int(np.argmax(bad))
         where = f"{path}:{linenos[i]}"
-        if bad_label[i]:
+        if not 0 <= label_col[i] < d:
             raise InputError(f"{where}: label {int(label_col[i])} out of range for d={d}")
-        if fmt == "logits-csv":
-            raise InputError(f"{where}: non-finite logits")
+        if not finite[i]:
+            what = "logits" if fmt == "logits-csv" else "probabilities"
+            raise InputError(f"{where}: non-finite {what}")
         if outside[i]:
             raise InputError(f"{where}: probabilities outside [0, 1]")
         raise InputError(f"{where}: probabilities sum to {sums[i]}, not 1")
@@ -117,6 +119,12 @@ def _parse_float_list(text):
         raise InputError(f"bad numeric list {text!r} ({exc})")
 
 
+def _config(cls, args, **fields):
+    """A `cls` config from the given flags that name its fields, plus `fields`."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{k: v for k, v in vars(args).items() if k in names}, **fields)
+
+
 def _check_outputs(*paths):
     """InputError unless each output path names a file in an existing directory."""
     for path in filter(None, paths):
@@ -129,12 +137,12 @@ def _cmd_simulate(args):
     if args.seeds < 1:
         raise InputError(f"need at least 1 seed, got {args.seeds}")
     thetas = _parse_float_list(args.theta_grid) if args.theta_grid else list(DEFAULT_THETAS)
+    base = _config(SimConfig, args)
     curves = []
-    for seed in range(args.seed, args.seed + args.seeds):
-        sim = simulate(SimConfig(n=args.n, d=args.d, alpha=args.alpha,
-                                 model_temp=args.model_temp, seed=seed))
+    for seed in range(base.seed, base.seed + args.seeds):
+        sim = simulate(dataclasses.replace(base, seed=seed))
         curves.append([risk for _, risk, _ in risk_curve(sim, thetas, seed=seed)])
-        if args.dump_data and seed == args.seed:
+        if args.dump_data and seed == base.seed:
             _dump_probs_csv(args.dump_data, sim.dataset)
     curves = np.array(curves)
     with open(args.out, "w", newline="") as fh:
@@ -170,21 +178,10 @@ def _write_json(payload, out):
 
 def _cmd_evaluate(args):
     _check_outputs(args.out, args.emit_csv)
+    cfg = _config(RunConfig, args, grids={
+        fam: _parse_float_list(getattr(args, f"grid_{fam}"))
+        for fam in FAMILIES if hasattr(args, f"grid_{fam}")})
     ds = load_dataset(args.data, args.format)
-    families = tuple(f.strip() for f in args.families.split(",") if f.strip())
-    grids = {fam: _parse_float_list(getattr(args, f"grid_{fam}"))
-             for fam in FAMILIES if getattr(args, f"grid_{fam}") is not None}
-    cfg = RunConfig(
-        mode=args.mode,
-        families=families,
-        test_fraction=args.test_fraction,
-        k_folds=args.k,
-        gamma=args.gamma,
-        seed=args.seed,
-        grids=grids,
-        linear_risk=args.linear_risk,
-        model_temp=args.model_temp,
-    )
     report, grids = run_evaluate(cfg, ds)
     _write_json(report, args.out)
     if args.emit_csv:
@@ -199,35 +196,38 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", help="ground-truth simulation risk curve")
-    p_sim.add_argument("--n", type=int, default=500)
-    p_sim.add_argument("--d", type=int, default=5)
-    p_sim.add_argument("--alpha", type=float, default=0.04)
-    p_sim.add_argument("--model-temp", type=float, default=0.3)
+    p_sim = sub.add_parser("simulate", help="ground-truth simulation risk curve",
+                           argument_default=argparse.SUPPRESS)
+    p_sim.add_argument("--n", type=int)
+    p_sim.add_argument("--d", type=int)
+    p_sim.add_argument("--alpha", type=float)
+    p_sim.add_argument("--model-temp", type=float)
     p_sim.add_argument("--seeds", type=int, default=100)
-    p_sim.add_argument("--seed", type=int, default=0, help="first seed")
+    p_sim.add_argument("--seed", type=int, help="first seed")
     p_sim.add_argument("--theta-grid", type=str, default=None)
     p_sim.add_argument("--dump-data", type=str, default=None,
                        help="write the first seed's predictions as probs-csv")
     p_sim.add_argument("--out", type=str, required=True)
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_eval = sub.add_parser("evaluate", help="full calibration-evaluation pipeline")
+    p_eval = sub.add_parser("evaluate", help="full calibration-evaluation pipeline",
+                            argument_default=argparse.SUPPRESS)
     p_eval.add_argument("--data", type=str, required=True)
     p_eval.add_argument("--format", choices=["logits-csv", "probs-csv"],
                         default="logits-csv")
-    p_eval.add_argument("--mode", choices=["tce", "cce"], default="tce")
-    p_eval.add_argument("--test-fraction", type=float, default=0.2)
-    p_eval.add_argument("--k", type=int, default=5)
-    p_eval.add_argument("--gamma", type=float, default=0.5)
-    p_eval.add_argument("--seed", type=int, default=0)
+    p_eval.add_argument("--mode", choices=["tce", "cce"])
+    p_eval.add_argument("--test-fraction", type=float)
+    p_eval.add_argument("--k", type=int, dest="k_folds", metavar="K")
+    p_eval.add_argument("--gamma", type=float)
+    p_eval.add_argument("--seed", type=int)
     p_eval.add_argument("--out", type=str, default=None)
-    p_eval.add_argument("--families", type=str, default="bin,bin15,kde,kkr,ukkr")
-    p_eval.add_argument("--model-temp", type=float, default=0.3)
+    p_eval.add_argument("--families", type=lambda text: tuple(
+        f.strip() for f in text.split(",") if f.strip()))
+    p_eval.add_argument("--model-temp", type=float)
     p_eval.add_argument("--linear-risk", action="store_true")
     p_eval.add_argument("--emit-csv", type=str, default=None)
     for fam in FAMILIES:
-        p_eval.add_argument(f"--grid-{fam}", type=str, default=None,
+        p_eval.add_argument(f"--grid-{fam}", type=str,
                             help=f"comma-separated grid override for {fam}")
     p_eval.set_defaults(func=_cmd_evaluate)
     return parser

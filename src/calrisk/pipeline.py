@@ -53,6 +53,8 @@ FAMILIES = ("bin", "kde", "kkr", "ukkr", "sim")
 FAMILY_MODES = {"bin": TOP_LABEL, "sim": CANONICAL}
 # the family names a report can hold; bin15 is bin at a fixed 15 bins
 REPORT_FAMILIES = ("bin", "bin15", "kde", "kkr", "ukkr", "sim")
+# the families a run reports when none are named, per mode
+DEFAULT_FAMILIES = {"tce": ("bin", "bin15", "kde", "kkr", "ukkr"), "cce": ("kde", "kkr", "ukkr")}
 
 
 def _report_family(name):
@@ -333,7 +335,7 @@ def final_estimate(fold_models, test):
 @dataclass
 class RunConfig:
     mode: str = "tce"                      # tce | cce
-    families: tuple = ("kde", "kkr", "ukkr")
+    families: tuple | None = None          # None: DEFAULT_FAMILIES[mode]
     test_fraction: float = 0.2
     k_folds: int = 5
     gamma: float = 0.5
@@ -345,12 +347,13 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in ("tce", "cce"):
             raise InputError(f"unknown mode {self.mode!r}")
+        if self.families is None:
+            self.families = DEFAULT_FAMILIES[self.mode]
         if self.k_folds < 2:
             raise InputError(f"need at least 2 folds, got {self.k_folds}")
-        if not self.gamma > 0:
-            raise InputError(f"kernel gamma must be positive, got {self.gamma}")
-        if not self.model_temp > 0:
-            raise InputError(f"model temperature must be positive, got {self.model_temp}")
+        for name, value in (("kernel gamma", self.gamma), ("model temperature", self.model_temp)):
+            if not (np.isfinite(value) and value > 0):
+                raise InputError(f"{name} must be positive and finite, got {value}")
         if self.seed < 0:
             raise InputError(f"seed must be nonnegative, got {self.seed}")
         if not self.families:

@@ -45,10 +45,9 @@ class SimConfig:
     def __post_init__(self):
         if self.n < 2 or self.d < 2:
             raise InputError("simulation needs n >= 2 and d >= 2")
-        if not (np.isfinite(self.alpha) and self.alpha > 0):
-            raise InputError(f"concentration must be positive and finite, got {self.alpha}")
-        if self.model_temp <= 0:
-            raise InputError("model temperature must be positive")
+        for name, value in (("concentration", self.alpha), ("model temperature", self.model_temp)):
+            if not (np.isfinite(value) and value > 0):
+                raise InputError(f"{name} must be positive and finite, got {value}")
         if self.seed < 0:
             raise InputError(f"seed must be nonnegative, got {self.seed}")
 

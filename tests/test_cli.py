@@ -123,6 +123,11 @@ class TestLoadDataset:
         with pytest.raises(InputError, match=":2: probabilities outside"):
             load_dataset(path, "probs-csv")
 
+    def test_nan_probability_rejected_with_line(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", [[0.5, 0.5, 0], [0.3, 0.7, 1], ["nan", 1.0, 0]])
+        with pytest.raises(InputError, match=":3: non-finite probabilities"):
+            load_dataset(path, "probs-csv")
+
     @pytest.mark.parametrize("label", ["nan", "inf", "1.5"])
     def test_non_integer_label_rejected_with_line(self, tmp_path, label):
         path = write_csv(tmp_path / "d.csv", [[1.0, 2.0, 0], [1.0, 2.0, label]])
@@ -143,6 +148,10 @@ class TestRunConfig:
     def test_unknown_mode(self):
         with pytest.raises(InputError):
             RunConfig(mode="classwise")
+
+    def test_default_families_follow_the_mode(self):
+        assert RunConfig(mode="tce").families == ("bin", "bin15", "kde", "kkr", "ukkr")
+        assert RunConfig(mode="cce").families == ("kde", "kkr", "ukkr")
 
     @pytest.mark.parametrize("families,grids,message", [
         (("bin15",), {"bin15": [5]}, "bin15 is bin at a fixed 15 bins"),
@@ -257,6 +266,12 @@ class TestEvaluateCommand:
             "--families", "kkr", "--grid-kkr", "0", "--out",
             str(tmp_path / "r.json"),
         ]) == 3
+
+    def test_cce_default_families(self, tmp_path):
+        data = write_random_logits(tmp_path / "d.csv", np.random.default_rng(4), 60)
+        out = tmp_path / "report.json"
+        assert main(["evaluate", "--data", data, "--mode", "cce", "--out", str(out)]) == 0
+        assert list(json.loads(out.read_text())["families"]) == ["kde", "kkr", "ukkr"]
 
     def test_cce_kernel_families(self, tmp_path):
         data = write_random_logits(tmp_path / "d.csv", np.random.default_rng(4), 60)
@@ -380,6 +395,10 @@ class TestReportGrid:
     ["evaluate", "--model-temp", "-1"],
     ["evaluate", "--gamma", "0"],
     ["evaluate", "--gamma", "-1"],
+    ["evaluate", "--gamma", "inf", "--families", "kkr"],
+    ["evaluate", "--mode", "cce", "--families", "sim", "--model-temp", "inf"],
+    ["simulate", "--model-temp", "nan"],
+    ["simulate", "--model-temp", "inf"],
     ["simulate", "--seeds", "0"],
     ["simulate", "--alpha", "nan"],
     # a grid value the family cannot take; "=" keeps argparse from reading
@@ -506,6 +525,51 @@ def test_simulate_bad_output_path_exits_before_the_run(tmp_path, monkeypatch, fl
     assert main(["simulate", "--n", "50", "--seeds", "1", "--out", argv["--out"],
                  "--dump-data", argv["--dump-data"]]) == 2
     assert calls == []
+
+
+class TestConfigFromFlags:
+    """The CLI passes on only the config flags given; the configs own the defaults."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        from calrisk import cli
+
+        configs = []
+
+        def stop(cfg):
+            configs.append(cfg)
+            raise InputError("stop")
+
+        monkeypatch.setattr(cli, "run_evaluate", lambda cfg, ds: stop(cfg))
+        monkeypatch.setattr(cli, "simulate", stop)
+        return configs
+
+    def test_no_config_flags_give_the_config_defaults(self, tmp_path, built):
+        data = write_random_logits(tmp_path / "d.csv", np.random.default_rng(8), 60)
+        assert main(["evaluate", "--data", data]) == 2
+        assert main(["simulate", "--out", str(tmp_path / "curve.csv")]) == 2
+        assert built == [RunConfig(), SimConfig()]
+
+    def test_every_config_flag_is_passed_on(self, tmp_path, built):
+        data = write_random_logits(tmp_path / "d.csv", np.random.default_rng(8), 60)
+        assert main(["evaluate", "--data", data, "--mode", "cce", "--families", "kde, sim",
+                     "--test-fraction", "0.25", "--k", "4", "--gamma", "1", "--seed", "7",
+                     "--model-temp", "0.5", "--linear-risk", "--grid-kde=0.1,0.2"]) == 2
+        assert main(["simulate", "--n", "300", "--d", "4", "--alpha", "0.1",
+                     "--model-temp", "0.5", "--seed", "3",
+                     "--out", str(tmp_path / "curve.csv")]) == 2
+        assert built == [
+            RunConfig(mode="cce", families=("kde", "sim"), test_fraction=0.25, k_folds=4,
+                      gamma=1.0, seed=7, grids={"kde": [0.1, 0.2]}, linear_risk=True,
+                      model_temp=0.5),
+            SimConfig(n=300, d=4, alpha=0.1, model_temp=0.5, seed=3),
+        ]
+
+    def test_bad_flag_exits_before_the_data_is_read(self, tmp_path, capsys):
+        absent = tmp_path / "absent.csv"
+        assert main(["evaluate", "--k", "1", "--data", str(absent)]) == 2
+        err = capsys.readouterr().err
+        assert "need at least 2 folds, got 1" in err and "absent.csv" not in err
 
 
 def test_compare_estimators_script():

@@ -60,6 +60,11 @@ class TestSimulate:
         with pytest.raises(InputError, match="concentration must be positive and finite"):
             SimConfig(alpha=alpha)
 
+    @pytest.mark.parametrize("temp", [float("nan"), float("inf")])
+    def test_rejects_non_finite_model_temp(self, temp):
+        with pytest.raises(InputError, match="model temperature must be positive and finite"):
+            SimConfig(model_temp=temp)
+
     @pytest.mark.parametrize("alpha", [1e-300, 5e-324])
     def test_tiny_alpha_returns_on_the_simplex(self, alpha):
         # every gamma draw underflows to 0 here, so a sampler that redraws
