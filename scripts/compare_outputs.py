@@ -11,6 +11,9 @@ each command's standard output, byte for byte:
   evaluate --mode cce, kde,kkr,ukkr,sim, d=10   report and --emit-csv
   evaluate --mode cce, kde,sim, n=4000          report and --emit-csv
   the d=10 cce evaluate with --linear-risk      report and --emit-csv
+  evaluate --mode tce --linear-risk             report and --emit-csv
+    (the top-label circular-pair risk of bin,
+    bin15, kde, kkr and ukkr)
   the d=10 cce evaluate of kde,kkr,ukkr at      report and --emit-csv
     k=7 (uneven folds) and gamma=2
   the d=10 cce evaluate of kde,kkr,sim with     report and --emit-csv
@@ -53,6 +56,7 @@ CASES = {
     "evaluate-cce-d10": ("cce-d10", CCE_D10),
     "evaluate-kde": ("kde", ["evaluate", "--mode", "cce", "--families", "kde,sim"]),
     "evaluate-cce-d10-linear": ("cce-d10", CCE_D10 + ["--linear-risk"]),
+    "evaluate-tce-linear": ("tce", ["evaluate", "--mode", "tce", "--linear-risk"]),
     # 960 tuning rows in 7 folds of 138 or 137: pins the fold construction
     # and the default grids' n_train, which the 5-fold cases do not vary
     "evaluate-cce-d10-k7": ("cce-d10", ["evaluate", "--mode", "cce", "--families",

@@ -7,7 +7,6 @@ from .core import (
     InputError,
     NumericError,
     PairModel,
-    pair_target_matrix,
     residual_matrix,
     top_label_dataset,
 )
@@ -35,7 +34,6 @@ from .pipeline import (
 from .risk import (
     RiskValue,
     empirical_risk,
-    empirical_risk_linear,
 )
 from .sim import SimConfig, SimDataset, SimModel, risk_curve, simulate
 

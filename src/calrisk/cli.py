@@ -35,10 +35,11 @@ def load_dataset(path, fmt):
 
     logits-csv rows are softmaxed at temperature 1; probs-csv rows are
     checked against the simplex invariants with 1e-6 sum tolerance and then
-    renormalized. The header row is optional. The rows are parsed one by
-    one, and then checked and converted as one array; an invalid row is
-    reported with its line number, the first in the file when there are
-    several.
+    renormalized. The header row is optional, and blank lines and trailing
+    commas are ignored; an empty cell before a row's last value is an
+    error. The rows are parsed one by one, and then checked and converted
+    as one array; an invalid row is reported with its line number, the
+    first in the file when there are several.
     """
     if fmt not in ("logits-csv", "probs-csv"):
         raise InputError(f"unknown format {fmt!r}")
@@ -46,14 +47,18 @@ def load_dataset(path, fmt):
     width = None
     with open(path, newline="") as fh:
         for lineno, cells in enumerate(csv.reader(fh), start=1):
-            cells = [c.strip() for c in cells if c.strip() != ""]
+            cells = [c.strip() for c in cells]
+            while cells and cells[-1] == "":
+                cells.pop()  # trailing commas
             if not cells:
                 continue
             if lineno == 1:
                 try:
-                    [float(c) for c in cells]
+                    [float(c) for c in cells if c]
                 except ValueError:
                     continue  # header row
+            if "" in cells:
+                raise InputError(f"{path}:{lineno}: empty cell")
             try:
                 values = [float(c) for c in cells]
             except ValueError as exc:

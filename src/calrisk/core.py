@@ -1,4 +1,4 @@
-"""Simplex-valued domain types, label encodings, and pairwise targets.
+"""Simplex-valued domain types, label encodings, and residual targets.
 
 A classifier prediction is a point on the probability simplex. Datasets come
 in two flavours: "canonical" (full probability vectors with class labels) and
@@ -41,7 +41,11 @@ class Dataset:
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        if labels.dtype.kind == "f" and not np.all(np.isfinite(labels)
+                                                   & (labels == np.round(labels))):
+            raise InputError("labels must be integers")
+        labels = labels.astype(np.int64)
         if probs.ndim != 2 or probs.shape[0] < 1:
             raise InputError("probs must be a non-empty (n, d) array")
         if labels.shape != (probs.shape[0],):
@@ -175,8 +179,3 @@ def residual_matrix(ds):
         return ds.probs.T - one_hot(ds.labels, ds.dim).T
     return (ds.probs[:, 0] - ds.labels)[None, :]
 
-
-def pair_target_matrix(ds):
-    """All pairwise targets of a dataset as the (n, n) Gram of residuals."""
-    delta = residual_matrix(ds)
-    return delta.T @ delta

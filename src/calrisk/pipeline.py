@@ -31,7 +31,6 @@ from .core import (
     NumericError,
     check_grid,
     kfold_indices,
-    pair_target_matrix,
     residual_matrix,
     top_label_dataset,
 )
@@ -45,7 +44,7 @@ from .estimators import (
     kkr_prepare,
     ukkr_cv_features,
 )
-from .risk import linear_risk_from_matrix, risk_from_factors, risk_from_matrix
+from .risk import linear_risk, risk_from_factors, risk_from_matrix
 from .sim import DEFAULT_THETAS, SimModel
 
 FAMILIES = ("bin", "kde", "kkr", "ukkr", "sim")
@@ -112,13 +111,17 @@ class CalibrationEstimate:
     dropped_nan: int
 
 
+def _check_test_fraction(test_fraction):
+    if not 0.0 < test_fraction < 1.0:
+        raise InputError("test fraction must lie in (0, 1)")
+
+
 def split_dataset(ds, test_fraction, seed):
     """Seeded shuffle, then split into tuning and test subsets."""
     n = len(ds)
     if n < 5:
         raise InputError("need at least 5 samples to split")
-    if not 0.0 < test_fraction < 1.0:
-        raise InputError("test fraction must lie in (0, 1)")
+    _check_test_fraction(test_fraction)
     n_test = int(round(test_fraction * n))
     if n_test < 1 or n_test >= n:
         raise InputError("degenerate split sizes")
@@ -201,27 +204,25 @@ def kfold_splits(tune, k, seed, gamma):
                  tune.subset(hold), gamma) for hold in kfold_indices(len(tune), k, seed)]
 
 
-def _holdout_risk(family, fold, hyper, targets, model_temp, linear, seed):
-    """The holdout risk of one grid point fitted on one fold's training part.
-
-    kkr predicts the (m, m) matrix and is scored against the pair-target
-    matrix `targets`; every other family predicts (m, d') feature rows,
-    scored against the (m, d) residual rows `targets` or, for the linear
-    risk, through their Gram matrix against the pair targets.
+def _holdout_risk(family, fold, hyper, D, model_temp, linear, seed):
+    """The risk of one grid point fitted on one fold's training part, against
+    the fold's (m, d) holdout residual rows D. The predictions are H = F R^T:
+    R = F are the (m, d') feature rows of every family but kkr, scored in
+    factored form, and kkr's H = B^T (core B) is scored as a matrix. The
+    linear risk reads only its pairs of H, from F and R.
     """
     if family == "kkr":
         # one (n, n) x (n, m) product per lambda instead of O(n^3)
-        H = fold.basis.T @ (kkr_core(fold.spectrum, hyper) @ fold.basis)
-        if linear:
-            return linear_risk_from_matrix(H, targets, seed)
-        return risk_from_matrix(H, targets)
-    if family == "ukkr":
-        F = ukkr_cv_features(fold.spectrum, fold.basis, hyper)
+        F, R = fold.basis.T, (kkr_core(fold.spectrum, hyper) @ fold.basis).T
+    elif family == "ukkr":
+        F = R = ukkr_cv_features(fold.spectrum, fold.basis, hyper)
     else:
-        F = fit_family(family, fold, hyper, model_temp).features(fold.hold.probs)
+        F = R = fit_family(family, fold, hyper, model_temp).features(fold.hold.probs)
     if linear:
-        return linear_risk_from_matrix(F @ F.T, targets, seed)
-    return risk_from_factors(F, targets)
+        return linear_risk(F, R, D, seed)
+    if family == "kkr":
+        return risk_from_matrix(F @ R.T, D)
+    return risk_from_factors(F, D)
 
 
 def cross_validate(folds, family, grid=None, seed=0, linear=False, model_temp=0.3):
@@ -235,10 +236,10 @@ def cross_validate(folds, family, grid=None, seed=0, linear=False, model_temp=0.
     later folds. A grid that is empty or repeats a value, and a value the
     family cannot take (a non-finite value, a bandwidth that is not
     positive, a negative lambda, a bin count that is not a positive
-    integer), is an InputError and ends the call. bin, kde,
-    sim and ukkr are scored from their holdout feature rows; kkr and the
-    linear risk from (m, m) prediction and target matrices. `seed` orders
-    the linear risk's pairs.
+    integer), is an InputError and ends the call. Every family is scored
+    against the holdout residual rows: bin, kde, sim and ukkr by their
+    feature rows, kkr by its (m, m) predictions, and the linear risk by the
+    row dots of its pairs alone, which `seed` orders.
     """
     if family not in FAMILIES:
         raise InputError(f"unknown family {family!r}")
@@ -252,16 +253,13 @@ def cross_validate(folds, family, grid=None, seed=0, linear=False, model_temp=0.
     for fold in folds:
         if family in ("kkr", "ukkr"):
             fold.basis  # a Gram that fails to decompose ends the call, not one point
-        if family == "kkr" or linear:
-            targets = pair_target_matrix(fold.hold)
-        else:
-            targets = residual_matrix(fold.hold).T
+        D = residual_matrix(fold.hold).T
         for hyper in grid:
             if hyper in failures:
                 continue  # failed on an earlier fold: not fitted again
             try:
                 risk_table[hyper].append(_holdout_risk(
-                    family, fold, hyper, targets, model_temp, linear, seed))
+                    family, fold, hyper, D, model_temp, linear, seed))
             except NumericError as exc:
                 failures[hyper] = str(exc)
 
@@ -349,6 +347,7 @@ class RunConfig:
             raise InputError(f"unknown mode {self.mode!r}")
         if self.families is None:
             self.families = DEFAULT_FAMILIES[self.mode]
+        _check_test_fraction(self.test_fraction)
         if self.k_folds < 2:
             raise InputError(f"need at least 2 folds, got {self.k_folds}")
         for name, value in (("kernel gamma", self.gamma), ("model temperature", self.model_temp)):

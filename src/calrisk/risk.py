@@ -4,17 +4,16 @@ The quadratic form is a U-statistic over all ordered sample pairs; a linear
 variant pairs samples circularly after a seeded shuffle.
 
 The pair target is bilinear, T_ij = <delta_i, delta_j> with delta the
-residual p - e_y, and so are the bin, kde and sim models:
-h(p, p2) = <phi(p), phi(p2)> with phi at most d wide (`features`). For them
-the U-statistic follows exactly from d x d Gram norms in O(m d^2)
-(`risk_from_factors`), and no (m, m) matrix is built. ukkr's
-cross-validation scores its holdout rows the same way, but a fitted ukkr
-model stays dense and has no `features` (the `estimators` module
-docstring says why). kkr is genuinely pairwise. It, a ukkr model and the
-linear variant score a dense prediction matrix against the pair-target
-matrix (`risk_from_matrix`).
-Every risk scores a fitted model's `features` or `pairwise` over a
-`Dataset`; nothing evaluates h one pair at a time.
+residual p - e_y, so every risk takes the targets as the (m, d) residual
+rows D alone. The bin, kde and sim models are bilinear too:
+h(p, p2) = <phi(p), phi(p2)> with phi at most d wide (`features`). For
+them the U-statistic follows exactly from d x d Gram norms in O(m d^2)
+(`risk_from_factors`). ukkr's cross-validation scores its holdout rows the
+same way, but a fitted ukkr model stays dense and has no `features` (the
+`estimators` module docstring says why). kkr is genuinely pairwise: it and
+a fitted ukkr model score a dense (m, m) prediction matrix
+(`risk_from_matrix`). The linear variant reads only the pairs it scores,
+as row dots (`linear_risk`). Nothing evaluates h one pair at a time.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InputError, NumericError, pair_target_matrix, residual_matrix
+from .core import InputError, NumericError, residual_matrix
 
 
 @dataclass(frozen=True)
@@ -46,15 +45,17 @@ def _pair_risk(h, t, total):
     return RiskValue(value, pairs, total - pairs)
 
 
-def risk_from_matrix(H, T):
-    """Mean squared error over off-diagonal pairs, dropping NaN predictions."""
+def risk_from_matrix(H, D):
+    """Mean squared error of the (m, m) predictions H against D D^T, D the
+    (m, d) residual rows, over off-diagonal pairs, dropping NaN predictions."""
+    T = D @ D.T
     m = T.shape[0]
     off = ~np.eye(m, dtype=bool)
     return _pair_risk(H[off], T[off], m * (m - 1))
 
 
 def risk_from_factors(F, D):
-    """`risk_from_matrix(F @ F.T, D @ D.T)` without forming either matrix.
+    """`risk_from_matrix(F @ F.T, D)` without forming either matrix.
 
     F holds the (m, d') feature rows of the predictions and D the (m, d)
     residual rows of the targets. Expanding the squares,
@@ -88,15 +89,22 @@ def risk_from_factors(F, D):
     return RiskValue(value, pairs, m * (m - 1) - pairs)
 
 
-def linear_risk_from_matrix(H, T, seed):
+def linear_risk(F, R, D, seed):
     """Mean squared error over circular pairs, dropping NaN predictions.
 
-    The pairs are (i, i+1 mod n) in the order of a seeded shuffle.
+    The pairs (l, r) are (i, i+1 mod n) in the order of a seeded shuffle:
+    every sample is in exactly two of them, which keeps the estimator
+    unbiased for the risk while scoring only n pairs. A prediction is the
+    row dot F[l] . R[r], entry (l, r) of F R^T, and a target D[l] . D[r],
+    so no (n, n) matrix is built. R is F for a feature model, and
+    (core B)^T for kkr's holdout basis F = B^T.
     """
-    n = T.shape[0]
+    n = D.shape[0]
     order = np.random.default_rng(seed).permutation(n)
     left, right = order, np.roll(order, -1)
-    return _pair_risk(H[left, right], T[left, right], n)
+    h = np.sum(F[left] * R[right], axis=1)
+    t = np.sum(D[left] * D[right], axis=1)
+    return _pair_risk(h, t, n)
 
 
 def empirical_risk(h, eval_set):
@@ -109,18 +117,7 @@ def empirical_risk(h, eval_set):
     """
     if len(eval_set) < 2:
         raise InputError("risk needs at least two evaluation samples")
+    D = residual_matrix(eval_set).T
     if hasattr(h, "features"):
-        return risk_from_factors(h.features(eval_set.probs), residual_matrix(eval_set).T)
-    return risk_from_matrix(h.pairwise(eval_set.probs), pair_target_matrix(eval_set))
-
-
-def empirical_risk_linear(h, eval_set, seed=0):
-    """Risk over the n circular pairs of a seeded shuffle.
-
-    Every sample is used in exactly two ordered pairs (i, i+1 mod n), which
-    keeps the estimator unbiased for the risk while scoring only n pairs.
-    """
-    if len(eval_set) < 2:
-        raise InputError("risk needs at least two evaluation samples")
-    return linear_risk_from_matrix(h.pairwise(eval_set.probs),
-                                   pair_target_matrix(eval_set), seed)
+        return risk_from_factors(h.features(eval_set.probs), D)
+    return risk_from_matrix(h.pairwise(eval_set.probs), D)

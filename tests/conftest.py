@@ -19,18 +19,22 @@ def eigh_calls(monkeypatch):
 
 
 @pytest.fixture
-def pair_target_calls(monkeypatch):
-    """Shapes of the holdout sets cross_validate builds target matrices for."""
-    from calrisk import pipeline
+def matrix_risk_calls(monkeypatch):
+    """Shapes of the prediction matrices passed to risk.risk_from_matrix
+    during the test, at every calrisk module that binds it."""
+    from calrisk import risk
 
     calls = []
-    pair_target_matrix = pipeline.pair_target_matrix
+    risk_from_matrix = risk.risk_from_matrix
 
-    def counted(ds):
-        calls.append(ds.probs.shape)
-        return pair_target_matrix(ds)
+    def counted(H, D):
+        calls.append(H.shape)
+        return risk_from_matrix(H, D)
 
-    monkeypatch.setattr(pipeline, "pair_target_matrix", counted)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("calrisk") and \
+                getattr(module, "risk_from_matrix", None) is risk_from_matrix:
+            monkeypatch.setattr(module, "risk_from_matrix", counted)
     return calls
 
 

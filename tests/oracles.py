@@ -2,8 +2,10 @@
 
 Each evaluates one pair or one vector at a time, in the plainest form of
 its definition, so a test can compare a closed form or a matrix routine of
-`calrisk` with an independent computation. None of them is used by the
-program. A sample is a `(probs, label)` tuple.
+`calrisk` with an independent computation. The dense target matrix
+(`pair_target_matrix`) and the circular-pair risk read from dense matrices
+(`dense_linear_risk`) are the forms the program replaced by residual rows.
+None of them is used by the program. A sample is a `(probs, label)` tuple.
 """
 
 import numpy as np
@@ -13,12 +15,12 @@ from calrisk.core import (
     CANONICAL,
     TOP_LABEL,
     InputError,
+    NumericError,
     one_hot,
-    pair_target_matrix,
     residual_matrix,
 )
 from calrisk.estimators import clip_simplex, rbf_gram
-from calrisk.risk import risk_from_matrix
+from calrisk.risk import RiskValue
 
 
 def softmax(logits, temperature=1.0):
@@ -113,10 +115,27 @@ def pair_target(sample_i, sample_j, mode=CANONICAL):
 def pointwise_risk(model, eval_set):
     """The U-statistic risk with H built one pair at a time from `model.predict`."""
     P = eval_set.probs
+    T = pair_target_matrix(eval_set)
     m = len(P)
-    H = np.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                H[i, j] = model.predict(P[i], P[j])
-    return risk_from_matrix(H, pair_target_matrix(eval_set))
+    errors = [(T[i, j] - model.predict(P[i], P[j])) ** 2
+              for i in range(m) for j in range(m) if i != j]
+    return RiskValue(float(np.mean(errors)), len(errors), 0)
+
+
+def pair_target_matrix(ds):
+    """All pairwise targets of a dataset as the (n, n) Gram of residuals."""
+    delta = residual_matrix(ds)
+    return delta.T @ delta
+
+
+def dense_linear_risk(H, T, seed):
+    """The circular-pair risk read from an (m, m) prediction matrix H and
+    target matrix T: the pairs (i, i+1 mod m) of the seeded shuffle, with
+    the non-finite predictions dropped."""
+    m = len(T)
+    order = np.random.default_rng(seed).permutation(m)
+    pairs = [(order[i], order[(i + 1) % m]) for i in range(m)]
+    errors = [(T[l, r] - H[l, r]) ** 2 for l, r in pairs if np.isfinite(H[l, r])]
+    if not errors:
+        raise NumericError("no usable pairs (all predictions dropped)")
+    return RiskValue(float(np.mean(errors)), len(errors), m - len(errors))

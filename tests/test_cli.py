@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from calrisk import pipeline
 from calrisk.cli import load_dataset, main
-from calrisk.core import CANONICAL, InputError
+from calrisk.core import CANONICAL, TOP_LABEL, InputError
 from calrisk.pipeline import RunConfig, run_evaluate
 from calrisk.sim import SimConfig, simulate
 from oracles import softmax
@@ -128,6 +129,26 @@ class TestLoadDataset:
         with pytest.raises(InputError, match=":3: non-finite probabilities"):
             load_dataset(path, "probs-csv")
 
+    def test_empty_cell_rejected_with_line(self, tmp_path):
+        rows = [[1.0, 2.0, 0]] * 6
+        rows[3] = [1.0, "", 2.0, 0]
+        path = write_csv(tmp_path / "d.csv", rows)
+        with pytest.raises(InputError, match=r":4: empty cell$"):
+            load_dataset(path, "logits-csv")
+        # a 6-row file whose middle column is empty on every row, once a
+        # 2-class file with its empty cells dropped
+        path = write_csv(tmp_path / "e.csv", [[1.0, "", 2.0, 0]] * 6)
+        with pytest.raises(InputError, match=r":1: empty cell$"):
+            load_dataset(path, "logits-csv")
+        assert main(["evaluate", "--data", path]) == 2
+
+    def test_trailing_commas_and_blank_lines_accepted(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("l0,l1,label,\n1.0,2.0,1,,\n\n0.5, 0.5 ,0,\n")
+        ds = load_dataset(str(path), "logits-csv")
+        assert ds.probs.shape == (2, 2)
+        np.testing.assert_array_equal(ds.labels, [1, 0])
+
     @pytest.mark.parametrize("label", ["nan", "inf", "1.5"])
     def test_non_integer_label_rejected_with_line(self, tmp_path, label):
         path = write_csv(tmp_path / "d.csv", [[1.0, 2.0, 0], [1.0, 2.0, label]])
@@ -144,6 +165,11 @@ class TestRunConfig:
     def test_sim_family_rejected_in_tce(self):
         with pytest.raises(InputError, match="the sim family needs canonical"):
             RunConfig(mode="tce", families=("sim",))
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5, -0.2, float("nan")])
+    def test_test_fraction_outside_the_unit_interval(self, fraction):
+        with pytest.raises(InputError, match=r"test fraction must lie in \(0, 1\)"):
+            RunConfig(test_fraction=fraction)
 
     def test_unknown_mode(self):
         with pytest.raises(InputError):
@@ -567,9 +593,11 @@ class TestConfigFromFlags:
 
     def test_bad_flag_exits_before_the_data_is_read(self, tmp_path, capsys):
         absent = tmp_path / "absent.csv"
-        assert main(["evaluate", "--k", "1", "--data", str(absent)]) == 2
-        err = capsys.readouterr().err
-        assert "need at least 2 folds, got 1" in err and "absent.csv" not in err
+        for flags, message in [(["--k", "1"], "need at least 2 folds, got 1"),
+                               (["--test-fraction", "1.5"], "test fraction must lie in (0, 1)")]:
+            assert main(["evaluate", *flags, "--data", str(absent)]) == 2
+            err = capsys.readouterr().err
+            assert message in err and "absent.csv" not in err
 
 
 def test_compare_estimators_script():
@@ -599,17 +627,38 @@ class TestSharedSpectra:
         assert eigh_calls == [(96, 96)] * 5
 
     @pytest.mark.parametrize("mode", ["tce", "cce"])
-    def test_one_target_matrix_per_fold(self, pair_target_calls, dataset, mode):
-        # only kkr scores against holdout target matrices: one per fold
-        # serves its whole lambda grid, and ukkr builds none
-        run_evaluate(RunConfig(mode=mode, families=("kkr", "ukkr"), k_folds=5), dataset)
-        assert len(pair_target_calls) == 5
+    def test_only_kkr_scores_a_prediction_matrix(self, matrix_risk_calls, dataset, mode):
+        # every family but kkr is scored from its (m, d') holdout feature
+        # rows; kkr scores one (m, m) matrix per fold and lambda
+        families = RunConfig(mode=mode).families + (("sim",) if mode == "cce" else ())
+        for fam in families:
+            matrix_risk_calls.clear()
+            run_evaluate(RunConfig(mode=mode, families=(fam,), k_folds=5), dataset)
+            if fam == "kkr":
+                grid = pipeline.default_grid("kkr", TOP_LABEL if mode == "tce" else CANONICAL, 96)
+                assert matrix_risk_calls == [(24, 24)] * (5 * len(grid))
+            else:
+                assert matrix_risk_calls == []
 
     @pytest.mark.parametrize("mode", ["tce", "cce"])
-    def test_ukkr_alone_builds_no_target_matrix(self, pair_target_calls, dataset, mode):
-        # ukkr scores its holdout feature rows against the residual rows
-        run_evaluate(RunConfig(mode=mode, families=("ukkr",), k_folds=5), dataset)
-        assert pair_target_calls == []
+    def test_linear_risk_scores_no_matrix(self, matrix_risk_calls, monkeypatch, dataset,
+                                          mode):
+        # the linear risk reads its 24 pairs per fold from row factors
+        shapes = []
+        linear_risk = pipeline.linear_risk
+
+        def counted(F, R, D, seed):
+            shapes.append((F.shape, R.shape, D.shape))
+            return linear_risk(F, R, D, seed)
+
+        monkeypatch.setattr(pipeline, "linear_risk", counted)
+        families = RunConfig(mode=mode).families + (("sim",) if mode == "cce" else ())
+        _, grids = run_evaluate(
+            RunConfig(mode=mode, families=families, linear_risk=True), dataset)
+        assert matrix_risk_calls == []
+        # a point that fails on a later fold is scored on the earlier ones
+        assert len(shapes) >= 5 * sum(len(grid) for grid in grids.values())
+        assert all(s[0] == 24 and s != (24, 24) for call in shapes for s in call)
 
     @pytest.mark.parametrize("mode,families,linear", [
         ("tce", ("bin", "kde", "kkr", "ukkr"), False),

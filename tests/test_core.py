@@ -9,11 +9,10 @@ from calrisk.core import (
     Dataset,
     InputError,
     one_hot,
-    pair_target_matrix,
     residual_matrix,
     top_label_dataset,
 )
-from oracles import pair_target, softmax, top_label
+from oracles import pair_target, pair_target_matrix, softmax, top_label
 
 # high-precision reference evaluation of exp/sum for logits (1, 2, 3)
 SOFTMAX_123 = (0.09003057317038046, 0.24472847105479765, 0.6652409557748219)
@@ -145,6 +144,16 @@ class TestDataset:
     def test_validates_labels(self):
         with pytest.raises(InputError):
             Dataset(np.array([[0.5, 0.5]]), np.array([2]), CANONICAL)
+
+    @pytest.mark.parametrize("labels", [[0.5, 1.7], [0.0, np.nan], [0.0, np.inf]])
+    def test_non_integer_labels_rejected(self, labels):
+        with pytest.raises(InputError, match="labels must be integers"):
+            Dataset(np.array([[0.5, 0.5], [0.2, 0.8]]), np.array(labels), CANONICAL)
+
+    def test_integer_valued_float_labels_accepted(self):
+        ds = Dataset(np.array([[0.5, 0.5], [0.2, 0.8]]), np.array([1.0, 0.0]), CANONICAL)
+        assert ds.labels.dtype == np.int64
+        np.testing.assert_array_equal(ds.labels, [1, 0])
 
     def test_top_label_requires_binary_labels(self):
         with pytest.raises(InputError):

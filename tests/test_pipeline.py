@@ -7,7 +7,7 @@ from calrisk.core import (
     Dataset,
     InputError,
     NumericError,
-    pair_target_matrix,
+    residual_matrix,
     top_label_dataset,
 )
 from calrisk.estimators import (
@@ -32,6 +32,7 @@ from calrisk.pipeline import (
 )
 from calrisk.risk import risk_from_matrix
 from calrisk.sim import simulate, SimConfig
+from oracles import dense_linear_risk, pair_target_matrix
 
 
 def random_canonical(rng, n, d):
@@ -286,7 +287,7 @@ def dense_cv_reference(tune, family, grid, k, seed):
             risks[hyper] = []
             for fold in folds:
                 H = fit_family(family, fold, hyper).pairwise(fold.hold.probs)
-                risks[hyper].append(risk_from_matrix(H, pair_target_matrix(fold.hold)))
+                risks[hyper].append(risk_from_matrix(H, residual_matrix(fold.hold).T))
         except NumericError:
             del risks[hyper]
             skipped.append(hyper)
@@ -322,6 +323,64 @@ def test_factored_cv_matches_dense_reference(mode, family, grid):
         assert sum(r.dropped_nan for p in cv.grid for r in p.fold_risks) > 0
 
 
+def dense_linear_fold_risks(tune, family, grid, k, seed):
+    """Linear holdout risks per grid point, read from each fold's (m, m)
+    prediction and target matrices, and the first failure reason per
+    skipped point. ukkr's predictions are its cross-validation rows' Gram."""
+    risks, skipped = {h: [] for h in grid}, {}
+    for hold in kfold_indices(len(tune), k, seed):
+        fold = Fold(tune.subset(np.setdiff1d(np.arange(len(tune)), hold)), tune.subset(hold), 0.5)
+        T = pair_target_matrix(fold.hold)
+        for hyper in grid:
+            if hyper in skipped:
+                continue
+            try:
+                if family == "ukkr":
+                    F = ukkr_cv_features(fold.spectrum, fold.basis, hyper)
+                    H = F @ F.T
+                else:
+                    H = fit_family(family, fold, hyper).pairwise(fold.hold.probs)
+                risks[hyper].append(dense_linear_risk(H, T, seed))
+            except NumericError as exc:
+                skipped[hyper] = str(exc)
+    return {h: r for h, r in risks.items() if h not in skipped}, skipped
+
+
+@pytest.mark.parametrize("mode,family,grid,alpha", [
+    ("tce", "bin", None, 0.04),
+    ("tce", "kde", KDE_GRID, 0.04),
+    # on every fold of some point the kernel weights of all scored rows underflow
+    ("cce", "kde", KDE_GRID, 0.04),
+    # at 1e-5 some of the scored rows underflow, at 1e-4 fewer
+    ("cce", "kde", KDE_GRID, 0.5),
+    ("tce", "kkr", None, 0.04),
+    ("cce", "kkr", None, 0.04),
+    ("tce", "ukkr", None, 0.04),
+    ("cce", "ukkr", None, 0.04),
+    ("cce", "sim", None, 0.04),
+])
+def test_linear_cv_matches_dense_reference(mode, family, grid, alpha):
+    ds = simulate(SimConfig(n=300, alpha=alpha, seed=4)).dataset
+    tune = top_label_dataset(ds) if mode == "tce" else ds
+    cv = cv_on(tune, family, grid=grid, k=5, seed=1, linear=True)
+    grid = grid or default_grid(family, tune.mode, len(tune) * 4 // 5)
+    risks, skipped = dense_linear_fold_risks(tune, family, grid, 5, 1)
+    assert list(cv.skipped) == list(skipped.items())
+    assert [p.hyper for p in cv.grid] == list(risks)
+    for point in cv.grid:
+        want = risks[point.hyper]
+        assert [r.value for r in point.fold_risks] == pytest.approx(
+            [r.value for r in want], rel=1e-12)
+        assert [(r.pairs_used, r.dropped_nan) for r in point.fold_risks] == [
+            (r.pairs_used, r.dropped_nan) for r in want]
+    if (mode, family) == ("cce", "kde"):
+        dropped = {p.hyper: sum(r.dropped_nan for r in p.fold_risks) for p in cv.grid}
+        if alpha == 0.5:
+            assert dropped[1e-5] > dropped[1e-4] > 0
+        else:
+            assert dict(cv.skipped)[1e-5] == "no usable pairs (all predictions dropped)"
+
+
 def ukkr_dense_fold_risks(tune, grid, k, seed, gamma=0.5):
     """ukkr holdout risks per grid point from each fold's dense rotated core,
     and the first failure reason per skipped point."""
@@ -331,14 +390,14 @@ def ukkr_dense_fold_risks(tune, grid, k, seed, gamma=0.5):
         hold = tune.subset(fold)
         spectrum = kkr_prepare(train, gamma)
         basis = spectrum.Q.T @ rbf_gram(spectrum.X, hold.probs, gamma)
-        T = pair_target_matrix(hold)
+        D = residual_matrix(hold).T
         for hyper in grid:
             try:
                 core = ukkr_rotated_core(spectrum, hyper)
             except NumericError as exc:
                 skipped.setdefault(hyper, str(exc))
                 continue
-            risks[hyper].append(risk_from_matrix(basis.T @ (core @ basis), T))
+            risks[hyper].append(risk_from_matrix(basis.T @ (core @ basis), D))
     return {h: r for h, r in risks.items() if h not in skipped}, skipped
 
 

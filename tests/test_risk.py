@@ -9,19 +9,19 @@ from calrisk.core import (
     InputError,
     NumericError,
     one_hot,
-    pair_target_matrix,
+    residual_matrix,
 )
 from calrisk.estimators import fit_kde, fit_kkr, kkr_prepare
 from calrisk.pipeline import default_grid
 from calrisk.risk import (
     RiskValue,
     empirical_risk,
-    empirical_risk_linear,
+    linear_risk,
     risk_from_factors,
     risk_from_matrix,
 )
 from calrisk.sim import SimConfig, SimModel, simulate
-from oracles import pair_target, pointwise_risk
+from oracles import dense_linear_risk, pair_target, pointwise_risk
 
 
 def random_canonical(rng, n, d):
@@ -88,7 +88,7 @@ class TestRiskFromFactors:
 
     @staticmethod
     def dense(F, D):
-        return risk_from_matrix(F @ F.T, D @ D.T)
+        return risk_from_matrix(F @ F.T, D)
 
     @given(st.integers(2, 40), st.sampled_from([1, 3]), st.sampled_from([1, 3]),
            st.integers(0, 10_000))
@@ -145,7 +145,7 @@ class TestRiskFromFactors:
         kde = fit_kde(simulate(SimConfig(n=40, seed=1)).dataset, bandwidth)
         for model in (kde, SimModel(0.7)):
             got = empirical_risk(model, ds)
-            want = risk_from_matrix(model.pairwise(ds.probs), pair_target_matrix(ds))
+            want = risk_from_matrix(model.pairwise(ds.probs), residual_matrix(ds).T)
             assert got.value == pytest.approx(want.value, rel=1e-12)
             assert (got.pairs_used, got.dropped_nan) == (want.pairs_used, want.dropped_nan)
         assert (empirical_risk(kde, ds).dropped_nan > 0) == (bandwidth < 1e-3)
@@ -170,18 +170,24 @@ class TestNanAccounting:
     def test_all_nan_raises(self):
         H = np.full((3, 3), np.nan)
         with pytest.raises(NumericError):
-            risk_from_matrix(H, np.zeros((3, 3)))
+            risk_from_matrix(H, np.zeros((3, 2)))
+
+
+def constant_linear_risk(c, ds, seed=0):
+    """`linear_risk` of the model h = c: F = 1 and R = c give F R^T = c."""
+    m = len(ds)
+    return linear_risk(np.ones((m, 1)), np.full((m, 1), c), residual_matrix(ds).T, seed)
 
 
 class TestLinearRisk:
     def test_zero_case(self):
         ds = Dataset(np.eye(3)[[0, 1, 2]], np.array([0, 1, 2]), CANONICAL)
-        assert empirical_risk_linear(ConstantModel(0.0), ds).value == 0.0
+        assert constant_linear_risk(0.0, ds).value == 0.0
 
     def test_two_samples_match_quadratic(self):
         ds = random_canonical(np.random.default_rng(2), 2, 3)
         quad = empirical_risk(ConstantModel(0.1), ds)
-        lin = empirical_risk_linear(ConstantModel(0.1), ds)
+        lin = constant_linear_risk(0.1, ds)
         assert lin.value == pytest.approx(quad.value, abs=1e-15)
 
     def test_expectation_matches_quadratic(self):
@@ -192,14 +198,33 @@ class TestLinearRisk:
         model = ConstantModel(0.02)
         quad = empirical_risk(model, ds).value
         values = np.array([
-            empirical_risk_linear(model, ds, seed=s).value for s in range(500)
+            constant_linear_risk(model.c, ds, seed=s).value for s in range(500)
         ])
         se = values.std(ddof=1) / np.sqrt(len(values))
         assert abs(values.mean() - quad) <= 3 * se
 
     def test_pair_count(self):
         ds = random_canonical(np.random.default_rng(4), 20, 3)
-        assert empirical_risk_linear(ConstantModel(0.0), ds).pairs_used == 20
+        assert constant_linear_risk(0.0, ds).pairs_used == 20
+
+    @given(st.integers(2, 30), st.sampled_from([1, 3]), st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_matrices(self, m, width, seed):
+        # F R^T with R != F, as for kkr, and NaN feature rows, as for kde
+        rng = np.random.default_rng(seed)
+        F = rng.normal(size=(m, width))
+        R = rng.normal(size=(m, width))
+        F[rng.random(m) < 0.2] = np.nan
+        D = rng.normal(size=(m, 3))
+        try:
+            want = dense_linear_risk(F @ R.T, D @ D.T, seed)
+        except NumericError:
+            with pytest.raises(NumericError, match="no usable pairs"):
+                linear_risk(F, R, D, seed)
+            return
+        got = linear_risk(F, R, D, seed)
+        assert got.value == pytest.approx(want.value, rel=1e-12)
+        assert (got.pairs_used, got.dropped_nan) == (want.pairs_used, want.dropped_nan)
 
 
 class TestKkrRisk:
