@@ -14,6 +14,8 @@ each command's standard output, byte for byte:
   evaluate --mode tce --linear-risk             report and --emit-csv
     (the top-label circular-pair risk of bin,
     bin15, kde, kkr and ukkr)
+  evaluate --mode tce --format probs-csv of     report and --emit-csv
+    the tce logits softmaxed by numpy here
   the d=10 cce evaluate of kde,kkr,ukkr at      report and --emit-csv
     k=7 (uneven folds) and gamma=2
   the d=10 cce evaluate of kde,kkr,sim with     report and --emit-csv
@@ -40,6 +42,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 INSTANCE = 31
 # each command takes a few seconds; one that runs this long has hung
@@ -57,6 +61,9 @@ CASES = {
     "evaluate-kde": ("kde", ["evaluate", "--mode", "cce", "--families", "kde,sim"]),
     "evaluate-cce-d10-linear": ("cce-d10", CCE_D10 + ["--linear-risk"]),
     "evaluate-tce-linear": ("tce", ["evaluate", "--mode", "tce", "--linear-risk"]),
+    # the probs-csv loader: its checks and its renormalization
+    "evaluate-tce-probs": ("tce-probs", ["evaluate", "--mode", "tce",
+                                         "--format", "probs-csv"]),
     # 960 tuning rows in 7 folds of 138 or 137: pins the fold construction
     # and the default grids' n_train, which the 5-fold cases do not vary
     "evaluate-cce-d10-k7": ("cce-d10", ["evaluate", "--mode", "cce", "--families",
@@ -86,12 +93,18 @@ def load_inputs():
 
 
 def write_inputs(workdir):
+    """The logits-csv inputs of INPUTS, and the tce input as probs-csv."""
     inputs = load_inputs()
     paths = {}
     for name, (n, d) in INPUTS.items():
         logits, labels = inputs.sample_logits(n, d, seed=INSTANCE)
         paths[name] = workdir / f"input-{name}.csv"
         inputs.write_logits_csv(paths[name], logits, labels)
+        if name == "tce":
+            e = np.exp(logits - logits.max(axis=1, keepdims=True))
+            paths["tce-probs"] = workdir / "input-tce-probs.csv"
+            inputs.write_logits_csv(paths["tce-probs"], e / e.sum(axis=1, keepdims=True),
+                                    labels)
     return paths
 
 

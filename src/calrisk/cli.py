@@ -20,6 +20,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -30,77 +31,75 @@ from .pipeline import FAMILIES, RunConfig, run_evaluate
 from .sim import DEFAULT_THETAS, SimConfig, risk_curve, simulate
 
 
+def _is_number(cell):
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def load_dataset(path, fmt):
     """Parse a CSV of `l_0,...,l_{d-1},label` rows into a canonical dataset.
 
     logits-csv rows are softmaxed at temperature 1; probs-csv rows are
     checked against the simplex invariants with 1e-6 sum tolerance and then
-    renormalized. The header row is optional, and blank lines and trailing
-    commas are ignored; an empty cell before a row's last value is an
-    error. The rows are parsed one by one, and then checked and converted
-    as one array; an invalid row is reported with its line number, the
-    first in the file when there are several.
+    renormalized. The header row is optional: line 1 is one when none of
+    its cells is a number. Blank lines and trailing commas are ignored; an
+    empty cell before a row's last value is an error. Each row is checked
+    as it is read, so an invalid row is reported with its line number, the
+    first in the file when there are several; the valid rows are then
+    converted as one array.
     """
     if fmt not in ("logits-csv", "probs-csv"):
         raise InputError(f"unknown format {fmt!r}")
-    rows, linenos = [], []
+    what = "logits" if fmt == "logits-csv" else "probabilities"
+    rows = []
     width = None
     with open(path, newline="") as fh:
         for lineno, cells in enumerate(csv.reader(fh), start=1):
             cells = [c.strip() for c in cells]
             while cells and cells[-1] == "":
                 cells.pop()  # trailing commas
-            if not cells:
-                continue
-            if lineno == 1:
-                try:
-                    [float(c) for c in cells if c]
-                except ValueError:
-                    continue  # header row
+            if not cells or (lineno == 1 and not any(map(_is_number, cells))):
+                continue  # blank line or header row
+            where = f"{path}:{lineno}"
             if "" in cells:
-                raise InputError(f"{path}:{lineno}: empty cell")
+                raise InputError(f"{where}: empty cell")
             try:
                 values = [float(c) for c in cells]
             except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: non-numeric cell ({exc})")
+                raise InputError(f"{where}: non-numeric cell ({exc})")
             if width is None:
                 width = len(values)
                 if width < 3:
-                    raise InputError(f"{path}:{lineno}: need at least 2 classes plus a label")
+                    raise InputError(f"{where}: need at least 2 classes plus a label")
             elif len(values) != width:
                 raise InputError(
-                    f"{path}:{lineno}: ragged row ({len(values)} cells, expected {width})"
+                    f"{where}: ragged row ({len(values)} cells, expected {width})"
                 )
-            if not values[-1].is_integer():
-                raise InputError(f"{path}:{lineno}: label {values[-1]} is not an integer")
+            vec, label = values[:-1], values[-1]
+            if not label.is_integer():
+                raise InputError(f"{where}: label {label} is not an integer")
+            if not 0 <= label < len(vec):
+                raise InputError(f"{where}: label {int(label)} out of range for d={len(vec)}")
+            if not all(map(math.isfinite, vec)):
+                raise InputError(f"{where}: non-finite {what}")
+            if fmt == "probs-csv":
+                if not all(0.0 <= v <= 1.0 for v in vec):
+                    raise InputError(f"{where}: probabilities outside [0, 1]")
+                total = math.fsum(vec)
+                if abs(total - 1.0) > 1e-6:
+                    raise InputError(f"{where}: probabilities sum to {total}, not 1")
             rows.append(values)
-            linenos.append(lineno)
     if not rows:
         raise InputError(f"{path}: no data rows")
-    d = width - 1
     table = np.array(rows)
     vecs, label_col = table[:, :-1], table[:, -1]
-    finite = np.isfinite(vecs).all(axis=1)
-    bad = (label_col < 0) | (label_col >= d) | ~finite
-    if fmt == "probs-csv":
-        outside = ((vecs < 0.0) | (vecs > 1.0)).any(axis=1)
-        sums = vecs.sum(axis=1)
-        bad |= outside | (np.abs(sums - 1.0) > 1e-6)
-    if bad.any():
-        i = int(np.argmax(bad))
-        where = f"{path}:{linenos[i]}"
-        if not 0 <= label_col[i] < d:
-            raise InputError(f"{where}: label {int(label_col[i])} out of range for d={d}")
-        if not finite[i]:
-            what = "logits" if fmt == "logits-csv" else "probabilities"
-            raise InputError(f"{where}: non-finite {what}")
-        if outside[i]:
-            raise InputError(f"{where}: probabilities outside [0, 1]")
-        raise InputError(f"{where}: probabilities sum to {sums[i]}, not 1")
     if fmt == "logits-csv":
         probs = softmax_rows(vecs)
     else:
-        probs = vecs / sums[:, None]
+        probs = vecs / vecs.sum(axis=1, keepdims=True)
     return Dataset(probs, label_col.astype(np.int64), CANONICAL)
 
 
@@ -141,7 +140,8 @@ def _cmd_simulate(args):
     _check_outputs(args.out, args.dump_data)
     if args.seeds < 1:
         raise InputError(f"need at least 1 seed, got {args.seeds}")
-    thetas = _parse_float_list(args.theta_grid) if args.theta_grid else list(DEFAULT_THETAS)
+    thetas = (list(DEFAULT_THETAS) if args.theta_grid is None
+              else _parse_float_list(args.theta_grid))
     base = _config(SimConfig, args)
     curves = []
     for seed in range(base.seed, base.seed + args.seeds):

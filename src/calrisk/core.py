@@ -86,30 +86,36 @@ class Dataset:
 class PairModel:
     """A fitted calibration estimation function h(p, p2).
 
-    Subclasses define `pairwise(P)`, the (m, m) matrix of h over the rows of
-    an evaluation set, and `diag(P)`, its diagonal h(p_i, p_i). A single
-    pair is evaluated through `pairwise`, so the surfaces cannot disagree.
-    A model that is an inner product of a feature map also defines
-    `features(P)`, the (m, d') rows whose Gram matrix is `pairwise(P)`; the
-    risk then needs no (m, m) matrix. Such a model binds `feature_pairwise`
-    and `feature_diag` as its `pairwise` and `diag`.
+    Every model predicts the rows P of an evaluation set as H = F R^T, with
+    `factors(P)` giving the (m, r) pair (F, R). A model that is an inner
+    product of a feature map, h(p, p2) = <phi(p), phi(p2)>, defines
+    `features(P)`, the (m, d') rows phi(p), and its factors are (phi, phi);
+    the risk then scores it without any (m, m) matrix. Every model binds
+    `factor_pairwise`, the (m, m) matrix H, and `factor_diag`, its diagonal
+    h(p_i, p_i), as its `pairwise` and `diag`. A single pair is evaluated
+    through `pairwise`, so the surfaces cannot disagree.
     """
+
+    def factors(self, P):
+        """(phi, phi) for a feature-map model; a kernel model overrides it."""
+        f = self.features(P)
+        return f, f
 
     def predict(self, p, p2):
         P = np.vstack([np.atleast_2d(p), np.atleast_2d(p2)])
         return float(self.pairwise(P)[0, 1])
 
 
-def feature_pairwise(model, P):
-    """`pairwise` of a feature-map model: the Gram matrix of its rows."""
-    f = model.features(P)
-    return f @ f.T
+def factor_pairwise(model, P):
+    """`pairwise` of a model: H = F R^T over its factors."""
+    F, R = model.factors(P)
+    return F @ R.T
 
 
-def feature_diag(model, P):
-    """`diag` of a feature-map model: the squared norm of each row."""
-    f = model.features(P)
-    return np.sum(f * f, axis=1)
+def factor_diag(model, P):
+    """`diag` of a model: the row dots F_i . R_i, the diagonal of F R^T."""
+    F, R = model.factors(P)
+    return np.sum(F * R, axis=1)
 
 
 def check_grid(grid):

@@ -7,18 +7,18 @@ that plugs fitted residual regressions into the inner product. Only the
 vectorized closed forms live here; the brute-force Kronecker solver and the
 pointwise kernels they are checked against are test oracles.
 
-Every fitted model is a `PairModel`: it defines `pairwise(P)`, the full
-(m, m) prediction matrix of an evaluation set, and `diag(P)`, the diagonal
-predictions h(p_i, p_i) that the final estimate averages; `predict(p, p2)`
-evaluates one pair through `pairwise`. A model has one of two shapes, and
-each shape has one `pairwise`/`diag` pair. Binning and kde are inner
-products of a feature map, h(p, p2) = <phi(p), phi(p2)>: their
-`features(P)` gives the (m, d') rows phi(p), `core.feature_pairwise` and
-`core.feature_diag` are derived from it, and cross-validation scores the
-features without any (m, m) matrix. kkr and ukkr are kernel quadratic
-forms B^T core B over a basis B of the evaluation rows (`_quadratic_pairwise`,
-`_quadratic_diag`). Both fit from a training Gram's `Spectrum` alone
-(`kkr_prepare`), and a fitted model is `(spectrum, core)`.
+Every fitted model is a `PairModel` and gives its prediction factors:
+`factors(P)` is the pair (F, R) with the (m, m) predictions H = F R^T of
+an evaluation set. `core.factor_pairwise` (H) and `core.factor_diag` (the
+diagonal predictions h(p_i, p_i) that the final estimate averages) serve
+every family, and `predict(p, p2)` evaluates one pair through `pairwise`.
+Binning and kde are inner products of a feature map, h(p, p2) =
+<phi(p), phi(p2)>: their `features(P)` gives the (m, d') rows phi(p), F =
+R = phi, and cross-validation scores the features without any (m, m)
+matrix. kkr and ukkr are kernel quadratic forms B^T core B over a basis B
+of the evaluation rows, so F = B^T and R = (core B)^T. Both fit from a
+training Gram's `Spectrum` alone (`kkr_prepare`), and a fitted model is
+`(spectrum, core)`.
 
 ukkr's cross-validation is factored (`ukkr_cv_features`): it only ranks a
 lambda grid, and the factored and dense holdout risks agree to rounding.
@@ -41,8 +41,8 @@ from .core import (
     InputError,
     NumericError,
     PairModel,
-    feature_diag,
-    feature_pairwise,
+    factor_diag,
+    factor_pairwise,
     one_hot,
     residual_matrix,
 )
@@ -85,9 +85,9 @@ def rbf_gram(X, Y, gamma):
     return np.exp(-gamma * sq)
 
 
-def clip_simplex(P, eps=CLIP_EPS):
-    """Clip simplex rows away from the boundary and renormalize."""
-    P = np.clip(np.atleast_2d(np.asarray(P, dtype=float)), eps, None)
+def clip_simplex(P):
+    """Clip simplex rows away from the boundary at CLIP_EPS and renormalize."""
+    P = np.clip(np.atleast_2d(np.asarray(P, dtype=float)), CLIP_EPS, None)
     return P / P.sum(axis=1, keepdims=True)
 
 
@@ -115,8 +115,8 @@ class BinningModel(PairModel):
         """(m, 1) bin gaps; h(p, p2) is their product."""
         return self.gaps[_bin_index(self.edges, _conf_column(P))][:, None]
 
-    pairwise = feature_pairwise
-    diag = feature_diag
+    pairwise = factor_pairwise
+    diag = factor_diag
 
 
 def _conf_column(P):
@@ -171,8 +171,8 @@ class KdeModel(PairModel):
             return P - ghat
         return (P[:, 0] - ghat)[:, None]
 
-    pairwise = feature_pairwise
-    diag = feature_diag
+    pairwise = factor_pairwise
+    diag = factor_diag
 
 
 def fit_kde(train, bandwidth):
@@ -238,18 +238,6 @@ def kde_regress(train, queries, bandwidth):
 # Kernel quadratic forms: Kronecker and two-step kernel ridge regression
 # ---------------------------------------------------------------------------
 
-def _quadratic_pairwise(model, P):
-    """`pairwise` of a kernel model: B^T core B with B = model._basis(P)."""
-    B = model._basis(P)
-    return B.T @ (model.core @ B)
-
-
-def _quadratic_diag(model, P):
-    """`diag` of a kernel model: the diagonal of B^T core B."""
-    B = model._basis(P)
-    return np.sum(B * (model.core @ B), axis=0)
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """The lambda-independent part of every kkr and ukkr fit on one training set.
@@ -283,11 +271,13 @@ class KkrModel(PairModel):
     spectrum: Spectrum
     core: np.ndarray
 
-    def _basis(self, P):
-        return self.spectrum.basis(P)
+    def factors(self, P):
+        """(B^T, (core B)^T) over the basis B = Q^T k(X, P)."""
+        B = self.spectrum.basis(P)
+        return B.T, (self.core @ B).T
 
-    pairwise = _quadratic_pairwise
-    diag = _quadratic_diag
+    pairwise = factor_pairwise
+    diag = factor_diag
 
 
 def kkr_prepare(train, gamma):
@@ -328,11 +318,13 @@ class UkkrModel(PairModel):
     spectrum: Spectrum
     core: np.ndarray
 
-    def _basis(self, P):
-        return rbf_gram(self.spectrum.X, P, self.spectrum.gamma)
+    def factors(self, P):
+        """(B^T, (core B)^T) over the basis B = k(X, P)."""
+        B = rbf_gram(self.spectrum.X, P, self.spectrum.gamma)
+        return B.T, (self.core @ B).T
 
-    pairwise = _quadratic_pairwise
-    diag = _quadratic_diag
+    pairwise = factor_pairwise
+    diag = factor_diag
 
 
 def _ukkr_shift(spec, lam):

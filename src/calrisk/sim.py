@@ -19,8 +19,8 @@ from .core import (
     InputError,
     PairModel,
     check_grid,
-    feature_diag,
-    feature_pairwise,
+    factor_diag,
+    factor_pairwise,
     kfold_indices,
     softmax_rows,
 )
@@ -97,8 +97,8 @@ class SimModel(PairModel):
         factor = self.theta / self.model_temp
         return P - softmax_rows(factor * np.log(np.clip(P, LOG_CLIP, None)))
 
-    pairwise = feature_pairwise
-    diag = feature_diag
+    pairwise = factor_pairwise
+    diag = factor_diag
 
 
 def risk_curve(sim, thetas, k_folds=5, seed=0):

@@ -124,6 +124,19 @@ class TestLoadDataset:
         with pytest.raises(InputError, match=":2: probabilities outside"):
             load_dataset(path, "probs-csv")
 
+    def test_mistyped_first_row_is_not_a_header(self, tmp_path, capsys):
+        # one cell of line 1 is a number, so it is a data row, not a header
+        path = write_csv(tmp_path / "d.csv",
+                         [[1.0, "2.O", 3.0, 0], [1.0, 2.0, 3.0, 1], [0.5, 2.0, 1.0, 2]])
+        assert main(["evaluate", "--data", path, "--out", str(tmp_path / "r.json")]) == 2
+        assert f"{path}:1: non-numeric cell" in capsys.readouterr().err
+
+    def test_first_bad_line_precedes_a_later_ragged_row(self, tmp_path, capsys):
+        path = write_csv(tmp_path / "d.csv", [[1.0, 2.0, 3.0, 0], [1.0, 2.0, 3.0, 7],
+                                              [1.0, 2.0, 3.0, 1], [1.0, 2.0, 1]])
+        assert main(["evaluate", "--data", path, "--out", str(tmp_path / "r.json")]) == 2
+        assert f"{path}:2: label 7 out of range for d=3" in capsys.readouterr().err
+
     def test_nan_probability_rejected_with_line(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", [[0.5, 0.5, 0], [0.3, 0.7, 1], ["nan", 1.0, 0]])
         with pytest.raises(InputError, match=":3: non-finite probabilities"):
@@ -443,6 +456,7 @@ class TestReportGrid:
     ["evaluate", "--families", "bin", "--grid-kkr=1"],
     ["simulate", "--theta-grid=nan,1"],
     ["simulate", "--theta-grid=1,1"],
+    ["simulate", "--theta-grid="],
     ["evaluate", "--seed=-1"],
     ["simulate", "--seed=-1"],
     # too few samples for the curve's 5 folds of at least two

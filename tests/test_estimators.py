@@ -7,11 +7,23 @@ from scipy.special import gammaln
 from scipy.stats import dirichlet as scipy_dirichlet
 
 from calrisk import estimators
-from calrisk.core import CANONICAL, TOP_LABEL, Dataset, InputError, NumericError, one_hot
+from calrisk.core import (
+    CANONICAL,
+    TOP_LABEL,
+    Dataset,
+    InputError,
+    NumericError,
+    factor_diag,
+    factor_pairwise,
+    one_hot,
+)
 from calrisk.estimators import (
     DEAD_CUTOFF,
     FAST_EXP_FLOOR,
     BinningModel,
+    KdeModel,
+    KkrModel,
+    UkkrModel,
     _as_simplex_points,
     _exp_inplace,
     clip_simplex,
@@ -67,15 +79,28 @@ def test_pairwise_and_diag_match_pointwise(family):
     np.testing.assert_allclose(d, np.diagonal(H), rtol=1e-12, atol=1e-15)
     # kkr is genuinely pairwise; a fitted ukkr keeps its dense arithmetic
     assert hasattr(model, "features") == (family not in ("kkr", "ukkr"))
+    # every model predicts through its factors: H = F R^T exactly
+    F, R = model.factors(P)
+    assert (R is F) == hasattr(model, "features")
+    np.testing.assert_array_equal(F @ R.T, H)
+    np.testing.assert_array_equal(np.sum(F * R, axis=1), d)
     if hasattr(model, "features"):
-        F = model.features(P)
+        np.testing.assert_array_equal(model.features(P), F)
         assert F.shape == (5, 1 if family in ("bin", "kde-top-label") else 3)
-        np.testing.assert_allclose(F @ F.T, H, rtol=1e-12, atol=1e-15)
+    else:
+        assert F.shape == R.shape == (5, 8)
     for i in range(5):
         for j in range(5):
             assert model.predict(P[i], P[j]) == pytest.approx(
                 H[i, j], rel=1e-12, abs=1e-15
             )
+
+
+@pytest.mark.parametrize("cls", [BinningModel, KdeModel, KkrModel, UkkrModel, SimModel])
+def test_every_model_class_binds_the_factor_surfaces(cls):
+    # bound in each class body, where per-class tracing finds them
+    assert vars(cls)["pairwise"] is factor_pairwise
+    assert vars(cls)["diag"] is factor_diag
 
 
 class TestRbfKernel:

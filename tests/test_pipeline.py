@@ -12,6 +12,7 @@ from calrisk.core import (
 )
 from calrisk.estimators import (
     fit_binning,
+    fit_kkr,
     kkr_prepare,
     rbf_gram,
     ukkr_cv_features,
@@ -483,6 +484,39 @@ class TestSharedSpectra:
         with pytest.raises(NumericError, match=r"^Gram matrix eigenvalue -1\.0 below"):
             cv_on(tune, family, grid=[0.1, 1.0], k=5)
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize("mode", ["tce", "cce"])
+def test_kkr_holdout_factors_are_the_fitted_models(monkeypatch, mode):
+    # the holdout risk reuses the fold's basis, yet per fold and lambda its
+    # (F, R) and H = F R^T are those of the model `fit_kkr` returns
+    ds = random_canonical(np.random.default_rng(34), 60, 3)
+    tune = top_label_dataset(ds) if mode == "tce" else ds
+    grid = [1e-3, 0.1, 1.0]
+    folds = kfold_splits(tune, 5, 0, 0.5)
+    seen = {"linear": [], "matrix": []}
+    linear, matrix = pipeline.linear_risk, pipeline.risk_from_matrix
+
+    def record_linear(F, R, D, seed):
+        seen["linear"].append((F, R))
+        return linear(F, R, D, seed)
+
+    def record_matrix(H, D):
+        seen["matrix"].append(H)
+        return matrix(H, D)
+
+    monkeypatch.setattr(pipeline, "linear_risk", record_linear)
+    monkeypatch.setattr(pipeline, "risk_from_matrix", record_matrix)
+    cross_validate(folds, "kkr", grid=grid, linear=True)
+    cross_validate(folds, "kkr", grid=grid)
+    points = [(fold, lam) for fold in folds for lam in grid]
+    assert len(seen["linear"]) == len(seen["matrix"]) == len(points)
+    for (fold, lam), (F, R), H in zip(points, seen["linear"], seen["matrix"]):
+        model = fit_kkr(fold.spectrum, lam)
+        want_F, want_R = model.factors(fold.hold.probs)
+        np.testing.assert_array_equal(F, want_F)
+        np.testing.assert_array_equal(R, want_R)
+        np.testing.assert_array_equal(H, model.pairwise(fold.hold.probs))
 
 
 class TestBestAtGridEdge:
