@@ -29,13 +29,22 @@ at instance 31, so the outputs are those of perfbench's evaluate workloads.
 Exits 0 when every file is identical, 1 naming each file that differs, and
 2 when a command fails or runs longer than TIMEOUT_S seconds.
 
+For each differing JSON or CSV file it also says how far the file moved:
+the largest relative difference over its numeric fields, and whether any
+non-numeric field differs. Non-numeric fields are keys, CSV headers,
+strings (skip reasons, family names), booleans, and the grid points a
+report names (`best_hyper` and `hyper`), which are compared exactly.
+
 Usage:
     python scripts/compare_outputs.py PARENT_SRC CHANGE_SRC [--workdir DIR]
 """
 
 import argparse
+import csv
 import filecmp
 import importlib.util
+import json
+import math
 import os
 import subprocess
 import sys
@@ -133,6 +142,80 @@ def run_cases(src, outdir, inputs):
     return None
 
 
+# numbers that name a grid point rather than measure anything
+EXACT_KEYS = ("best_hyper", "hyper")
+# non-numeric differences listed by name before the rest are only counted
+SHOWN = 3
+
+
+def json_fields(value, path=""):
+    """{path: leaf} of a parsed JSON value."""
+    if isinstance(value, dict):
+        items = ((f"{path}.{k}" if path else str(k), v) for k, v in value.items())
+    elif isinstance(value, list):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return {path: value}
+    return {p: leaf for k, v in items for p, leaf in json_fields(v, k).items()}
+
+
+def csv_fields(path):
+    """{path: cell} of a CSV file with a header row; numeric cells as floats."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    fields = {"header": tuple(rows[0])} if rows else {}
+    for i, row in enumerate(rows[1:], start=1):
+        for j, cell in enumerate(row):
+            name = rows[0][j] if j < len(rows[0]) else str(j)
+            try:
+                fields[f"row {i}.{name}"] = float(cell)
+            except ValueError:
+                fields[f"row {i}.{name}"] = cell
+    return fields
+
+
+def _numeric(path, value):
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and path.split(".")[-1] not in EXACT_KEYS)
+
+
+def _rel_diff(a, b):
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def how_far(parent, change):
+    """One line on how far a differing JSON or CSV file moved, or None."""
+    if parent.suffix == ".json":
+        a, b = (json_fields(json.loads(p.read_text())) for p in (parent, change))
+    elif parent.suffix == ".csv":
+        a, b = csv_fields(parent), csv_fields(change)
+    else:
+        return None
+    numeric, moved, worst, where, other = 0, 0, 0.0, None, []
+    for path in sorted(a.keys() | b.keys()):
+        if path not in a or path not in b:
+            other.append(path)
+        elif _numeric(path, a[path]) and _numeric(path, b[path]):
+            numeric += 1
+            rel = _rel_diff(float(a[path]), float(b[path]))
+            moved += rel > 0.0
+            if rel > worst:
+                worst, where = rel, path
+        elif a[path] != b[path]:
+            other.append(path)
+    line = (f"{moved} of {numeric} numeric fields moved, "
+            f"max relative difference {worst:.3g}" + (f" ({where})" if where else ""))
+    if not other:
+        return line + "; non-numeric fields identical"
+    shown = ", ".join(other[:SHOWN]) + (f" and {len(other) - SHOWN} more"
+                                        if len(other) > SHOWN else "")
+    return line + f"; non-numeric fields differ: {shown}"
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src", type=Path)
@@ -156,8 +239,11 @@ def main():
                           and (workdir / "change" / name).is_file()
                           and filecmp.cmp(workdir / "parent" / name,
                                           workdir / "change" / name, shallow=False))]
-    for name in differ:
-        print(f"differs: {name}")
+        for name in differ:
+            parent, change = workdir / "parent" / name, workdir / "change" / name
+            both = parent.is_file() and change.is_file()
+            detail = how_far(parent, change) if both else "written by one side only"
+            print(f"differs: {name}" + (f": {detail}" if detail else ""))
     if differ:
         return 1
     print(f"identical: {len(names)} files")

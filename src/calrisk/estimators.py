@@ -55,6 +55,10 @@ SINGULAR_TOL = 1e-12
 FAST_EXP_FLOOR = -700.0
 # np.exp is exactly 0.0 here and below (it rounds to 0 from -745.1332...)
 DEAD_CUTOFF = -746.0
+# bytes of one (n_train, block) kde weight array: kde_regress takes its
+# queries in column blocks this size, so its memory does not grow with the
+# query count, and the small products stay in a core's L2 cache
+KDE_BLOCK_BYTES = 512 * 1024
 
 
 def check_hyper(family, value):
@@ -62,8 +66,13 @@ def check_hyper(family, value):
     one rule that the fits and `pipeline.RunConfig`'s grid overrides apply."""
     if family == "bin" and not (float(value).is_integer() and value >= 1):
         raise InputError(f"number of bins must be a positive integer, got {value}")
-    if family == "kde" and value <= 0:
-        raise InputError("bandwidth must be positive")
+    if family == "kde":
+        if not value > 0:
+            raise InputError("bandwidth must be positive")
+        # the log-weights need 1/b and gammaln(1/b + 1) as finite numbers
+        inv_b = 1.0 / float(value)
+        if not (np.isfinite(inv_b) and np.isfinite(gammaln(inv_b + 1.0))):
+            raise InputError(f"bandwidth {value} is too small: its kernel constants overflow")
     if family in ("kkr", "ukkr") and value < 0:
         raise InputError("lambda must be nonnegative")
 
@@ -186,11 +195,15 @@ def _exp_inplace(x):
     Every lane is clamped to FAST_EXP_FLOOR before the exp, then the lanes
     that were below it are zeroed by a multiply; the few between DEAD_CUTOFF
     and the floor, whose exp is subnormal or tiny but not 0, are recomputed
-    from their original values. NaN and +-inf come out as np.exp gives them.
+    from their original values. When every lane is live (no NaN, none below
+    the floor), the exp runs alone. NaN and +-inf come out as np.exp gives them.
     `x` is a C-contiguous float64 array, as every fresh product is.
     """
-    flat = x.reshape(-1)
     live = x >= FAST_EXP_FLOOR
+    if live.all():
+        with np.errstate(over="ignore"):
+            return np.exp(x, out=x)
+    flat = x.reshape(-1)
     band = np.flatnonzero(~live.reshape(-1) & (flat > DEAD_CUTOFF))
     band_x = flat[band]
     np.maximum(x, FAST_EXP_FLOOR, out=x)
@@ -210,27 +223,41 @@ def kde_regress(train, queries, bandwidth):
     yield NaN rows, the documented sentinel downstream consumers drop.
     At small bandwidths most log-weights lie far below -708, where np.exp
     is many times slower; `_exp_inplace` clamps them onto its fast path and
-    restores the exact underflowed values, so the weights, and every result,
-    are bit for bit those of a plain np.exp.
+    restores the exact underflowed values, so the weights are bit for bit
+    those of a plain np.exp.
+    The queries are taken in equal column blocks whose (n_train, block)
+    weight array holds at most KDE_BLOCK_BYTES (at least one column), so
+    memory is bounded by that budget, not by n_train * m. A small input is
+    one block. A result matches the one-shot product up to BLAS kernel
+    rounding: a block's `w.T @ Y` may run on a small-matrix GEMM kernel
+    that sums in another order (about 1e-14 relative).
     """
     check_hyper("kde", bandwidth)
     Xs = clip_simplex(_as_simplex_points(train.probs))
     Qs = clip_simplex(_as_simplex_points(queries))
-    d = Xs.shape[1]
+    n, d = Xs.shape
     inv_b = 1.0 / bandwidth
     # log k_dir(x_i; q_j) = (1/b) <q_j, log x_i> + log B(q_j / b + 1)^-1
-    log_w = np.log(Xs) @ Qs.T
-    log_w *= inv_b
-    log_w += (gammaln(d + inv_b) - gammaln(Qs * inv_b + 1.0).sum(axis=1))[None, :]
-    w = _exp_inplace(log_w)
-    denom = w.sum(axis=0)
-    bad = ~np.isfinite(denom) | (denom == 0.0)
-    denom[bad] = 1.0
+    log_x = np.log(Xs)
+    shift = gammaln(d + inv_b) - gammaln(Qs * inv_b + 1.0).sum(axis=1)
     if train.mode == CANONICAL:
-        ghat = (w.T @ one_hot(train.labels, train.dim)) / denom[:, None]
+        Y = one_hot(train.labels, train.dim)
     else:
-        ghat = (w.T @ train.labels.astype(float)) / denom
-    ghat[bad] = np.nan
+        Y = train.labels.astype(float)
+    ghat = np.empty((len(Qs),) + Y.shape[1:])
+    cols = max(1, KDE_BLOCK_BYTES // (8 * n))
+    blocks = max(1, -(-len(Qs) // cols))
+    for q, s, out in zip(np.array_split(Qs, blocks), np.array_split(shift, blocks),
+                         np.array_split(ghat, blocks)):
+        log_w = log_x @ q.T
+        log_w *= inv_b
+        log_w += s[None, :]
+        w = _exp_inplace(log_w)
+        denom = w.sum(axis=0)
+        bad = ~np.isfinite(denom) | (denom == 0.0)
+        denom[bad] = 1.0
+        np.divide(w.T @ Y, denom[:, None] if Y.ndim == 2 else denom, out=out)
+        out[bad] = np.nan
     return ghat
 
 

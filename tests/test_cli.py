@@ -448,6 +448,9 @@ class TestReportGrid:
     ["evaluate", "--families", "kde", "--grid-kde=0"],
     ["evaluate", "--families", "kde", "--grid-kde=-1"],
     ["evaluate", "--families", "kde", "--grid-kde=nan,0.1"],
+    # 1/b overflows: the kernel constants are not finite
+    ["evaluate", "--mode", "cce", "--families", "kde", "--grid-kde=1e-310"],
+    ["evaluate", "--mode", "cce", "--families", "kde", "--grid-kde=1e-310,0.1"],
     ["evaluate", "--families", "kkr", "--grid-kkr=-1"],
     ["evaluate", "--families", "ukkr", "--grid-ukkr=-1"],
     # a repeated grid value, and a grid for a family that is not run

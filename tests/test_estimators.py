@@ -18,8 +18,10 @@ from calrisk.core import (
     one_hot,
 )
 from calrisk.estimators import (
+    CLIP_EPS,
     DEAD_CUTOFF,
     FAST_EXP_FLOOR,
+    KDE_BLOCK_BYTES,
     BinningModel,
     KdeModel,
     KkrModel,
@@ -275,6 +277,14 @@ class TestKde:
         assert np.isnan(ghat[0]).all()
         assert np.isfinite(ghat[1]).all()
 
+    @pytest.mark.parametrize("b", [1e-310, 5e-324])
+    def test_bandwidth_with_overflowing_constants_is_rejected(self, b):
+        ds = random_canonical(np.random.default_rng(10), 10, 3)
+        with pytest.raises(InputError, match=f"bandwidth {b} "):
+            fit_kde(ds, b)
+        with pytest.raises(InputError, match="overflow"):
+            kde_regress(ds, ds.probs, b)
+
     def test_top_label_regression(self):
         ds = random_top_label(np.random.default_rng(11), 50)
         ghat = kde_regress(ds, ds.probs, 0.5)
@@ -424,6 +434,71 @@ class TestKdeWeightsBitIdentity:
             assert np.array_equal(got, kde_regress_plain_exp(ds, queries, b),
                                   equal_nan=True), b
         assert np.isnan(kde_regress(ds, queries, 1e-3)[0]).all()
+
+
+def blocked_rtol(n_train, d, bandwidth):
+    """How far query blocks may move kde_regress by BLAS rounding alone: a
+    block's products may sum each of the n_train nonnegative weights in
+    another order (n_train * eps), and round each d-term log-weight
+    <q, log x>, |<q, log x>| <= -log(CLIP_EPS), in another order, which the
+    weights see multiplied by 1/b."""
+    eps = np.finfo(float).eps
+    return n_train * eps + 2 * d * eps * -np.log(CLIP_EPS) / bandwidth
+
+
+class TestKdeBlocks:
+    """kde_regress over query blocks equals the one-shot weights to rounding."""
+
+    @pytest.fixture
+    def block_widths(self, monkeypatch):
+        # the query count of every weight array kde_regress exponentiates
+        widths = []
+        real = estimators._exp_inplace
+
+        def spy(x):
+            assert x.nbytes <= KDE_BLOCK_BYTES
+            widths.append(x.shape[1])
+            return real(x)
+
+        monkeypatch.setattr(estimators, "_exp_inplace", spy)
+        return widths
+
+    @pytest.mark.parametrize("mode", [CANONICAL, TOP_LABEL])
+    def test_many_blocks_match_one_shot_over_default_grid(self, block_widths, mode):
+        ds = simulate(SimConfig(n=3700, d=5, seed=3)).dataset
+        if mode == TOP_LABEL:
+            conf = ds.probs.max(axis=1)
+            correct = (ds.labels == ds.probs.argmax(axis=1)).astype(int)
+            ds = Dataset(conf[:, None], correct, TOP_LABEL)
+        train, queries = ds.subset(np.arange(3000)), ds.probs[3000:].copy()
+        # far from every training point: its weights underflow at small b
+        middle = 350
+        queries[middle] = 0.01 if mode == TOP_LABEL else 0.2
+        grid = default_grid("kde", mode, len(train))
+        assert len(grid) == 20
+        for b in grid:
+            block_widths.clear()
+            got = kde_regress(train, queries, b)
+            ref = kde_regress_plain_exp(train, queries, b)
+            assert np.array_equal(np.isnan(got), np.isnan(ref)), b
+            d = _as_simplex_points(queries).shape[1]
+            np.testing.assert_allclose(got, ref, rtol=blocked_rtol(len(train), d, b),
+                                       atol=0.0, err_msg=str(b))
+        # equal blocks, the middle row neither in the first nor in the last
+        assert len(block_widths) > 2 and sum(block_widths) == len(queries)
+        assert max(block_widths) - min(block_widths) <= 1
+        assert block_widths[0] <= middle < len(queries) - block_widths[-1]
+        assert np.isnan(kde_regress(train, queries, grid[-1])[middle]).all()
+
+    def test_small_input_is_one_block(self, block_widths):
+        # the input of TestKdeWeightsBitIdentity, which pins bit identity
+        ds = simulate(SimConfig(n=400, d=5, seed=5)).dataset
+        kde_regress(ds.subset(np.arange(320)), ds.probs[320:], 0.1)
+        assert block_widths == [80]
+
+    def test_no_queries(self):
+        ds = random_canonical(np.random.default_rng(3), 30, 3)
+        assert kde_regress(ds, np.empty((0, 3)), 0.1).shape == (0, 3)
 
 
 class TestKkr:
