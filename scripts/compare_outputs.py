@@ -156,7 +156,7 @@ def json_fields(value, path=""):
         items = ((f"{path}[{i}]", v) for i, v in enumerate(value))
     else:
         return {path: value}
-    return {p: leaf for k, v in items for p, leaf in json_fields(v, k).items()}
+    return {p: leaf for sub, v in items for p, leaf in json_fields(v, sub).items()}
 
 
 def csv_fields(path):

@@ -57,7 +57,8 @@ FAST_EXP_FLOOR = -700.0
 DEAD_CUTOFF = -746.0
 # bytes of one (n_train, block) kde weight array: kde_regress takes its
 # queries in column blocks this size, so its memory does not grow with the
-# query count, and the small products stay in a core's L2 cache
+# query count. Of 256 KiB to 2 MiB, 512 KiB ran evaluate-kde fastest on
+# 2 cores with OpenBLAS (BENCH_kde_blocks.json)
 KDE_BLOCK_BYTES = 512 * 1024
 
 
@@ -229,8 +230,8 @@ def kde_regress(train, queries, bandwidth):
     weight array holds at most KDE_BLOCK_BYTES (at least one column), so
     memory is bounded by that budget, not by n_train * m. A small input is
     one block. A result matches the one-shot product up to BLAS kernel
-    rounding: a block's `w.T @ Y` may run on a small-matrix GEMM kernel
-    that sums in another order (about 1e-14 relative).
+    rounding: BLAS picks its kernel by matrix size, so a block's products
+    may sum in another order, and 1/b scales the log-weights' share of it.
     """
     check_hyper("kde", bandwidth)
     Xs = clip_simplex(_as_simplex_points(train.probs))
@@ -247,9 +248,13 @@ def kde_regress(train, queries, bandwidth):
     ghat = np.empty((len(Qs),) + Y.shape[1:])
     cols = max(1, KDE_BLOCK_BYTES // (8 * n))
     blocks = max(1, -(-len(Qs) // cols))
+    # one weight array serves every block: allocating one per block made
+    # evaluate-tce's kde_regress 1.5x slower, as malloc returned its pages
+    # to the system and faulted them in again
+    buf = np.empty(n * min(cols, len(Qs)))
     for q, s, out in zip(np.array_split(Qs, blocks), np.array_split(shift, blocks),
                          np.array_split(ghat, blocks)):
-        log_w = log_x @ q.T
+        log_w = np.matmul(log_x, q.T, out=buf[: n * len(q)].reshape(n, len(q)))
         log_w *= inv_b
         log_w += s[None, :]
         w = _exp_inplace(log_w)
