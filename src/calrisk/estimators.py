@@ -225,45 +225,45 @@ def kde_regress(train, queries, bandwidth):
     At small bandwidths most log-weights lie far below -708, where np.exp
     is many times slower; `_exp_inplace` clamps them onto its fast path and
     restores the exact underflowed values, so the weights are bit for bit
-    those of a plain np.exp.
+    those of a plain np.exp of the log-weights.
     The queries are taken in equal column blocks whose (n_train, block)
     weight array holds at most KDE_BLOCK_BYTES (at least one column), so
     memory is bounded by that budget, not by n_train * m. A small input is
-    one block. A result matches the one-shot product up to BLAS kernel
-    rounding: BLAS picks its kernel by matrix size, so a block's products
-    may sum in another order, and 1/b scales the log-weights' share of it.
+    one block. Each block is two products and one exp: [log x_i, 1] times
+    [q_j / b, shift_j] gives the log-weights with the kernel scale and
+    shift folded in, and the weights times [labels, 1] give the label
+    numerators with the weight sums in the last column. The sums column,
+    read once after the last block, marks the NaN rows and divides the
+    rest. A result matches the textbook scale-shift-exp-sum passes up to
+    rounding: the products sum in another order, which BLAS also picks by
+    matrix size, and 1/b scales the log-weights' share of it.
     """
     check_hyper("kde", bandwidth)
     Xs = clip_simplex(_as_simplex_points(train.probs))
     Qs = clip_simplex(_as_simplex_points(queries))
     n, d = Xs.shape
     inv_b = 1.0 / bandwidth
-    # log k_dir(x_i; q_j) = (1/b) <q_j, log x_i> + log B(q_j / b + 1)^-1
-    log_x = np.log(Xs)
-    shift = gammaln(d + inv_b) - gammaln(Qs * inv_b + 1.0).sum(axis=1)
-    if train.mode == CANONICAL:
-        Y = one_hot(train.labels, train.dim)
-    else:
-        Y = train.labels.astype(float)
-    ghat = np.empty((len(Qs),) + Y.shape[1:])
+    # log k_dir(x_i; q_j) = <q_j / b, log x_i> + log B(q_j / b + 1)^-1
+    log_x1 = np.column_stack([np.log(Xs), np.ones(n)])
+    qs = Qs * inv_b
+    qs1 = np.column_stack([qs, gammaln(d + inv_b) - gammaln(qs + 1.0).sum(axis=1)])
+    labels = one_hot(train.labels, train.dim) if train.mode == CANONICAL else train.labels
+    Y1 = np.column_stack([labels, np.ones(n)])
+    num = np.empty((len(Qs), Y1.shape[1]))
     cols = max(1, KDE_BLOCK_BYTES // (8 * n))
     blocks = max(1, -(-len(Qs) // cols))
     # one weight array serves every block: allocating one per block made
     # evaluate-tce's kde_regress 1.5x slower, as malloc returned its pages
     # to the system and faulted them in again
     buf = np.empty(n * min(cols, len(Qs)))
-    for q, s, out in zip(np.array_split(Qs, blocks), np.array_split(shift, blocks),
-                         np.array_split(ghat, blocks)):
-        log_w = np.matmul(log_x, q.T, out=buf[: n * len(q)].reshape(n, len(q)))
-        log_w *= inv_b
-        log_w += s[None, :]
-        w = _exp_inplace(log_w)
-        denom = w.sum(axis=0)
-        bad = ~np.isfinite(denom) | (denom == 0.0)
-        denom[bad] = 1.0
-        np.divide(w.T @ Y, denom[:, None] if Y.ndim == 2 else denom, out=out)
-        out[bad] = np.nan
-    return ghat
+    for q, out in zip(np.array_split(qs1, blocks), np.array_split(num, blocks)):
+        log_w = np.matmul(log_x1, q.T, out=buf[: n * len(q)].reshape(n, len(q)))
+        np.matmul(_exp_inplace(log_w).T, Y1, out=out)
+    denom = num[:, -1:]
+    bad = ~np.isfinite(denom) | (denom == 0.0)
+    ghat = num[:, :-1] / np.where(bad, 1.0, denom)
+    ghat[bad[:, 0]] = np.nan
+    return ghat if train.mode == CANONICAL else ghat[:, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -304,8 +304,9 @@ class TestKde:
 
 
 def kde_regress_plain_exp(train, queries, bandwidth):
-    """kde_regress as written before its weights were kept off np.exp's
-    slow path: one plain np.exp over every log-weight. Oracle only."""
+    """The textbook Nadaraya-Watson form of kde_regress, one shot over every
+    query: the log-kernel product, then a scale pass, a shift pass, a plain
+    np.exp and a column sum for the denominators. Oracle only."""
     if bandwidth <= 0:
         raise InputError("bandwidth must be positive")
     Xs = clip_simplex(_as_simplex_points(train.probs))
@@ -393,7 +394,8 @@ class TestExpInplace:
 
 
 class TestKdeWeightsBitIdentity:
-    """kde_regress equals its plain-np.exp form bit for bit, NaN rows too."""
+    """kde_regress with `_exp_inplace` equals kde_regress with a plain np.exp
+    in its place bit for bit, NaN rows too: the fast path changes no weight."""
 
     @pytest.fixture
     def band_lanes(self, monkeypatch):
@@ -408,6 +410,12 @@ class TestKdeWeightsBitIdentity:
         monkeypatch.setattr(estimators, "_exp_inplace", counted)
         return seen
 
+    @staticmethod
+    def with_plain_exp(train, queries, b):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimators, "_exp_inplace", plain_exp)
+            return kde_regress(train, queries, b)
+
     @pytest.mark.parametrize("mode", [CANONICAL, TOP_LABEL])
     def test_full_default_grid(self, band_lanes, mode):
         ds = simulate(SimConfig(n=400, d=5, seed=5)).dataset
@@ -420,11 +428,12 @@ class TestKdeWeightsBitIdentity:
         assert len(grid) == 20
         for b in grid:
             got = kde_regress(train, queries, b)
-            assert np.array_equal(got, kde_regress_plain_exp(train, queries, b),
+            assert np.array_equal(got, self.with_plain_exp(train, queries, b),
                                   equal_nan=True), b
         assert sum(band_lanes) > 0
 
     def test_nan_rows(self, band_lanes):
+        # on this 20-row input kde_regress still rounds as the textbook form does
         P = np.tile([[0.98, 0.01, 0.01]], (20, 1))
         ds = Dataset(P, np.zeros(20, dtype=int), CANONICAL)
         queries = np.array([[0.01, 0.01, 0.98], [0.98, 0.01, 0.01],
@@ -437,13 +446,32 @@ class TestKdeWeightsBitIdentity:
 
 
 def blocked_rtol(n_train, d, bandwidth):
-    """How far query blocks may move kde_regress by BLAS rounding alone: a
-    block's products may sum each of the n_train nonnegative weights in
-    another order (n_train * eps), and round each d-term log-weight
-    <q, log x>, |<q, log x>| <= -log(CLIP_EPS), in another order, which the
-    weights see multiplied by 1/b."""
+    """How far kde_regress may move from the one-shot textbook form by
+    rounding alone: its products may sum each of the n_train nonnegative
+    weights in another order (n_train * eps), whether BLAS picks another
+    kernel for a query block or the weight sums ride in the label product,
+    and round each log-weight in another order, which the weights see
+    multiplied by 1/b: the d-term <q, log x>, |<q, log x>| <= -log(CLIP_EPS),
+    with the 1/b scale and the shift folded into the same product."""
     eps = np.finfo(float).eps
     return n_train * eps + 2 * d * eps * -np.log(CLIP_EPS) / bandwidth
+
+
+# a query far from every training point of the multi-block input: its
+# weights underflow at small bandwidths
+MIDDLE = 350
+
+
+def multi_block_input(mode):
+    """3000 training rows and 700 queries, so a 512 KiB block holds 21."""
+    ds = simulate(SimConfig(n=3700, d=5, seed=3)).dataset
+    if mode == TOP_LABEL:
+        conf = ds.probs.max(axis=1)
+        correct = (ds.labels == ds.probs.argmax(axis=1)).astype(int)
+        ds = Dataset(conf[:, None], correct, TOP_LABEL)
+    train, queries = ds.subset(np.arange(3000)), ds.probs[3000:].copy()
+    queries[MIDDLE] = 0.01 if mode == TOP_LABEL else 0.2
+    return train, queries
 
 
 class TestKdeBlocks:
@@ -465,15 +493,7 @@ class TestKdeBlocks:
 
     @pytest.mark.parametrize("mode", [CANONICAL, TOP_LABEL])
     def test_many_blocks_match_one_shot_over_default_grid(self, block_widths, mode):
-        ds = simulate(SimConfig(n=3700, d=5, seed=3)).dataset
-        if mode == TOP_LABEL:
-            conf = ds.probs.max(axis=1)
-            correct = (ds.labels == ds.probs.argmax(axis=1)).astype(int)
-            ds = Dataset(conf[:, None], correct, TOP_LABEL)
-        train, queries = ds.subset(np.arange(3000)), ds.probs[3000:].copy()
-        # far from every training point: its weights underflow at small b
-        middle = 350
-        queries[middle] = 0.01 if mode == TOP_LABEL else 0.2
+        train, queries = multi_block_input(mode)
         grid = default_grid("kde", mode, len(train))
         assert len(grid) == 20
         for b in grid:
@@ -487,8 +507,23 @@ class TestKdeBlocks:
         # equal blocks, the middle row neither in the first nor in the last
         assert len(block_widths) > 2 and sum(block_widths) == len(queries)
         assert max(block_widths) - min(block_widths) <= 1
-        assert block_widths[0] <= middle < len(queries) - block_widths[-1]
-        assert np.isnan(kde_regress(train, queries, grid[-1])[middle]).all()
+        assert block_widths[0] <= MIDDLE < len(queries) - block_widths[-1]
+        assert np.isnan(kde_regress(train, queries, grid[-1])[MIDDLE]).all()
+
+    def test_canonical_rows_sum_to_one(self, block_widths):
+        # the label numerators and the weight sums come from one product, so
+        # a row's numerators add up to its denominator to rounding
+        train, queries = multi_block_input(CANONICAL)
+        tol = (len(train) + queries.shape[1]) * np.finfo(float).eps
+        grid = default_grid("kde", CANONICAL, len(train))
+        assert len(grid) == 20
+        for b in grid:
+            got = kde_regress(train, queries, b)
+            finite = np.isfinite(got).all(axis=1)
+            assert finite.any() and np.isnan(got[~finite]).all(), b
+            np.testing.assert_allclose(got[finite].sum(axis=1), 1.0, rtol=0.0, atol=tol,
+                                       err_msg=str(b))
+        assert len(block_widths) > 2 * len(grid)  # several blocks per call
 
     def test_small_input_is_one_block(self, block_widths):
         # the input of TestKdeWeightsBitIdentity, which pins bit identity
