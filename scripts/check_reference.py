@@ -25,13 +25,20 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# read perfbench without writing bytecode into it, here or in the children
+sys.dont_write_bytecode = True
+os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import checks  # noqa: E402
+import run  # noqa: E402
 
 
 def _rel(got, want):
     return abs(got - want) / abs(want) if want else abs(got - want)
 
 
-def moves(run, checks, prep, op):
+def moves(prep, op):
     """{family: relative move against the reference} of a passed operation."""
     ref = run.load_reference(prep)["threads"][str(op["threads"])]
     if run.WORKLOADS[prep.workload].kind == "evaluate":
@@ -46,13 +53,6 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workloads", help="comma-separated perfbench workload names")
     args = parser.parse_args(argv)
-    # read perfbench without writing bytecode into it, here or in the children
-    sys.dont_write_bytecode = True
-    os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import checks
-    import run
-
     names = args.workloads.split(",")
     unknown = sorted(set(names) - set(run.WORKLOADS))
     if unknown:
@@ -73,7 +73,7 @@ def main(argv=None):
                         print(f"FAILED {name} instance {instance} at {threads} BLAS threads: "
                               + "; ".join(op["problems"]), flush=True)
                         continue
-                    for fam, move in moves(run, checks, prep, op).items():
+                    for fam, move in moves(prep, op).items():
                         worst[fam] = max(worst.get(fam, 0.0), move)
             for fam, move in sorted(worst.items()):
                 print(f"{name} {fam}: worst move {move:.3g} relative", flush=True)

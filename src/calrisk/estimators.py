@@ -57,8 +57,8 @@ FAST_EXP_FLOOR = -700.0
 DEAD_CUTOFF = -746.0
 # bytes of one (n_train, block) kde weight array: kde_regress takes its
 # queries in column blocks this size, so its memory does not grow with the
-# query count. Of 256 KiB to 2 MiB, 512 KiB ran evaluate-kde fastest on
-# 2 cores with OpenBLAS (BENCH_kde_blocks.json)
+# query count. Of 256 KiB to 2 MiB, 512 KiB ran evaluate-kde fastest on 2
+# cores with OpenBLAS (BENCH_kde_blocks.json; re-swept: BENCH_kde_fused.json)
 KDE_BLOCK_BYTES = 512 * 1024
 
 
@@ -259,10 +259,10 @@ def kde_regress(train, queries, bandwidth):
     for q, out in zip(np.array_split(qs1, blocks), np.array_split(num, blocks)):
         log_w = np.matmul(log_x1, q.T, out=buf[: n * len(q)].reshape(n, len(q)))
         np.matmul(_exp_inplace(log_w).T, Y1, out=out)
-    denom = num[:, -1:]
+    denom = num[:, -1]
     bad = ~np.isfinite(denom) | (denom == 0.0)
-    ghat = num[:, :-1] / np.where(bad, 1.0, denom)
-    ghat[bad[:, 0]] = np.nan
+    ghat = num[:, :-1] / np.where(bad, 1.0, denom)[:, None]
+    ghat[bad] = np.nan
     return ghat if train.mode == CANONICAL else ghat[:, 0]
 
 
