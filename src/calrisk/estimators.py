@@ -18,11 +18,11 @@ R = phi, and cross-validation scores the features without any (m, m)
 matrix. kkr and ukkr are kernel quadratic forms B^T core B over a basis B
 of the evaluation rows, so F = B^T and R = (core B)^T. Both fit from a
 training Gram's `Spectrum` alone (`kkr_prepare`), and a fitted model is
-`(spectrum, core)`.
+`(spectrum, lam)`: its (n, n) core is built inside `factors` and dropped.
 
 ukkr's cross-validation is factored (`ukkr_cv_features`): it only ranks a
 lambda grid, and the factored and dense holdout risks agree to rounding.
-Its refit and estimate stay dense, because factoring them moves the
+Its fitted model stays dense, because factoring it moves the
 estimates: by up to 1.5e-3 relative through the Gram eigenbasis, 7.9e-3
 through Q^T G Q computed as V V^T. So `UkkrModel` has no `features`.
 """
@@ -86,13 +86,13 @@ def rbf_gram(X, Y, gamma):
     """(n, m) matrix of RBF kernel values between rows of X and rows of Y."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    sq = (
-        np.sum(X * X, axis=1)[:, None]
-        + np.sum(Y * Y, axis=1)[None, :]
-        - 2.0 * (X @ Y.T)
-    )
+    xy = X @ Y.T
+    xy *= 2.0
+    sq = np.sum(X * X, axis=1)[:, None] + np.sum(Y * Y, axis=1)[None, :]
+    sq -= xy
     np.clip(sq, 0.0, None, out=sq)
-    return np.exp(-gamma * sq)
+    sq *= -gamma
+    return np.exp(sq, out=sq)
 
 
 def clip_simplex(P):
@@ -296,17 +296,18 @@ class Spectrum:
 class KkrModel(PairModel):
     """Closed-form Kronecker kernel ridge model.
 
-    `core` is Ltilde o (Q^T D^T D Q) with Ltilde_ij = 1 / (l_i l_j + lam n^2),
-    so a prediction is k(p)^T Q core Q^T k(p2).
+    A prediction is k(p)^T Q core Q^T k(p2) with `kkr_core`'s
+    Ltilde o (Q^T D^T D Q), Ltilde_ij = 1 / (l_i l_j + lam n^2); the (n, n)
+    core is built by each `factors` call and not kept.
     """
 
     spectrum: Spectrum
-    core: np.ndarray
+    lam: float
 
     def factors(self, P):
         """(B^T, (core B)^T) over the basis B = Q^T k(X, P)."""
         B = self.spectrum.basis(P)
-        return B.T, (self.core @ B).T
+        return B.T, (kkr_core(self.spectrum, self.lam) @ B).T
 
     pairwise = factor_pairwise
     diag = factor_diag
@@ -315,45 +316,59 @@ class KkrModel(PairModel):
 def kkr_prepare(train, gamma):
     """The `Spectrum` of `train`: one eigendecomposition of its RBF Gram."""
     X = train.probs
-    K = rbf_gram(X, X, gamma)
-    evals, Q = np.linalg.eigh(K)
+    # the Gram and the residual Gram G are temporaries, freed after their
+    # one use; (Q^T G) Q is the product order of Q^T @ G @ Q
+    evals, Q = np.linalg.eigh(rbf_gram(X, X, gamma))
     if evals.min() < EIG_FLOOR:
         raise NumericError(
             f"Gram matrix eigenvalue {evals.min()} below {EIG_FLOOR}"
         )
     evals = np.clip(evals, 0.0, None)
     delta = residual_matrix(train)
-    G = delta.T @ delta
-    return Spectrum(X, float(gamma), Q, evals, Q.T @ G @ Q, Q.T @ delta.T)
+    QtG = Q.T @ (delta.T @ delta)
+    return Spectrum(X, float(gamma), Q, evals, QtG @ Q, Q.T @ delta.T)
+
+
+def _check_kkr(spec, lam):
+    """InputError for a negative lam, NumericError for lam = 0 on a singular Gram."""
+    check_hyper("kkr", lam)
+    if lam == 0 and spec.evals.min() < SINGULAR_TOL:
+        raise NumericError(
+            f"lambda=0 with singular Gram matrix (min eigenvalue {spec.evals.min()})"
+        )
 
 
 def kkr_core(spec, lam):
-    evals, n = spec.evals, spec.evals.size
-    check_hyper("kkr", lam)
-    if lam == 0 and evals.min() < SINGULAR_TOL:
-        raise NumericError(
-            f"lambda=0 with singular Gram matrix (min eigenvalue {evals.min()})"
-        )
-    scale = 1.0 / (np.outer(evals, evals) + lam * n * n)
-    return scale * spec.QtGQ
+    """The (n, n) kkr core at `lam`, in one (n, n) array."""
+    _check_kkr(spec, lam)
+    n = spec.evals.size
+    core = np.outer(spec.evals, spec.evals)
+    core += lam * n * n
+    np.divide(1.0, core, out=core)
+    core *= spec.QtGQ
+    return core
 
 
 def fit_kkr(spectrum, lam):
-    """The Kronecker kernel ridge closed form at `lam` on `spectrum`'s training set."""
-    return KkrModel(spectrum, kkr_core(spectrum, lam))
+    """The Kronecker kernel ridge model at `lam` on `spectrum`'s training set;
+    a lam that `kkr_core` cannot take raises here."""
+    _check_kkr(spectrum, lam)
+    return KkrModel(spectrum, lam)
 
 
 @dataclass(frozen=True)
 class UkkrModel(PairModel):
-    """Two-step model: dense core (K + lam n I)^-1 D^T D (K + lam n I)^-1 over k(X, P)."""
+    """Two-step model: dense core (K + lam n I)^-1 D^T D (K + lam n I)^-1 over
+    k(X, P), built as Q `ukkr_rotated_core` Q^T by each `factors` call."""
 
     spectrum: Spectrum
-    core: np.ndarray
+    lam: float
 
     def factors(self, P):
         """(B^T, (core B)^T) over the basis B = k(X, P)."""
         B = rbf_gram(self.spectrum.X, P, self.spectrum.gamma)
-        return B.T, (self.core @ B).T
+        Q = self.spectrum.Q
+        return B.T, ((Q @ ukkr_rotated_core(self.spectrum, self.lam) @ Q.T) @ B).T
 
     pairwise = factor_pairwise
     diag = factor_diag
@@ -372,9 +387,10 @@ def _ukkr_shift(spec, lam):
 
 
 def ukkr_rotated_core(spec, lam):
-    """Core of the two-step solve in the Gram eigenbasis; `fit_ukkr` rotates it back."""
+    """Core of the two-step solve in the Gram eigenbasis; `UkkrModel` rotates it back."""
     shifted = _ukkr_shift(spec, lam)
-    return spec.QtGQ / np.outer(shifted, shifted)
+    core = np.outer(shifted, shifted)
+    return np.divide(spec.QtGQ, core, out=core)
 
 
 def ukkr_cv_features(spec, basis, lam):
@@ -384,13 +400,14 @@ def ukkr_cv_features(spec, basis, lam):
     basis `spec.basis(P)`. Since Q^T G Q = V V^T, Phi = basis^T diag(1/s) V
     with s = evals + lam n: the two-step KRR of Stock, Pahikkala et al. (2018)
     in O(n m d) per lambda. It agrees with the dense matrix to rounding, so
-    it serves to rank a lambda grid; the refit keeps the dense core, since
-    factoring it moves the estimates (see the module docstring).
+    it serves to rank a lambda grid; the fitted model keeps the dense core,
+    since factoring it moves the estimates (see the module docstring).
     """
     return basis.T @ (spec.V / _ukkr_shift(spec, lam)[:, None])
 
 
 def fit_ukkr(spectrum, lam):
-    """The two-step kernel ridge model at `lam` on `spectrum`'s training set."""
-    Q = spectrum.Q
-    return UkkrModel(spectrum, Q @ ukkr_rotated_core(spectrum, lam) @ Q.T)
+    """The two-step kernel ridge model at `lam` on `spectrum`'s training set;
+    a lam that `ukkr_rotated_core` cannot take raises here."""
+    _ukkr_shift(spectrum, lam)
+    return UkkrModel(spectrum, lam)

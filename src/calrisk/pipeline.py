@@ -11,7 +11,8 @@ same `Fold`s, and each fold decomposes its Gram once, on first use: its
 `estimators.Spectrum` (eigenvectors Q, eigenvalues evals, rotated residual
 Gram QtGQ and residuals V) serves every lambda of kkr and ukkr and their
 refits. Every family but kkr is scored from (m, d') holdout feature rows;
-ukkr's come from that spectrum, while its refit stays dense. A fold
+ukkr's come from that spectrum. A kkr or ukkr fold model is that spectrum
+and its lambda, and builds its dense core only to predict. A fold
 predicts and scores one grid point at a time, and a point that fails
 numerically is skipped from then on.
 """
@@ -404,8 +405,7 @@ def run_evaluate(cfg, ds):
     fold risks, whose means and standard errors the report's `grid` rows
     hold. The tuning set is split into folds once (`kfold_splits`), so
     every family is scored on the same holdout folds and kkr and ukkr share
-    each fold's spectrum. A family's fold models are dropped once its
-    estimate is in the report.
+    each fold's spectrum.
     """
     work = top_label_dataset(ds) if cfg.mode == "tce" else ds
     tune, test = split_dataset(work, cfg.test_fraction, cfg.seed)
@@ -436,7 +436,4 @@ def run_evaluate(cfg, ds):
         est = final_estimate(cv.fold_models, test)
         report["families"][fam] = _family_entry(cv, est)
         grids[fam] = cv.grid
-        # the fold models hold (n, n) cores; free them before the next
-        # family fits its own
-        del cv
     return report, grids

@@ -16,6 +16,8 @@ from calrisk.core import (
     factor_diag,
     factor_pairwise,
     one_hot,
+    residual_matrix,
+    top_label_dataset,
 )
 from calrisk.estimators import (
     CLIP_EPS,
@@ -617,8 +619,11 @@ class TestKkr:
     def test_lambda_zero_singular_gram(self):
         probs = np.tile([[0.5, 0.5]], (5, 1))
         ds = Dataset(probs, np.zeros(5, dtype=int), CANONICAL)
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError,
+                           match=r"^lambda=0 with singular Gram matrix \(min eigenvalue "):
             fit_kkr(kkr_prepare(ds, 0.5), 0.0)
+        with pytest.raises(InputError, match="^lambda must be nonnegative$"):
+            fit_kkr(kkr_prepare(ds, 0.5), -1.0)
 
 
 class TestUkkr:
@@ -677,6 +682,15 @@ class TestUkkr:
         for p in rng.dirichlet(np.ones(3), size=10):
             assert model.predict(p, p) >= 0.0
 
+    def test_lambda_zero_singular_gram(self):
+        probs = np.tile([[0.5, 0.5]], (5, 1))
+        ds = Dataset(probs, np.zeros(5, dtype=int), CANONICAL)
+        with pytest.raises(NumericError,
+                           match=r"^singular system in two-step solve \(min shifted eigenvalue "):
+            fit_ukkr(kkr_prepare(ds, 0.5), 0.0)
+        with pytest.raises(InputError, match="^lambda must be nonnegative$"):
+            fit_ukkr(kkr_prepare(ds, 0.5), -1.0)
+
     def test_symmetry(self):
         rng = np.random.default_rng(23)
         ds = random_canonical(rng, 10, 3)
@@ -685,3 +699,63 @@ class TestUkkr:
         assert model.predict(p, p2) == pytest.approx(
             model.predict(p2, p), abs=1e-12
         )
+
+
+def rbf_gram_reference(X, Y, gamma):
+    """`rbf_gram` as the textbook expression, one temporary per operation."""
+    sq = np.sum(X * X, axis=1)[:, None] + np.sum(Y * Y, axis=1)[None, :] - 2.0 * (X @ Y.T)
+    np.clip(sq, 0.0, None, out=sq)
+    return np.exp(-gamma * sq)
+
+
+def stored_core_factors(model, P):
+    """(F, R) of a kkr or ukkr model whose (n, n) core is formed at fit time,
+    with the same operands and operation order as `factors`."""
+    spec, lam = model.spectrum, model.lam
+    Q, evals, n = spec.Q, spec.evals, spec.evals.size
+    if isinstance(model, KkrModel):
+        core = (1.0 / (np.outer(evals, evals) + lam * n * n)) * spec.QtGQ
+        B = Q.T @ rbf_gram_reference(spec.X, P, spec.gamma)
+    else:
+        shifted = evals + lam * n
+        core = Q @ (spec.QtGQ / np.outer(shifted, shifted)) @ Q.T
+        B = rbf_gram_reference(spec.X, P, spec.gamma)
+    return B.T, (core @ B).T
+
+
+def full_rank_canonical(rng):
+    while True:
+        ds = random_canonical(rng, 8, 3)
+        if np.linalg.cond(rbf_gram(ds.probs, ds.probs, 0.5)) < 1e6:
+            return ds
+
+
+@pytest.mark.parametrize("case", ["tce", "cce", "full-rank"])
+@pytest.mark.parametrize("family, fit", [("kkr", fit_kkr), ("ukkr", fit_ukkr)])
+def test_kernel_factors_equal_stored_core_bit_for_bit(case, family, fit):
+    """A kkr or ukkr model is (spectrum, lam) and builds its core per call;
+    its factors are those of a core stored at fit time, bit for bit."""
+    rng = np.random.default_rng(24)
+    if case == "full-rank":
+        train, lams = full_rank_canonical(rng), [0.0, 1e-3]
+        P = rng.dirichlet(np.ones(3), size=40)
+    else:
+        ds = simulate(SimConfig(n=160, seed=5)).dataset
+        ds = top_label_dataset(ds) if case == "tce" else ds
+        train, P = ds.subset(np.arange(120)), ds.probs[120:]
+        lams = default_grid(family, train.mode, len(train))[::4]
+    spectrum = kkr_prepare(train, 0.5)
+    X = train.probs
+    for Y in (X, P):
+        np.testing.assert_array_equal(rbf_gram(X, Y, 0.5), rbf_gram_reference(X, Y, 0.5))
+    delta = residual_matrix(train)
+    np.testing.assert_array_equal(
+        spectrum.QtGQ, spectrum.Q.T @ (delta.T @ delta) @ spectrum.Q)
+    for lam in lams:
+        model = fit(spectrum, lam)
+        assert model.spectrum is spectrum and model.lam == lam
+        F, R = model.factors(P)
+        F0, R0 = stored_core_factors(model, P)
+        np.testing.assert_array_equal(F, F0)
+        np.testing.assert_array_equal(R, R0)
+        np.testing.assert_array_equal(model.diag(P), np.sum(F0 * R0, axis=1))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -446,9 +448,33 @@ class TestUkkrFactoredCv:
             ukkr_cv_features(spectrum, np.zeros((50, 4)), -1.0)
 
     def test_rotated_core_serves_only_the_refits(self, ukkr_core_calls):
+        # the grid is ranked from holdout rows and the refits keep no core:
+        # each fold model builds it when it predicts, once per estimate
         tune = random_canonical(np.random.default_rng(32), 50, 3)
         cv = cv_on(tune, "ukkr", grid=[0.01, 0.1, 1.0], k=5)
+        assert ukkr_core_calls == []
+        final_estimate(cv.fold_models, random_canonical(np.random.default_rng(33), 20, 3))
         assert ukkr_core_calls == [cv.best_hyper] * 5
+
+
+@pytest.mark.parametrize("family", ["kkr", "ukkr"])
+def test_fold_models_keep_no_core(family):
+    """The k fold models of a cross-validation hold their fold's spectrum and
+    lambda, not an (n_train, n_train) core each."""
+    tune = random_canonical(np.random.default_rng(34), 250, 3)
+    folds = kfold_splits(tune, 5, 0, 0.5)
+    for fold in folds:
+        fold.basis  # the spectra and bases are the folds', built beforehand
+    n_train = len(folds[0].train)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cv = cross_validate(folds, family, grid=[0.01, 0.1, 1.0])
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert n_train >= 200 and len(cv.fold_models) == 5
+    assert kept < n_train * n_train * 8
 
 
 class TestSharedSpectra:
