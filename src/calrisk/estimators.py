@@ -86,6 +86,7 @@ def rbf_gram(X, Y, gamma):
     """(n, m) matrix of RBF kernel values between rows of X and rows of Y."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    # in place, in the operation order of |x|^2 + |y|^2 - 2 x.y: two (n, m) arrays
     xy = X @ Y.T
     xy *= 2.0
     sq = np.sum(X * X, axis=1)[:, None] + np.sum(Y * Y, axis=1)[None, :]
@@ -316,8 +317,7 @@ class KkrModel(PairModel):
 def kkr_prepare(train, gamma):
     """The `Spectrum` of `train`: one eigendecomposition of its RBF Gram."""
     X = train.probs
-    # the Gram and the residual Gram G are temporaries, freed after their
-    # one use; (Q^T G) Q is the product order of Q^T @ G @ Q
+    # the Gram and G = delta^T delta die after one use; (Q^T G) Q is Q^T @ G @ Q's order
     evals, Q = np.linalg.eigh(rbf_gram(X, X, gamma))
     if evals.min() < EIG_FLOOR:
         raise NumericError(
