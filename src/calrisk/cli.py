@@ -129,15 +129,21 @@ def _config(cls, args, **fields):
     return cls(**{k: v for k, v in vars(args).items() if k in names}, **fields)
 
 
-def _check_outputs(*paths):
-    """InputError unless each output path names a file in an existing directory."""
-    for path in filter(None, paths):
+def _check_outputs(outputs, inputs=()):
+    """InputError unless each output path names a file in an existing
+    directory, and no two of the outputs and inputs name the same file."""
+    taken = {os.path.realpath(path): path for path in inputs}
+    for path in filter(None, outputs):
         if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
             raise InputError(f"cannot write {path}: not a file in an existing directory")
+        real = os.path.realpath(path)
+        if real in taken:
+            raise InputError(f"cannot write {path}: it is the same file as {taken[real]}")
+        taken[real] = path
 
 
 def _cmd_simulate(args):
-    _check_outputs(args.out, args.dump_data)
+    _check_outputs((args.out, args.dump_data))
     if args.seeds < 1:
         raise InputError(f"need at least 1 seed, got {args.seeds}")
     thetas = (list(DEFAULT_THETAS) if args.theta_grid is None
@@ -182,7 +188,7 @@ def _write_json(payload, out):
 
 
 def _cmd_evaluate(args):
-    _check_outputs(args.out, args.emit_csv)
+    _check_outputs((args.out, args.emit_csv), inputs=(args.data,))
     cfg = _config(RunConfig, args, grids={
         fam: _parse_float_list(getattr(args, f"grid_{fam}"))
         for fam in FAMILIES if hasattr(args, f"grid_{fam}")})

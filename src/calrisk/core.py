@@ -175,13 +175,16 @@ def top_label_dataset(ds):
     return Dataset(conf[:, None], correct, TOP_LABEL)
 
 
-def residual_matrix(ds):
-    """Column-per-sample residuals.
-
-    Canonical: (d, n) with column i equal to f(X_i) - e_{Y_i}. Top-label:
-    (1, n) with the scalar confidence-minus-correctness residual.
-    """
+def label_targets(ds):
+    """The label of each sample as a row: (n, d) one-hot classes in
+    canonical mode, the (n, 1) correctness column as float in top-label."""
     if ds.mode == CANONICAL:
-        return ds.probs.T - one_hot(ds.labels, ds.dim).T
-    return (ds.probs[:, 0] - ds.labels)[None, :]
+        return one_hot(ds.labels, ds.dim)
+    return ds.labels[:, None].astype(float)
+
+
+def residual_matrix(ds):
+    """Column-per-sample residuals f(X_i) - `label_targets`: (d, n) in
+    canonical mode, (1, n) confidence minus correctness in top-label."""
+    return (ds.probs - label_targets(ds)).T
 

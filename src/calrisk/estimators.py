@@ -14,11 +14,11 @@ diagonal predictions h(p_i, p_i) that the final estimate averages) serve
 every family, and `predict(p, p2)` evaluates one pair through `pairwise`.
 Binning and kde are inner products of a feature map, h(p, p2) =
 <phi(p), phi(p2)>: their `features(P)` gives the (m, d') rows phi(p), F =
-R = phi, and cross-validation scores the features without any (m, m)
+R = phi, and `risk.risk_from_factors` scores them without any (m, m)
 matrix. kkr and ukkr are kernel quadratic forms B^T core B over a basis B
-of the evaluation rows, so F = B^T and R = (core B)^T. Both fit from a
-training Gram's `Spectrum` alone (`kkr_prepare`), and a fitted model is
-`(spectrum, lam)`: its (n, n) core is built inside `factors` and dropped.
+of the evaluation rows, so F = B^T and R = (core B)^T (`kkr_factors`). Both
+fit from a training Gram's `Spectrum` alone (`kkr_prepare`), and a fitted
+model is `(spectrum, lam)`: its (n, n) core is built inside `factors`.
 
 ukkr's cross-validation is factored (`ukkr_cv_features`): it only ranks a
 lambda grid, and the factored and dense holdout risks agree to rounding.
@@ -35,7 +35,6 @@ import numpy as np
 from scipy.special import gammaln
 
 from .core import (
-    CANONICAL,
     TOP_LABEL,
     Dataset,
     InputError,
@@ -43,7 +42,7 @@ from .core import (
     PairModel,
     factor_diag,
     factor_pairwise,
-    one_hot,
+    label_targets,
     residual_matrix,
 )
 
@@ -175,12 +174,9 @@ class KdeModel(PairModel):
     bandwidth: float
 
     def features(self, P):
-        """(m, d) residuals p - g(p), (m, 1) in top-label mode; NaN rows kept."""
+        """(m, k) residuals p - g(p), k = d or 1 as P; NaN rows kept."""
         P = np.atleast_2d(np.asarray(P, dtype=float))
-        ghat = kde_regress(self.train, P, self.bandwidth)
-        if self.train.mode == CANONICAL:
-            return P - ghat
-        return (P[:, 0] - ghat)[:, None]
+        return P - kde_regress(self.train, P, self.bandwidth)
 
     pairwise = factor_pairwise
     diag = factor_diag
@@ -219,8 +215,8 @@ def _exp_inplace(x):
 def kde_regress(train, queries, bandwidth):
     """Kernel-weighted label means g(q) at each query point.
 
-    Returns (m, d) label-probability estimates in canonical mode or (m,)
-    correctness estimates in top-label mode. Kernel weights are evaluated in
+    Returns the (m, k) means of `core.label_targets`, k = d in canonical
+    and 1 in top-label mode. Kernel weights are evaluated in
     linear space; queries whose weight sum underflows to zero (or overflows)
     yield NaN rows, the documented sentinel downstream consumers drop.
     At small bandwidths most log-weights lie far below -708, where np.exp
@@ -248,8 +244,7 @@ def kde_regress(train, queries, bandwidth):
     log_x1 = np.column_stack([np.log(Xs), np.ones(n)])
     qs = Qs * inv_b
     qs1 = np.column_stack([qs, gammaln(d + inv_b) - gammaln(qs + 1.0).sum(axis=1)])
-    labels = one_hot(train.labels, train.dim) if train.mode == CANONICAL else train.labels
-    Y1 = np.column_stack([labels, np.ones(n)])
+    Y1 = np.column_stack([label_targets(train), np.ones(n)])
     num = np.empty((len(Qs), Y1.shape[1]))
     cols = max(1, KDE_BLOCK_BYTES // (8 * n))
     blocks = max(1, -(-len(Qs) // cols))
@@ -264,7 +259,7 @@ def kde_regress(train, queries, bandwidth):
     bad = ~np.isfinite(denom) | (denom == 0.0)
     ghat = num[:, :-1] / np.where(bad, 1.0, denom)[:, None]
     ghat[bad] = np.nan
-    return ghat if train.mode == CANONICAL else ghat[:, 0]
+    return ghat
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +301,8 @@ class KkrModel(PairModel):
     lam: float
 
     def factors(self, P):
-        """(B^T, (core B)^T) over the basis B = Q^T k(X, P)."""
-        B = self.spectrum.basis(P)
-        return B.T, (kkr_core(self.spectrum, self.lam) @ B).T
+        """`kkr_factors` over the basis B = Q^T k(X, P)."""
+        return kkr_factors(self.spectrum, self.spectrum.basis(P), self.lam)
 
     pairwise = factor_pairwise
     diag = factor_diag
@@ -347,6 +341,12 @@ def kkr_core(spec, lam):
     np.divide(1.0, core, out=core)
     core *= spec.QtGQ
     return core
+
+
+def kkr_factors(spec, B, lam):
+    """(B^T, (core B)^T) at `lam` over a basis B = Q^T k(X, P): a fitted kkr
+    model's factors, and per lambda those of a fold's holdout basis."""
+    return B.T, (kkr_core(spec, lam) @ B).T
 
 
 def fit_kkr(spectrum, lam):

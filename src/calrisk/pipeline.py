@@ -10,10 +10,10 @@ ensemble for the final test-set estimate. Every family is scored on the
 same `Fold`s, and each fold decomposes its Gram once, on first use: its
 `estimators.Spectrum` (eigenvectors Q, eigenvalues evals, rotated residual
 Gram QtGQ and residuals V) serves every lambda of kkr and ukkr and their
-refits. Every family but kkr is scored from (m, d') holdout feature rows;
-ukkr's come from that spectrum. A kkr or ukkr fold model is that spectrum
-and its lambda, and builds its dense core only to predict. A fold
-predicts and scores one grid point at a time, and a point that fails
+refits. Every family is scored by `risk.risk_from_factors` from the holdout
+factors (F, R) of its predictions H = F R^T. A kkr or ukkr fold model is
+that spectrum and its lambda, and builds its dense core only to predict. A
+fold predicts and scores one grid point at a time, and a point that fails
 numerically is skipped from then on.
 """
 
@@ -41,12 +41,12 @@ from .estimators import (
     fit_kde,
     fit_kkr,
     fit_ukkr,
-    kkr_core,
+    kkr_factors,
     kkr_prepare,
     ukkr_cv_features,
 )
-from .risk import linear_risk, risk_from_factors, risk_from_matrix
-from .sim import DEFAULT_THETAS, SimModel
+from .risk import linear_risk, risk_from_factors
+from .sim import DEFAULT_THETAS, MODEL_TEMP, SimModel
 
 FAMILIES = ("bin", "kde", "kkr", "ukkr", "sim")
 # the dataset mode a family can score; the others take either
@@ -155,7 +155,7 @@ def default_grid(family, mode, n_train):
     raise InputError(f"unknown family {family!r}")
 
 
-def fit_family(family, fold, hyper, model_temp=0.3):
+def fit_family(family, fold, hyper, model_temp=MODEL_TEMP):
     """Fit one model of the given family at one hyperparameter point on
     the fold's training part; kkr and ukkr fit from the fold's spectrum."""
     if family == "bin":
@@ -207,26 +207,20 @@ def kfold_splits(tune, k, seed, gamma):
 
 def _holdout_risk(family, fold, hyper, D, model_temp, linear, seed):
     """The risk of one grid point fitted on one fold's training part, against
-    the fold's (m, d) holdout residual rows D. The predictions are H = F R^T:
-    R = F are the (m, d') feature rows of every family but kkr, scored in
-    factored form, and kkr's H = B^T (core B) is scored as a matrix. The
-    linear risk reads only its pairs of H, from F and R.
+    the fold's (m, d) holdout residual rows D, from the factors (F, R) of
+    its predictions H = F R^T. kkr and ukkr take theirs from the fold's
+    spectrum and holdout basis, the other families from the fitted model.
     """
     if family == "kkr":
-        # one (n, n) x (n, m) product per lambda instead of O(n^3)
-        F, R = fold.basis.T, (kkr_core(fold.spectrum, hyper) @ fold.basis).T
+        F, R = kkr_factors(fold.spectrum, fold.basis, hyper)
     elif family == "ukkr":
         F = R = ukkr_cv_features(fold.spectrum, fold.basis, hyper)
     else:
-        F = R = fit_family(family, fold, hyper, model_temp).features(fold.hold.probs)
-    if linear:
-        return linear_risk(F, R, D, seed)
-    if family == "kkr":
-        return risk_from_matrix(F @ R.T, D)
-    return risk_from_factors(F, D)
+        F, R = fit_family(family, fold, hyper, model_temp).factors(fold.hold.probs)
+    return linear_risk(F, R, D, seed) if linear else risk_from_factors(F, R, D)
 
 
-def cross_validate(folds, family, grid=None, seed=0, linear=False, model_temp=0.3):
+def cross_validate(folds, family, grid=None, seed=0, linear=False, model_temp=MODEL_TEMP):
     """Grid search by cross-validated empirical risk over `kfold_splits` folds.
 
     Returns the winning grid point together with its k fold models, which
@@ -238,9 +232,9 @@ def cross_validate(folds, family, grid=None, seed=0, linear=False, model_temp=0.
     family cannot take (a non-finite value, a bandwidth that is not
     positive, a negative lambda, a bin count that is not a positive
     integer), is an InputError and ends the call. Every family is scored
-    against the holdout residual rows: bin, kde, sim and ukkr by their
-    feature rows, kkr by its (m, m) predictions, and the linear risk by the
-    row dots of its pairs alone, which `seed` orders.
+    against the holdout residual rows from its prediction factors, by the
+    U-statistic (`risk.risk_from_factors`) or by the linear risk, which
+    reads the row dots of its pairs alone, in the order `seed` gives.
     """
     if family not in FAMILIES:
         raise InputError(f"unknown family {family!r}")
@@ -341,7 +335,7 @@ class RunConfig:
     seed: int = 0
     grids: dict = field(default_factory=dict)  # per-family overrides
     linear_risk: bool = False
-    model_temp: float = 0.3                # only used by the sim family
+    model_temp: float = MODEL_TEMP         # only used by the sim family
 
     def __post_init__(self):
         if self.mode not in ("tce", "cce"):

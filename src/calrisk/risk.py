@@ -5,15 +5,15 @@ variant pairs samples circularly after a seeded shuffle.
 
 The pair target is bilinear, T_ij = <delta_i, delta_j> with delta the
 residual p - e_y, so every risk takes the targets as the (m, d) residual
-rows D alone. The bin, kde and sim models are bilinear too:
-h(p, p2) = <phi(p), phi(p2)> with phi at most d wide (`features`). For
-them the U-statistic follows exactly from d x d Gram norms in O(m d^2)
-(`risk_from_factors`). ukkr's cross-validation scores its holdout rows the
-same way, but a fitted ukkr model stays dense and has no `features` (the
-`estimators` module docstring says why). kkr is genuinely pairwise: it and
-a fitted ukkr model score a dense (m, m) prediction matrix
-(`risk_from_matrix`). The linear variant reads only the pairs it scores,
-as row dots (`linear_risk`). Nothing evaluates h one pair at a time.
+rows D alone, and every model predicts H = F R^T from its factors (F, R).
+`risk_from_factors(F, R, D)` is the one entry point that scores them. For
+the bin, kde and sim models, and ukkr's cross-validation rows, R is F =
+phi, at most d wide, and the U-statistic follows exactly from d x d Gram
+norms in O(m d^2). kkr and a fitted ukkr model have R != F (the
+`estimators` module docstring says why ukkr does); for them it scores the
+dense (m, m) matrix F R^T (`risk_from_matrix`). The linear variant reads
+only the pairs it scores, as row dots (`linear_risk`). Nothing evaluates
+h one pair at a time.
 """
 
 from __future__ import annotations
@@ -54,11 +54,12 @@ def risk_from_matrix(H, D):
     return _pair_risk(H[off], T[off], m * (m - 1))
 
 
-def risk_from_factors(F, D):
-    """`risk_from_matrix(F @ F.T, D)` without forming either matrix.
+def risk_from_factors(F, R, D):
+    """`risk_from_matrix(F @ R.T, D)`, forming neither matrix when R is F.
 
-    F holds the (m, d') feature rows of the predictions and D the (m, d)
-    residual rows of the targets. Expanding the squares,
+    F and R are the factors of the predictions H = F R^T and D the (m, d)
+    residual rows of the targets. When R is F, the (m, d') feature rows of
+    a feature model, expanding the squares,
 
         sum_{i != j} (T_ij - H_ij)^2 = ||D^T D||^2 - 2 ||D^T F||^2
             + ||F^T F||^2 - sum_i (||d_i||^2 - ||f_i||^2)^2,
@@ -70,6 +71,8 @@ def risk_from_factors(F, D):
     F F^T nearly reproduces D D^T off the diagonal; there the expansion can
     round below 0, so the value is clamped at 0, as the sum of squares is.
     """
+    if R is not F:
+        return risk_from_matrix(F @ R.T, D)
     F = np.asarray(F, dtype=float)
     D = np.asarray(D, dtype=float)
     m = D.shape[0]
@@ -110,14 +113,10 @@ def linear_risk(F, R, D, seed):
 def empirical_risk(h, eval_set):
     """U-statistic risk over all ordered pairs i != j.
 
-    `h` is a fitted model. One with `features` is scored in factored form,
-    any other through its `pairwise` matrix. The evaluation set must be
-    disjoint from the data used to fit h; this is the caller's
-    responsibility.
+    `h` is a fitted model, scored from its `factors` by `risk_from_factors`.
+    The evaluation set must be disjoint from the data used to fit h; this
+    is the caller's responsibility.
     """
     if len(eval_set) < 2:
         raise InputError("risk needs at least two evaluation samples")
-    D = residual_matrix(eval_set).T
-    if hasattr(h, "features"):
-        return risk_from_factors(h.features(eval_set.probs), D)
-    return risk_from_matrix(h.pairwise(eval_set.probs), D)
+    return risk_from_factors(*h.factors(eval_set.probs), residual_matrix(eval_set).T)

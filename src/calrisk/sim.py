@@ -27,6 +27,9 @@ from .core import (
 from .risk import empirical_risk
 
 LOG_CLIP = 1e-12
+# the simulated classifier's softening factor t, and the sim family's default
+MODEL_TEMP = 0.3
+RISK_CURVE_FOLDS = 5
 
 # candidate temperatures: a window around 1 plus well-separated alternatives;
 # near-duplicates just outside the window (0.75, 1.25) capture noise-level
@@ -39,7 +42,7 @@ class SimConfig:
     n: int = 500
     d: int = 5
     alpha: float = 0.04
-    model_temp: float = 0.3
+    model_temp: float = MODEL_TEMP
     seed: int = 0
 
     def __post_init__(self):
@@ -89,7 +92,7 @@ class SimModel(PairModel):
     """
 
     theta: float
-    model_temp: float = 0.3
+    model_temp: float = MODEL_TEMP
 
     def features(self, P):
         """(m, d) candidate residuals p - softmax((theta/t) log p)."""
@@ -101,20 +104,20 @@ class SimModel(PairModel):
     diag = factor_diag
 
 
-def risk_curve(sim, thetas, k_folds=5, seed=0):
+def risk_curve(sim, thetas, seed=0):
     """Empirical risk of each candidate temperature on the full dataset.
 
-    The per-theta standard error comes from evaluating the risk on k
+    The per-theta standard error comes from the risk on RISK_CURVE_FOLDS
     disjoint folds of the dataset, so each fold needs two samples to pair.
     """
     thetas = check_grid(thetas)
     if len(thetas) < 2:
         raise InputError("risk_curve needs at least two temperatures")
     ds = sim.dataset
-    if len(ds) < 2 * k_folds:
-        raise InputError(f"a risk curve over {k_folds} folds needs n >= {2 * k_folds}, "
-                         f"got n={len(ds)}")
-    folds = kfold_indices(len(ds), k_folds, seed)
+    if len(ds) < 2 * RISK_CURVE_FOLDS:
+        raise InputError(f"a risk curve over {RISK_CURVE_FOLDS} folds needs "
+                         f"n >= {2 * RISK_CURVE_FOLDS}, got n={len(ds)}")
+    folds = kfold_indices(len(ds), RISK_CURVE_FOLDS, seed)
     out = []
     for theta in thetas:
         model = SimModel(theta, sim.config.model_temp)

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from calrisk.core import CANONICAL, Dataset, kfold_indices, one_hot
+from calrisk.core import CANONICAL, Dataset, PairModel, kfold_indices, one_hot
 from calrisk.estimators import (
     fit_binning,
     fit_kde,
@@ -170,9 +170,10 @@ def test_criterion_7_u_statistic_unbiasedness():
     e_s2 = pi0 * (q - 1.0) ** 2 + (1.0 - pi0) * q**2
     analytic = 4.0 * e_s2**2 - 4.0 * c * e_s**2 + c**2
 
-    class Constant:
-        def pairwise(self, P):
-            return np.full((len(P), len(P)), c)
+    class Constant(PairModel):
+        def factors(self, P):
+            # F R^T = c exactly
+            return np.ones((len(P), 1)), np.full((len(P), 1), c)
 
     rng = np.random.default_rng(104)
     values = []

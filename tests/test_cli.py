@@ -570,6 +570,38 @@ def test_simulate_bad_output_path_exits_before_the_run(tmp_path, monkeypatch, fl
     assert calls == []
 
 
+EVALUATE_ARGV = ["evaluate", "--families", "bin", "--data", "d.csv", "--out", "r.json",
+                 "--emit-csv", "f.csv"]
+
+
+@pytest.mark.parametrize("argv, first, second", [
+    (EVALUATE_ARGV, "--data", "--out"),
+    (EVALUATE_ARGV, "--out", "--emit-csv"),
+    (["simulate", "--n", "50", "--seeds", "1", "--out", "c.csv", "--dump-data", "x.csv"],
+     "--out", "--dump-data"),
+], ids=["evaluate-data-out", "evaluate-out-emit-csv", "simulate-out-dump-data"])
+def test_output_naming_another_file_exits_before_the_run(tmp_path, monkeypatch, capsys,
+                                                         argv, first, second):
+    # `second` names `first`'s file as ./name: the paths are compared resolved
+    from calrisk import cli
+
+    calls = []
+    for name in ("load_dataset", "simulate"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args, real=real: calls.append(args) or real(*args))
+    monkeypatch.chdir(tmp_path)
+    write_random_logits(tmp_path / "d.csv", np.random.default_rng(8), 60)
+    for name in ("r.json", "f.csv", "c.csv", "x.csv"):
+        (tmp_path / name).write_text("kept\n")
+    argv = list(argv)
+    argv[argv.index(second) + 1] = "./" + argv[argv.index(first) + 1]
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main(argv) == 2
+    assert "is the same file as" in capsys.readouterr().err
+    assert calls == []
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 class TestConfigFromFlags:
     """The CLI passes on only the config flags given; the configs own the defaults."""
 

@@ -290,8 +290,11 @@ class TestKde:
     def test_top_label_regression(self):
         ds = random_top_label(np.random.default_rng(11), 50)
         ghat = kde_regress(ds, ds.probs, 0.5)
-        assert ghat.shape == (50,)
+        assert ghat.shape == (50, 1)
         assert np.all((ghat >= 0.0) & (ghat <= 1.0))
+        # the features are the confidence residuals, bit for bit
+        np.testing.assert_array_equal(fit_kde(ds, 0.5).features(ds.probs),
+                                      (ds.probs[:, 0] - ghat[:, 0])[:, None])
 
     @given(st.integers(0, 1000))
     @settings(max_examples=20, deadline=None)
@@ -331,6 +334,7 @@ def kde_regress_plain_exp(train, queries, bandwidth):
         num = w.T @ train.labels.astype(float)
         ghat = num / denom
         ghat[bad] = np.nan
+        ghat = ghat[:, None]  # kde_regress's (m, 1) correctness column
     return ghat
 
 

@@ -20,7 +20,7 @@ from calrisk.estimators import (
     ukkr_cv_features,
     ukkr_rotated_core,
 )
-from calrisk import pipeline
+from calrisk import pipeline, risk
 from calrisk.pipeline import (
     CvResult,
     Fold,
@@ -521,7 +521,7 @@ def test_kkr_holdout_factors_are_the_fitted_models(monkeypatch, mode):
     grid = [1e-3, 0.1, 1.0]
     folds = kfold_splits(tune, 5, 0, 0.5)
     seen = {"linear": [], "matrix": []}
-    linear, matrix = pipeline.linear_risk, pipeline.risk_from_matrix
+    linear, matrix = pipeline.linear_risk, risk.risk_from_matrix
 
     def record_linear(F, R, D, seed):
         seen["linear"].append((F, R))
@@ -532,7 +532,7 @@ def test_kkr_holdout_factors_are_the_fitted_models(monkeypatch, mode):
         return matrix(H, D)
 
     monkeypatch.setattr(pipeline, "linear_risk", record_linear)
-    monkeypatch.setattr(pipeline, "risk_from_matrix", record_matrix)
+    monkeypatch.setattr(risk, "risk_from_matrix", record_matrix)
     cross_validate(folds, "kkr", grid=grid, linear=True)
     cross_validate(folds, "kkr", grid=grid)
     points = [(fold, lam) for fold in folds for lam in grid]

@@ -8,6 +8,7 @@ from calrisk.core import (
     Dataset,
     InputError,
     NumericError,
+    PairModel,
     one_hot,
     residual_matrix,
 )
@@ -30,17 +31,15 @@ def random_canonical(rng, n, d):
     return Dataset(P, labels, CANONICAL)
 
 
-class ConstantModel:
-    """h identically equal to a constant; used to probe the risk directly."""
+class ConstantModel(PairModel):
+    """h identically equal to a constant; used to probe the risk directly.
+    F = 1 and R = c give F R^T = c exactly."""
 
     def __init__(self, c):
         self.c = c
 
-    def pairwise(self, P):
-        return np.full((len(P), len(P)), self.c)
-
-    def diag(self, P):
-        return np.full(len(P), self.c)
+    def factors(self, P):
+        return np.ones((len(P), 1)), np.full((len(P), 1), self.c)
 
 
 class TestEmpiricalRisk:
@@ -91,13 +90,18 @@ class TestRiskFromFactors:
         return risk_from_matrix(F @ F.T, D)
 
     @given(st.integers(2, 40), st.sampled_from([1, 3]), st.sampled_from([1, 3]),
-           st.integers(0, 10_000))
+           st.integers(0, 10_000), st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_matches_dense(self, m, width, d, seed):
+    def test_matches_dense(self, m, width, d, seed, asymmetric):
         rng = np.random.default_rng(seed)
         F = rng.normal(size=(m, width)) * rng.uniform(0.01, 1.0)
         D = rng.normal(size=(m, d))
-        got, want = risk_from_factors(F, D), self.dense(F, D)
+        if asymmetric:
+            # R other than F, as for kkr: scored through the dense matrix itself
+            R = rng.normal(size=(m, width))
+            assert risk_from_factors(F, R, D) == risk_from_matrix(F @ R.T, D)
+            return
+        got, want = risk_from_factors(F, F, D), self.dense(F, D)
         assert got.value == pytest.approx(want.value, rel=1e-12)
         assert (got.pairs_used, got.dropped_nan) == (want.pairs_used, want.dropped_nan)
 
@@ -112,7 +116,7 @@ class TestRiskFromFactors:
         D = rng.normal(size=(m, 3))
         for i in np.flatnonzero(holes):
             F[i, rng.integers(3)] = np.nan  # one NaN entry spoils the row
-        got, want = risk_from_factors(F, D), self.dense(F, D)
+        got, want = risk_from_factors(F, F, D), self.dense(F, D)
         assert (got.pairs_used, got.dropped_nan) == (want.pairs_used, want.dropped_nan)
         assert got.value == pytest.approx(want.value, rel=1e-12)
 
@@ -123,9 +127,10 @@ class TestRiskFromFactors:
         rng = np.random.default_rng(seed)
         D = rng.dirichlet(np.ones(3), 20) - one_hot(rng.integers(0, 3, 20), 3)
         R, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        got = risk_from_factors(D @ R, D)
+        F = D @ R
+        got = risk_from_factors(F, F, D)
         assert 0.0 <= got.value < 1e-12
-        assert got.value == pytest.approx(self.dense(D @ R, D).value, abs=1e-12)
+        assert got.value == pytest.approx(self.dense(F, D).value, abs=1e-12)
 
     @pytest.mark.parametrize("finite", [0, 1])
     def test_fewer_than_two_finite_rows_raise(self, finite):
@@ -135,16 +140,17 @@ class TestRiskFromFactors:
         with pytest.raises(NumericError, match="no usable pairs"):
             self.dense(F, D)
         with pytest.raises(NumericError, match="no usable pairs"):
-            risk_from_factors(F, D)
+            risk_from_factors(F, F, D)
 
     @pytest.mark.parametrize("bandwidth", [1e-2, 1e-4])
-    def test_empirical_risk_takes_the_factored_path(self, bandwidth):
+    def test_empirical_risk_takes_the_factored_path(self, matrix_risk_calls, bandwidth):
         # on sharply concentrated predictions a tiny bandwidth underflows
         # the kernel weights of most evaluation rows to the NaN sentinel
         ds = simulate(SimConfig(n=25, seed=2)).dataset
         kde = fit_kde(simulate(SimConfig(n=40, seed=1)).dataset, bandwidth)
         for model in (kde, SimModel(0.7)):
             got = empirical_risk(model, ds)
+            assert matrix_risk_calls == []  # symmetric factors form no (m, m) matrix
             want = risk_from_matrix(model.pairwise(ds.probs), residual_matrix(ds).T)
             assert got.value == pytest.approx(want.value, rel=1e-12)
             assert (got.pairs_used, got.dropped_nan) == (want.pairs_used, want.dropped_nan)
@@ -152,14 +158,14 @@ class TestRiskFromFactors:
 
 
 class TestNanAccounting:
-    class HoleyModel:
-        """Constant model whose predictions at sample 0 are NaN."""
+    class HoleyModel(PairModel):
+        """Constant model whose predictions at sample 0 are NaN: row 0 of
+        both factors is NaN, so row and column 0 of F R^T are."""
 
-        def pairwise(self, P):
-            H = np.zeros((len(P), len(P)))
-            H[0, :] = np.nan
-            H[:, 0] = np.nan
-            return H
+        def factors(self, P):
+            F, R = np.ones((len(P), 1)), np.zeros((len(P), 1))
+            F[0] = R[0] = np.nan
+            return F, R
 
     def test_pairs_dropped_and_counted(self):
         ds = random_canonical(np.random.default_rng(1), 6, 3)
@@ -240,12 +246,13 @@ class TestKkrRisk:
                     model.predict(evalset.probs[i], evalset.probs[j]), abs=1e-10
                 )
 
-    def test_matches_slow_path(self):
+    def test_matches_slow_path(self, matrix_risk_calls):
         rng = np.random.default_rng(6)
         train = random_canonical(rng, 30, 3)
         evalset = random_canonical(rng, 20, 3)
         model = fit_kkr(kkr_prepare(train, 0.5), 0.5)
         fast = empirical_risk(model, evalset)
+        assert matrix_risk_calls == [(20, 20)]  # kkr's factors are asymmetric
         slow = pointwise_risk(model, evalset)
         assert fast.value == pytest.approx(slow.value, abs=1e-10)
 

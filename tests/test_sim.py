@@ -137,9 +137,9 @@ class TestRiskCurve:
                             lambda *args: calls.append(args) or empirical_risk(*args))
         sim = simulate(SimConfig(n=9, seed=5))
         with pytest.raises(InputError, match=r"5 folds needs n >= 10, got n=9"):
-            risk_curve(sim, DEFAULT_THETAS, k_folds=5)
+            risk_curve(sim, DEFAULT_THETAS)
         assert calls == []
-        risk_curve(simulate(SimConfig(n=10, seed=5)), DEFAULT_THETAS, k_folds=5)
+        risk_curve(simulate(SimConfig(n=10, seed=5)), DEFAULT_THETAS)
         assert calls
 
     def test_interior_argmin(self):
