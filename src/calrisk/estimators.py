@@ -29,10 +29,10 @@ through Q^T G Q computed as V V^T. So `UkkrModel` has no `features`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import (
     TOP_LABEL,
@@ -59,6 +59,8 @@ DEAD_CUTOFF = -746.0
 # query count. Of 256 KiB to 2 MiB, 512 KiB ran evaluate-kde fastest on 2
 # cores with OpenBLAS (BENCH_kde_blocks.json; re-swept: BENCH_kde_fused.json)
 KDE_BLOCK_BYTES = 512 * 1024
+# math.lgamma elementwise, for kde_regress's per-query log-normalizers
+_lgamma = np.vectorize(math.lgamma, otypes=[float])
 
 
 def check_hyper(family, value):
@@ -69,9 +71,14 @@ def check_hyper(family, value):
     if family == "kde":
         if not value > 0:
             raise InputError("bandwidth must be positive")
-        # the log-weights need 1/b and gammaln(1/b + 1) as finite numbers
-        inv_b = 1.0 / float(value)
-        if not (np.isfinite(inv_b) and np.isfinite(gammaln(inv_b + 1.0))):
+        # the log-weights need 1/b and lgamma(1/b + 1) as finite numbers:
+        # lgamma(inf) is inf, and math.lgamma raises where a finite
+        # argument's result overflows
+        try:
+            finite = math.isfinite(math.lgamma(1.0 / float(value) + 1.0))
+        except OverflowError:
+            finite = False
+        if not finite:
             raise InputError(f"bandwidth {value} is too small: its kernel constants overflow")
     if family in ("kkr", "ukkr") and value < 0:
         raise InputError("lambda must be nonnegative")
@@ -234,6 +241,8 @@ def kde_regress(train, queries, bandwidth):
     rest. A result matches the textbook scale-shift-exp-sum passes up to
     rounding: the products sum in another order, which BLAS also picks by
     matrix size, and 1/b scales the log-weights' share of it.
+    The shift's log-gammas come from math.lgamma; `check_hyper` bounds each
+    query entry's argument q_j / b + 1 by 1/b + 1, so none of them overflows.
     """
     check_hyper("kde", bandwidth)
     Xs = clip_simplex(_as_simplex_points(train.probs))
@@ -243,7 +252,7 @@ def kde_regress(train, queries, bandwidth):
     # log k_dir(x_i; q_j) = <q_j / b, log x_i> + log B(q_j / b + 1)^-1
     log_x1 = np.column_stack([np.log(Xs), np.ones(n)])
     qs = Qs * inv_b
-    qs1 = np.column_stack([qs, gammaln(d + inv_b) - gammaln(qs + 1.0).sum(axis=1)])
+    qs1 = np.column_stack([qs, math.lgamma(d + inv_b) - _lgamma(qs + 1.0).sum(axis=1)])
     Y1 = np.column_stack([label_targets(train), np.ones(n)])
     num = np.empty((len(Qs), Y1.shape[1]))
     cols = max(1, KDE_BLOCK_BYTES // (8 * n))

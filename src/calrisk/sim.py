@@ -117,14 +117,12 @@ def risk_curve(sim, thetas, seed=0):
     if len(ds) < 2 * RISK_CURVE_FOLDS:
         raise InputError(f"a risk curve over {RISK_CURVE_FOLDS} folds needs "
                          f"n >= {2 * RISK_CURVE_FOLDS}, got n={len(ds)}")
-    folds = kfold_indices(len(ds), RISK_CURVE_FOLDS, seed)
+    folds = [ds.subset(f) for f in kfold_indices(len(ds), RISK_CURVE_FOLDS, seed)]
     out = []
     for theta in thetas:
         model = SimModel(theta, sim.config.model_temp)
         value = empirical_risk(model, ds).value
-        fold_vals = np.array(
-            [empirical_risk(model, ds.subset(f)).value for f in folds]
-        )
+        fold_vals = np.array([empirical_risk(model, fold).value for fold in folds])
         se = float(fold_vals.std(ddof=1) / np.sqrt(len(folds)))
         out.append((theta, value, se))
     return out

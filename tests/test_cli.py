@@ -384,6 +384,44 @@ def test_python_m_calrisk_simulate(tmp_path):
         assert next(csv.reader(fh)) == ["theta", "risk_mean", "risk_std"]
 
 
+# runs each argv of the JSON list in sys.argv[1] with scipy unimportable
+SCIPY_BLOCKED = """
+import json, sys
+sys.modules["scipy"] = None
+from calrisk.cli import main
+for argv in json.loads(sys.argv[1]):
+    if main(argv) != 0:
+        sys.exit(1)
+"""
+
+
+def test_runs_without_scipy(tmp_path, capsys):
+    data = write_random_logits(tmp_path / "d.csv", np.random.default_rng(9), 120)
+
+    def argvs(out):
+        out.mkdir()
+        return [
+            ["evaluate", "--data", data, "--mode", "cce", "--families", "kde,sim",
+             "--out", str(out / "cce.json"), "--emit-csv", str(out / "cce.csv")],
+            ["evaluate", "--data", data, "--out", str(out / "tce.json")],
+            ["simulate", "--n", "50", "--seeds", "2", "--out", str(out / "curve.csv")],
+        ]
+
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_BLOCKED, json.dumps(argvs(tmp_path / "blocked"))],
+        capture_output=True, text=True, env=src_env(), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for argv in argvs(tmp_path / "free"):
+        assert main(argv) == 0
+    assert proc.stdout == capsys.readouterr().out
+    names = sorted(p.name for p in (tmp_path / "free").iterdir())
+    assert names == ["cce.csv", "cce.json", "curve.csv", "tce.json"]
+    for name in names:
+        blocked, free = (tmp_path / side / name for side in ("blocked", "free"))
+        assert blocked.read_bytes() == free.read_bytes(), name
+
+
 class TestReportGrid:
     def test_emits_grid_risks(self, tmp_path):
         data = write_random_logits(tmp_path / "d.csv", np.random.default_rng(5), 80)
@@ -451,6 +489,8 @@ class TestReportGrid:
     # 1/b overflows: the kernel constants are not finite
     ["evaluate", "--mode", "cce", "--families", "kde", "--grid-kde=1e-310"],
     ["evaluate", "--mode", "cce", "--families", "kde", "--grid-kde=1e-310,0.1"],
+    # 1/b is finite, but log-gamma(1/b + 1) overflows
+    ["evaluate", "--mode", "cce", "--families", "kde", "--grid-kde=1e-306"],
     ["evaluate", "--families", "kkr", "--grid-kkr=-1"],
     ["evaluate", "--families", "ukkr", "--grid-ukkr=-1"],
     # a repeated grid value, and a grid for a family that is not run
@@ -482,7 +522,8 @@ def test_edge_inputs_exit_code(tmp_path, capsys, argv):
     ("--grid-kkr=-1", "lambda must be nonnegative"),
     ("--grid-kde=0", "bandwidth must be positive"),
     ("--grid-bin=2.5", "number of bins must be a positive integer, got 2.5"),
-], ids=["kkr-repeated", "kkr-negative", "kde-zero", "bin-fractional"])
+    ("--grid-kde=1e-306", "bandwidth 1e-306 is too small"),
+], ids=["kkr-repeated", "kkr-negative", "kde-zero", "bin-fractional", "kde-lgamma-overflow"])
 def test_bad_grid_exits_before_any_family_runs(tmp_path, capsys, monkeypatch, grid, message):
     from calrisk import pipeline
 

@@ -279,7 +279,9 @@ class TestKde:
         assert np.isnan(ghat[0]).all()
         assert np.isfinite(ghat[1]).all()
 
-    @pytest.mark.parametrize("b", [1e-310, 5e-324])
+    # 1/b overflows at 1e-310 and 5e-324; at 1e-306 1/b is finite, but its
+    # log-gamma is not
+    @pytest.mark.parametrize("b", [1e-306, 1e-310, 5e-324])
     def test_bandwidth_with_overflowing_constants_is_rejected(self, b):
         ds = random_canonical(np.random.default_rng(10), 10, 3)
         with pytest.raises(InputError, match=f"bandwidth {b} "):
