@@ -76,12 +76,16 @@ def risk_from_factors(F, R, D):
     F = np.asarray(F, dtype=float)
     D = np.asarray(D, dtype=float)
     m = D.shape[0]
-    keep = np.isfinite(F).all(axis=1)
-    k = int(keep.sum())
+    finite = np.isfinite(F)
+    if finite.all():
+        k = m
+    else:
+        keep = finite.all(axis=1)
+        k = int(keep.sum())
+        F, D = F[keep], D[keep]
     pairs = k * (k - 1)
     if pairs == 0:
         raise NumericError("no usable pairs (all predictions dropped)")
-    F, D = F[keep], D[keep]
     gram_norms = (
         np.sum((D.T @ D) ** 2)
         - 2.0 * np.sum((D.T @ F) ** 2)

@@ -482,43 +482,84 @@ def multi_block_input(mode):
     return train, queries
 
 
+def sorted_position(queries, row):
+    """Where kde_regress takes query `row`: queries go by top class, then
+    top probability, of their clipped simplex points."""
+    Qs = clip_simplex(_as_simplex_points(queries))
+    order = np.lexsort((Qs.max(axis=1), Qs.argmax(axis=1)))
+    return int(np.flatnonzero(order == row)[0])
+
+
 class TestKdeBlocks:
-    """kde_regress over query blocks equals the one-shot weights to rounding."""
+    """kde_regress over query blocks, with each block's dead training columns
+    skipped, equals the one-shot weights to rounding."""
 
     @pytest.fixture
-    def block_widths(self, monkeypatch):
-        # the query count of every weight array kde_regress exponentiates
-        widths = []
+    def block_shapes(self, monkeypatch):
+        # the (queries, training columns) of every weight array kde_regress
+        # exponentiates
+        shapes = []
         real = estimators._exp_inplace
 
         def spy(x):
             assert x.nbytes <= KDE_BLOCK_BYTES
-            widths.append(x.shape[1])
+            shapes.append(x.shape)
             return real(x)
 
         monkeypatch.setattr(estimators, "_exp_inplace", spy)
-        return widths
+        return shapes
 
     @pytest.mark.parametrize("mode", [CANONICAL, TOP_LABEL])
-    def test_many_blocks_match_one_shot_over_default_grid(self, block_widths, mode):
+    def test_many_blocks_match_one_shot_over_default_grid(self, block_shapes, mode):
         train, queries = multi_block_input(mode)
         grid = default_grid("kde", mode, len(train))
         assert len(grid) == 20
         for b in grid:
-            block_widths.clear()
+            block_shapes.clear()
             got = kde_regress(train, queries, b)
             ref = kde_regress_plain_exp(train, queries, b)
             assert np.array_equal(np.isnan(got), np.isnan(ref)), b
             d = _as_simplex_points(queries).shape[1]
             np.testing.assert_allclose(got, ref, rtol=blocked_rtol(len(train), d, b),
                                        atol=0.0, err_msg=str(b))
-        # equal blocks, the middle row neither in the first nor in the last
-        assert len(block_widths) > 2 and sum(block_widths) == len(queries)
-        assert max(block_widths) - min(block_widths) <= 1
-        assert block_widths[0] <= MIDDLE < len(queries) - block_widths[-1]
+        # equal blocks; at the smallest bandwidth some block skips columns
+        widths = [s[0] for s in block_shapes]
+        assert len(widths) > 2 and sum(widths) == len(queries)
+        assert max(widths) - min(widths) <= 1
+        assert all(s[1] <= len(train) for s in block_shapes)
+        assert min(s[1] for s in block_shapes) < len(train)
+        # the far query sorts to an end of the order, away from its own row,
+        # so its NaN row shows the results go back in query order
+        end = 0 if mode == CANONICAL else len(queries) - 1
+        assert sorted_position(queries, MIDDLE) == end
         assert np.isnan(kde_regress(train, queries, grid[-1])[MIDDLE]).all()
 
-    def test_canonical_rows_sum_to_one(self, block_widths):
+    @pytest.mark.parametrize("mode", [CANONICAL, TOP_LABEL])
+    def test_query_order_does_not_matter(self, mode):
+        train, queries = multi_block_input(mode)
+        perm = np.random.default_rng(4).permutation(len(queries))
+        d = _as_simplex_points(queries).shape[1]
+        for b in default_grid("kde", mode, len(train)):
+            got = kde_regress(train, queries[perm], b)
+            ref = kde_regress(train, queries, b)[perm]
+            assert np.array_equal(np.isnan(got), np.isnan(ref)), b
+            np.testing.assert_allclose(got, ref, rtol=blocked_rtol(len(train), d, b),
+                                       atol=0.0, err_msg=str(b))
+
+    def test_all_dead_block_gives_nan_rows(self, block_shapes):
+        # 3000 identical training rows, so a block holds 21 queries: the 21
+        # near ones sort into the first block and the 21 far ones, of
+        # another top class, into the second, where every column is dead;
+        # the far ones come first in query order
+        P = np.tile([[0.98, 0.01, 0.01]], (3000, 1))
+        ds = Dataset(P, np.zeros(3000, dtype=int), CANONICAL)
+        queries = np.repeat([[0.01, 0.01, 0.98], [0.98, 0.01, 0.01]], 21, axis=0)
+        ghat = kde_regress(ds, queries, 1e-3)
+        assert block_shapes == [(21, 3000), (21, 0)]
+        assert np.isnan(ghat[:21]).all()
+        assert np.isfinite(ghat[21:]).all()
+
+    def test_canonical_rows_sum_to_one(self, block_shapes):
         # the label numerators and the weight sums come from one product, so
         # a row's numerators add up to its denominator to rounding
         train, queries = multi_block_input(CANONICAL)
@@ -531,13 +572,13 @@ class TestKdeBlocks:
             assert finite.any() and np.isnan(got[~finite]).all(), b
             np.testing.assert_allclose(got[finite].sum(axis=1), 1.0, rtol=0.0, atol=tol,
                                        err_msg=str(b))
-        assert len(block_widths) > 2 * len(grid)  # several blocks per call
+        assert len(block_shapes) > 2 * len(grid)  # several blocks per call
 
-    def test_small_input_is_one_block(self, block_widths):
+    def test_small_input_is_one_block(self, block_shapes):
         # the input of TestKdeWeightsBitIdentity, which pins bit identity
         ds = simulate(SimConfig(n=400, d=5, seed=5)).dataset
         kde_regress(ds.subset(np.arange(320)), ds.probs[320:], 0.1)
-        assert block_widths == [80]
+        assert [s[0] for s in block_shapes] == [80]
 
     def test_no_queries(self):
         ds = random_canonical(np.random.default_rng(3), 30, 3)
