@@ -9,6 +9,9 @@ each command's standard output, byte for byte:
   the tce evaluate of kkr,ukkr with lambda=0    report and --emit-csv
     in both grids, which skips it (singular Gram)
   evaluate --mode cce, kde,kkr,ukkr,sim, d=10   report and --emit-csv
+  the d=10 cce evaluate of kkr with             report and --emit-csv
+    lambda=1e-300, whose holdout risk
+    overflows, so it is skipped
   evaluate --mode cce, kde,sim, n=4000          report and --emit-csv
   the d=10 cce evaluate with --linear-risk      report and --emit-csv
   evaluate --mode tce --linear-risk             report and --emit-csv
@@ -67,6 +70,9 @@ CASES = {
     "evaluate-tce-skips": ("tce", ["evaluate", "--mode", "tce", "--families", "kkr,ukkr",
                                    "--grid-kkr=0,1e-3,1", "--grid-ukkr=0,1e-6,1"]),
     "evaluate-cce-d10": ("cce-d10", CCE_D10),
+    # the overflow skip path: the squared errors at lambda=1e-300 overflow
+    "evaluate-cce-d10-overflow": ("cce-d10", ["evaluate", "--mode", "cce", "--families",
+                                              "kkr", "--grid-kkr=1e-300,1e-3,1"]),
     "evaluate-kde": ("kde", ["evaluate", "--mode", "cce", "--families", "kde,sim"]),
     "evaluate-cce-d10-linear": ("cce-d10", CCE_D10 + ["--linear-risk"]),
     "evaluate-tce-linear": ("tce", ["evaluate", "--mode", "tce", "--linear-risk"]),

@@ -56,7 +56,8 @@ def load_dataset(path, fmt):
     what = "logits" if fmt == "logits-csv" else "probabilities"
     rows = []
     width = None
-    with open(path, newline="") as fh:
+    # utf-8-sig drops a leading byte-order mark, as spreadsheet programs write
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for lineno, cells in enumerate(csv.reader(fh), start=1):
             cells = [c.strip() for c in cells]
             while cells and cells[-1] == "":

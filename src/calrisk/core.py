@@ -3,7 +3,7 @@
 A classifier prediction is a point on the probability simplex. Datasets come
 in two flavours: "canonical" (full probability vectors with class labels) and
 "top-label" (scalar top confidence with a binary correctness label). Every
-estimator family and the risk operate on these shared representations.
+layer reads these and their (n, d) residual rows, `residual_matrix`.
 """
 
 from __future__ import annotations
@@ -184,7 +184,7 @@ def label_targets(ds):
 
 
 def residual_matrix(ds):
-    """Column-per-sample residuals f(X_i) - `label_targets`: (d, n) in
-    canonical mode, (1, n) confidence minus correctness in top-label."""
-    return (ds.probs - label_targets(ds)).T
+    """The residual rows f(X_i) - `label_targets`: (n, d) in canonical
+    mode, (n, 1) confidence minus correctness in top-label."""
+    return ds.probs - label_targets(ds)
 

@@ -70,8 +70,13 @@ def _lgamma(x):
 def check_hyper(family, value):
     """InputError unless `value` lies in `family`'s hyperparameter range: the
     one rule that the fits and `pipeline.RunConfig`'s grid overrides apply."""
-    if family == "bin" and not (float(value).is_integer() and value >= 1):
-        raise InputError(f"number of bins must be a positive integer, got {value}")
+    if family == "bin":
+        if not (float(value).is_integer() and value >= 1):
+            raise InputError(f"number of bins must be a positive integer, got {value}")
+        # a binning model's arrays take about 40 bytes per bin, and no
+        # default grid goes past 100 bins: 10**6 bins are some 40 MB
+        if value > 10**6:
+            raise InputError(f"number of bins must be at most 1000000, got {value}")
     if family == "kde":
         if not value > 0:
             raise InputError("bandwidth must be positive")
@@ -313,8 +318,8 @@ class Spectrum:
 
     X holds the training predictions, Q and evals the eigenvectors and
     clipped eigenvalues of their RBF Gram at `gamma` (n = evals.size), QtGQ
-    the residual Gram D^T D rotated into that eigenbasis and V = Q^T D^T the
-    rotated residuals. Every lambda of either family, and its refit, needs only these.
+    the Gram D D^T of the residual rows D rotated into that eigenbasis and
+    V = Q^T D the rotated rows. Every lambda of either family, and its refit, needs only these.
     """
 
     X: np.ndarray
@@ -334,7 +339,7 @@ class KkrModel(PairModel):
     """Closed-form Kronecker kernel ridge model.
 
     A prediction is k(p)^T Q core Q^T k(p2) with `kkr_core`'s
-    Ltilde o (Q^T D^T D Q), Ltilde_ij = 1 / (l_i l_j + lam n^2); the (n, n)
+    Ltilde o (Q^T D D^T Q), Ltilde_ij = 1 / (l_i l_j + lam n^2); the (n, n)
     core is built by each `factors` call and not kept.
     """
 
@@ -352,16 +357,16 @@ class KkrModel(PairModel):
 def kkr_prepare(train, gamma):
     """The `Spectrum` of `train`: one eigendecomposition of its RBF Gram."""
     X = train.probs
-    # the Gram and G = delta^T delta die after one use; (Q^T G) Q is Q^T @ G @ Q's order
+    # the Gram and G = D D^T die after one use; (Q^T G) Q is Q^T @ G @ Q's order
     evals, Q = np.linalg.eigh(rbf_gram(X, X, gamma))
     if evals.min() < EIG_FLOOR:
         raise NumericError(
             f"Gram matrix eigenvalue {evals.min()} below {EIG_FLOOR}"
         )
     evals = np.clip(evals, 0.0, None)
-    delta = residual_matrix(train)
-    QtG = Q.T @ (delta.T @ delta)
-    return Spectrum(X, float(gamma), Q, evals, QtG @ Q, Q.T @ delta.T)
+    D = residual_matrix(train)
+    QtG = Q.T @ (D @ D.T)
+    return Spectrum(X, float(gamma), Q, evals, QtG @ Q, Q.T @ D)
 
 
 def _check_kkr(spec, lam):
@@ -399,7 +404,7 @@ def fit_kkr(spectrum, lam):
 
 @dataclass(frozen=True)
 class UkkrModel(PairModel):
-    """Two-step model: dense core (K + lam n I)^-1 D^T D (K + lam n I)^-1 over
+    """Two-step model: dense core (K + lam n I)^-1 D D^T (K + lam n I)^-1 over
     k(X, P), built as Q `ukkr_rotated_core` Q^T by each `factors` call."""
 
     spectrum: Spectrum

@@ -9,7 +9,7 @@ mean holdout risk wins, and the k fold models at the winner act as an
 ensemble for the final test-set estimate. Every family is scored on the
 same `Fold`s, and each fold decomposes its Gram once, on first use: its
 `estimators.Spectrum` (eigenvectors Q, eigenvalues evals, rotated residual
-Gram QtGQ and residuals V) serves every lambda of kkr and ukkr and their
+Gram QtGQ and rows V = Q^T D) serves every lambda of kkr and ukkr and their
 refits. Every family is scored by `risk.risk_from_factors` from the holdout
 factors (F, R) of its predictions H = F R^T. A kkr or ukkr fold model is
 that spectrum and its lambda, and builds its dense core only to predict. A
@@ -226,12 +226,12 @@ def cross_validate(folds, family, grid=None, seed=0, linear=False, model_temp=MO
     Returns the winning grid point together with its k fold models, which
     downstream code uses as an ensemble. Each fold fits and scores one grid
     point at a time. A point whose fit or score fails numerically on a fold
-    (a NumericError: a singular system, or every holdout prediction
-    dropped) is skipped with that first reason and not fitted again on
-    later folds. A grid that is empty or repeats a value, and a value the
-    family cannot take (a non-finite value, a bandwidth that is not
-    positive, a negative lambda, a bin count that is not a positive
-    integer), is an InputError and ends the call. Every family is scored
+    (a NumericError: a singular system, every holdout prediction dropped,
+    or a risk that overflows) is skipped with that first reason and not
+    fitted again on later folds. A grid that is empty or repeats a value,
+    and a value the family cannot take (a non-finite value, a bandwidth
+    that is not positive, a negative lambda, a bin count that is not a
+    positive integer or is above 10**6), is an InputError and ends the call. Every family is scored
     against the holdout residual rows from its prediction factors, by the
     U-statistic (`risk.risk_from_factors`) or by the linear risk, which
     reads the row dots of its pairs alone, in the order `seed` gives.
@@ -248,7 +248,7 @@ def cross_validate(folds, family, grid=None, seed=0, linear=False, model_temp=MO
     for fold in folds:
         if family in ("kkr", "ukkr"):
             fold.basis  # a Gram that fails to decompose ends the call, not one point
-        D = residual_matrix(fold.hold).T
+        D = residual_matrix(fold.hold)
         for hyper in grid:
             if hyper in failures:
                 continue  # failed on an earlier fold: not fitted again

@@ -13,11 +13,13 @@ norms in O(m d^2). kkr and a fitted ukkr model have R != F (the
 `estimators` module docstring says why ukkr does); for them it scores the
 dense (m, m) matrix F R^T (`risk_from_matrix`). The linear variant reads
 only the pairs it scores, as row dots (`linear_risk`). Nothing evaluates
-h one pair at a time.
+h one pair at a time. A risk that is not finite, as when the squared errors
+overflow, is a NumericError, as is a risk with no usable pair.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +36,13 @@ class RiskValue:
     dropped_nan: int
 
 
+def _finite(value):
+    """`value`, or a NumericError when it is not finite."""
+    if not math.isfinite(value):
+        raise NumericError(f"risk is {value}: the squared errors overflow")
+    return value
+
+
 def _pair_risk(h, t, total):
     """Mean squared error of the predictions `h` against the targets `t`
     over `total` candidate pairs, dropping the non-finite predictions."""
@@ -41,7 +50,8 @@ def _pair_risk(h, t, total):
     pairs = int(use.sum())
     if pairs == 0:
         raise NumericError("no usable pairs (all predictions dropped)")
-    value = float(np.sum((t[use] - h[use]) ** 2) / pairs)
+    with np.errstate(over="ignore"):  # an overflow raises below
+        value = _finite(float(np.sum((t[use] - h[use]) ** 2) / pairs))
     return RiskValue(value, pairs, total - pairs)
 
 
@@ -92,7 +102,7 @@ def risk_from_factors(F, R, D):
         + np.sum((F.T @ F) ** 2)
     )
     diagonal = np.sum((np.sum(D * D, axis=1) - np.sum(F * F, axis=1)) ** 2)
-    value = max(float((gram_norms - diagonal) / pairs), 0.0)
+    value = max(_finite(float((gram_norms - diagonal) / pairs)), 0.0)
     return RiskValue(value, pairs, m * (m - 1) - pairs)
 
 
@@ -123,4 +133,4 @@ def empirical_risk(h, eval_set):
     """
     if len(eval_set) < 2:
         raise InputError("risk needs at least two evaluation samples")
-    return risk_from_factors(*h.factors(eval_set.probs), residual_matrix(eval_set).T)
+    return risk_from_factors(*h.factors(eval_set.probs), residual_matrix(eval_set))

@@ -66,9 +66,14 @@ def simulate(cfg):
     """Draw latent probabilities, labels, and miscalibrated predictions."""
     rng = np.random.default_rng(cfg.seed)
     g = rng.gamma(cfg.alpha, 1.0, size=(cfg.n, cfg.d))
+    with np.errstate(over="ignore"):  # an overflow raises below
+        sums = g.sum(axis=1)
+    if not np.isfinite(sums).all():
+        raise InputError(f"concentration {cfg.alpha} is too large: "
+                         "the row sums of its gamma draws overflow")
     # gamma draws with tiny shape can underflow to an all-zero row; such rows
     # are drawn once more in log space, as Gamma(a) = Gamma(a + 1) U^(1/a)
-    zero = g.sum(axis=1) == 0.0
+    zero = sums == 0.0
     if zero.any():
         a, size = cfg.alpha, (int(zero.sum()), cfg.d)
         z = np.log1p(-rng.random(size)) + a * np.log(rng.gamma(a + 1.0, 1.0, size))

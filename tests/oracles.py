@@ -6,6 +6,8 @@ its definition, so a test can compare a closed form or a matrix routine of
 (`pair_target_matrix`) and the circular-pair risk read from dense matrices
 (`dense_linear_risk`) are the forms the program replaced by residual rows.
 None of them is used by the program. A sample is a `(probs, label)` tuple.
+The random datasets the suites share (`random_canonical`, `random_top_label`)
+live here too.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ from scipy.special import gammaln
 from calrisk.core import (
     CANONICAL,
     TOP_LABEL,
+    Dataset,
     InputError,
     NumericError,
     one_hot,
@@ -21,6 +24,20 @@ from calrisk.core import (
 )
 from calrisk.estimators import clip_simplex, rbf_gram
 from calrisk.risk import RiskValue
+
+
+def random_canonical(rng, n, d):
+    """n flat-Dirichlet rows on the d-simplex, each labelled by a draw from itself."""
+    P = rng.dirichlet(np.ones(d), size=n)
+    labels = np.array([rng.choice(d, p=row) for row in P])
+    return Dataset(P, labels, CANONICAL)
+
+
+def random_top_label(rng, n):
+    """n confidences uniform on [0.2, 1], each correct with that probability."""
+    conf = rng.uniform(0.2, 1.0, size=n)
+    correct = (rng.random(n) < conf).astype(int)
+    return Dataset(conf[:, None], correct, TOP_LABEL)
 
 
 def softmax(logits, temperature=1.0):
@@ -76,8 +93,8 @@ def eval_kkr_naive(train, lam, gamma, p, p2):
         raise InputError("naive Kronecker oracle limited to n <= 12")
     X = train.probs
     K = rbf_gram(X, X, gamma)
-    delta = residual_matrix(train)
-    G = delta.T @ delta
+    D = residual_matrix(train)
+    G = D @ D.T
     A = np.kron(K, K) + lam * n * n * np.eye(n * n)
     kp = rbf_gram(X, np.atleast_2d(p), gamma).ravel()
     kp2 = rbf_gram(X, np.atleast_2d(p2), gamma).ravel()
@@ -124,8 +141,8 @@ def pointwise_risk(model, eval_set):
 
 def pair_target_matrix(ds):
     """All pairwise targets of a dataset as the (n, n) Gram of residuals."""
-    delta = residual_matrix(ds)
-    return delta.T @ delta
+    D = residual_matrix(ds)
+    return D @ D.T
 
 
 def dense_linear_risk(H, T, seed):

@@ -23,18 +23,12 @@ from calrisk.estimators import (
 from calrisk.pipeline import RunConfig, run_evaluate
 from calrisk.risk import empirical_risk
 from calrisk.sim import DEFAULT_THETAS, SimConfig, SimModel, simulate
-from oracles import eval_kkr_naive, pointwise_risk
+from oracles import eval_kkr_naive, pointwise_risk, random_canonical
 
 
 def _report(num, ok, detail):
     print(f"[criterion {num:2d}] {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {num}: {detail}"
-
-
-def random_canonical(rng, n, d):
-    P = rng.dirichlet(np.ones(d), size=n)
-    labels = np.array([rng.choice(d, p=row) for row in P])
-    return Dataset(P, labels, CANONICAL)
 
 
 def test_criterion_1_simulation_identifies_theta_one():

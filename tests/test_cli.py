@@ -74,6 +74,16 @@ class TestLoadDataset:
         with pytest.raises(InputError, match=":2:"):
             load_dataset(path, "logits-csv")
 
+    @pytest.mark.parametrize("header", [None, ["p0", "p1", "label"]])
+    def test_byte_order_mark_is_ignored(self, tmp_path, header):
+        # spreadsheet programs' "CSV UTF-8" starts the file with U+FEFF
+        plain = write_csv(tmp_path / "plain.csv", [[0.39, 0.61, 1], [0.5, 0.5, 0]], header)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes("\ufeff".encode() + Path(plain).read_bytes())
+        want, got = load_dataset(plain, "probs-csv"), load_dataset(str(marked), "probs-csv")
+        np.testing.assert_array_equal(got.probs, want.probs)
+        np.testing.assert_array_equal(got.labels, want.labels)
+
     def test_label_out_of_range_rejected(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", [[1.0, 2.0, 3.0, 3]])
         with pytest.raises(InputError, match="label 3"):
@@ -504,6 +514,8 @@ class TestReportGrid:
     ["simulate", "--seed=-1"],
     # too few samples for the curve's 5 folds of at least two
     ["simulate", "--n", "5"],
+    # a concentration whose gamma draws overflow their row sums
+    ["simulate", "--alpha", "1e308", "--seeds", "2"],
 ], ids=lambda argv: " ".join(argv))
 def test_edge_inputs_exit_code(tmp_path, capsys, argv):
     if argv[0] == "simulate":
@@ -523,7 +535,10 @@ def test_edge_inputs_exit_code(tmp_path, capsys, argv):
     ("--grid-kde=0", "bandwidth must be positive"),
     ("--grid-bin=2.5", "number of bins must be a positive integer, got 2.5"),
     ("--grid-kde=1e-306", "bandwidth 1e-306 is too small"),
-], ids=["kkr-repeated", "kkr-negative", "kde-zero", "bin-fractional", "kde-lgamma-overflow"])
+    ("--grid-bin=1e20", "number of bins must be at most 1000000, got 1e+20"),
+    ("--grid-bin=2e6", "number of bins must be at most 1000000, got 2000000.0"),
+], ids=["kkr-repeated", "kkr-negative", "kde-zero", "bin-fractional", "kde-lgamma-overflow",
+        "bin-1e20", "bin-2e6"])
 def test_bad_grid_exits_before_any_family_runs(tmp_path, capsys, monkeypatch, grid, message):
     from calrisk import pipeline
 
@@ -542,6 +557,14 @@ def test_bad_grid_exits_before_any_family_runs(tmp_path, capsys, monkeypatch, gr
     assert calls == []
 
 
+def read_strict_json(path):
+    """A JSON file parsed with Infinity, -Infinity and NaN rejected."""
+    def reject(name):
+        raise ValueError(f"{name} in the report")
+
+    return json.loads(Path(path).read_text(), parse_constant=reject)
+
+
 def test_report_is_strict_json_when_holdout_risks_vanish(tmp_path):
     # six distinct predictions: at small bandwidths kde reproduces every
     # holdout residual, and the factored risk rounds to about -1e-16
@@ -553,13 +576,22 @@ def test_report_is_strict_json_when_holdout_risks_vanish(tmp_path):
     out = tmp_path / "r.json"
     assert main(["evaluate", "--data", data, "--format", "probs-csv", "--mode", "cce",
                  "--families", "kde", "--out", str(out)]) == 0
-
-    def reject(name):
-        raise ValueError(f"{name} in the report")
-
-    entry = json.loads(out.read_text(), parse_constant=reject)["families"]["kde"]
+    entry = read_strict_json(out)["families"]["kde"]
     assert entry["val_sqrt_risk_x100"] >= 0.0
     assert all(point["mean_risk"] >= 0.0 for point in entry["grid"])
+
+
+def test_grid_point_whose_risk_overflows_is_skipped(tmp_path):
+    # at lambda = 1e-300 the kkr core scales the Gram's null space by about
+    # 1 / (1e-300 n^2), and the squared holdout errors overflow
+    data = write_random_logits(tmp_path / "d.csv", np.random.default_rng(8), 60)
+    out = tmp_path / "r.json"
+    assert main(["evaluate", "--data", data, "--mode", "cce", "--families", "kkr",
+                 "--grid-kkr=1e-300,1e-3,1", "--out", str(out)]) == 0
+    entry = read_strict_json(out)["families"]["kkr"]
+    assert [point["hyper"] for point in entry["grid"]] == [1e-3, 1.0]
+    assert [skip["hyper"] for skip in entry["skipped_grid_points"]] == [1e-300]
+    assert "overflow" in entry["skipped_grid_points"][0]["reason"]
 
 
 @pytest.mark.parametrize("families", [",", " , ", "bin,bin", "kde,,kde", "kkr, kkr"])

@@ -115,23 +115,23 @@ class TestPairTarget:
 
 class TestResidualMatrix:
     @given(st.lists(samples(4, 4), min_size=1, max_size=20))
-    def test_columns_sum_to_zero(self, sample_list):
+    def test_rows_sum_to_zero(self, sample_list):
         ds = dataset_of(sample_list)
-        delta = residual_matrix(ds)
+        D = residual_matrix(ds)
         # bit for bit the explicit one-hot difference
-        np.testing.assert_array_equal(delta, ds.probs.T - one_hot(ds.labels, 4).T)
-        assert delta.shape == (4, len(sample_list))
-        np.testing.assert_allclose(delta.sum(axis=0), 0.0, atol=1e-12)
-        assert np.all(np.abs(delta) <= 1.0 + 1e-12)
+        np.testing.assert_array_equal(D, ds.probs - one_hot(ds.labels, 4))
+        assert D.shape == (len(sample_list), 4)
+        np.testing.assert_allclose(D.sum(axis=1), 0.0, atol=1e-12)
+        assert np.all(np.abs(D) <= 1.0 + 1e-12)
 
     def test_top_label_residuals(self):
         ds = Dataset(np.array([[0.9], [0.6]]), np.array([1, 0]), TOP_LABEL)
-        np.testing.assert_allclose(residual_matrix(ds), [[-0.1, 0.6]], atol=1e-15)
+        np.testing.assert_allclose(residual_matrix(ds), [[-0.1], [0.6]], atol=1e-15)
         # bit for bit confidence minus the integer correctness labels
         rng = np.random.default_rng(0)
         ds = Dataset(rng.uniform(size=(50, 1)), rng.integers(0, 2, 50), TOP_LABEL)
         np.testing.assert_array_equal(residual_matrix(ds),
-                                      (ds.probs[:, 0] - ds.labels)[None, :])
+                                      (ds.probs[:, 0] - ds.labels)[:, None])
 
     @given(st.lists(samples(3, 3), min_size=2, max_size=10))
     def test_pair_target_matrix_matches_pointwise(self, sample_list):

@@ -41,19 +41,13 @@ from calrisk.estimators import (
 )
 from calrisk.pipeline import default_grid
 from calrisk.sim import SimConfig, SimModel, simulate
-from oracles import dirichlet_kernel, eval_kkr_naive, rbf_kernel
-
-
-def random_canonical(rng, n, d):
-    P = rng.dirichlet(np.ones(d), size=n)
-    labels = np.array([rng.choice(d, p=row) for row in P])
-    return Dataset(P, labels, CANONICAL)
-
-
-def random_top_label(rng, n):
-    conf = rng.uniform(0.2, 1.0, size=n)
-    correct = (rng.random(n) < conf).astype(int)
-    return Dataset(conf[:, None], correct, TOP_LABEL)
+from oracles import (
+    dirichlet_kernel,
+    eval_kkr_naive,
+    random_canonical,
+    random_top_label,
+    rbf_kernel,
+)
 
 
 # the final estimate averages `diag` while cross-validation scores
@@ -219,6 +213,13 @@ class TestBinning:
         ds = random_canonical(np.random.default_rng(6), 10, 3)
         with pytest.raises(InputError):
             fit_binning(ds, 5)
+
+    @pytest.mark.parametrize("num_bins", [1e20, 2e6])
+    def test_rejects_too_many_bins(self, num_bins):
+        ds = random_top_label(np.random.default_rng(6), 10)
+        with pytest.raises(InputError, match="number of bins must be at most 1000000"):
+            fit_binning(ds, num_bins)
+        assert fit_binning(ds, 10**6).gaps.shape == (10**6,)
 
 
 class TestKde:
@@ -795,7 +796,8 @@ def test_kernel_factors_equal_stored_core_bit_for_bit(case, family, fit):
     X = train.probs
     for Y in (X, P):
         np.testing.assert_array_equal(rbf_gram(X, Y, 0.5), rbf_gram_reference(X, Y, 0.5))
-    delta = residual_matrix(train)
+    # the reference in the (d, n) column arithmetic of residual columns delta
+    delta = residual_matrix(train).T
     np.testing.assert_array_equal(
         spectrum.QtGQ, spectrum.Q.T @ (delta.T @ delta) @ spectrum.Q)
     for lam in lams:

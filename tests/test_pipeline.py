@@ -35,19 +35,7 @@ from calrisk.pipeline import (
 )
 from calrisk.risk import risk_from_matrix
 from calrisk.sim import simulate, SimConfig
-from oracles import dense_linear_risk, pair_target_matrix
-
-
-def random_canonical(rng, n, d):
-    P = rng.dirichlet(np.ones(d), size=n)
-    labels = np.array([rng.choice(d, p=row) for row in P])
-    return Dataset(P, labels, CANONICAL)
-
-
-def random_top_label(rng, n):
-    conf = rng.uniform(0.2, 1.0, size=n)
-    correct = (rng.random(n) < conf).astype(int)
-    return Dataset(conf[:, None], correct, TOP_LABEL)
+from oracles import dense_linear_risk, pair_target_matrix, random_canonical, random_top_label
 
 
 def cv_on(tune, family, grid=None, k=5, seed=0, **kwargs):
@@ -290,7 +278,7 @@ def dense_cv_reference(tune, family, grid, k, seed):
             risks[hyper] = []
             for fold in folds:
                 H = fit_family(family, fold, hyper).pairwise(fold.hold.probs)
-                risks[hyper].append(risk_from_matrix(H, residual_matrix(fold.hold).T))
+                risks[hyper].append(risk_from_matrix(H, residual_matrix(fold.hold)))
         except NumericError:
             del risks[hyper]
             skipped.append(hyper)
@@ -393,7 +381,7 @@ def ukkr_dense_fold_risks(tune, grid, k, seed, gamma=0.5):
         hold = tune.subset(fold)
         spectrum = kkr_prepare(train, gamma)
         basis = spectrum.Q.T @ rbf_gram(spectrum.X, hold.probs, gamma)
-        D = residual_matrix(hold).T
+        D = residual_matrix(hold)
         for hyper in grid:
             try:
                 core = ukkr_rotated_core(spectrum, hyper)

@@ -22,13 +22,7 @@ from calrisk.risk import (
     risk_from_matrix,
 )
 from calrisk.sim import SimConfig, SimModel, simulate
-from oracles import dense_linear_risk, pair_target, pointwise_risk
-
-
-def random_canonical(rng, n, d):
-    P = rng.dirichlet(np.ones(d), size=n)
-    labels = np.array([rng.choice(d, p=row) for row in P])
-    return Dataset(P, labels, CANONICAL)
+from oracles import dense_linear_risk, pair_target, pointwise_risk, random_canonical
 
 
 class ConstantModel(PairModel):
@@ -151,7 +145,7 @@ class TestRiskFromFactors:
         for model in (kde, SimModel(0.7)):
             got = empirical_risk(model, ds)
             assert matrix_risk_calls == []  # symmetric factors form no (m, m) matrix
-            want = risk_from_matrix(model.pairwise(ds.probs), residual_matrix(ds).T)
+            want = risk_from_matrix(model.pairwise(ds.probs), residual_matrix(ds))
             assert got.value == pytest.approx(want.value, rel=1e-12)
             assert (got.pairs_used, got.dropped_nan) == (want.pairs_used, want.dropped_nan)
         assert (empirical_risk(kde, ds).dropped_nan > 0) == (bandwidth < 1e-3)
@@ -179,10 +173,31 @@ class TestNanAccounting:
             risk_from_matrix(H, np.zeros((3, 2)))
 
 
+class TestOverflow:
+    """Finite predictions whose squared errors overflow give no risk value."""
+
+    F = np.full((4, 1), 1e100)
+    D = np.zeros((4, 2))
+
+    def test_dense_risk_raises(self):
+        with pytest.raises(NumericError, match="overflow"):
+            risk_from_matrix(self.F @ self.F.T, self.D)
+        with pytest.raises(NumericError, match="overflow"):
+            risk_from_factors(self.F, self.F.copy(), self.D)  # R is not F: dense
+
+    def test_factored_risk_raises(self):
+        with pytest.raises(NumericError, match="overflow"):
+            risk_from_factors(self.F, self.F, self.D)
+
+    def test_linear_risk_raises(self):
+        with pytest.raises(NumericError, match="overflow"):
+            linear_risk(self.F, self.F, self.D, seed=0)
+
+
 def constant_linear_risk(c, ds, seed=0):
     """`linear_risk` of the model h = c: F = 1 and R = c give F R^T = c."""
     m = len(ds)
-    return linear_risk(np.ones((m, 1)), np.full((m, 1), c), residual_matrix(ds).T, seed)
+    return linear_risk(np.ones((m, 1)), np.full((m, 1), c), residual_matrix(ds), seed)
 
 
 class TestLinearRisk:

@@ -60,6 +60,11 @@ class TestSimulate:
         with pytest.raises(InputError, match="concentration must be positive and finite"):
             SimConfig(alpha=alpha)
 
+    def test_rejects_a_concentration_whose_draws_overflow(self):
+        # five gamma draws of about 1e308 sum past the largest float
+        with pytest.raises(InputError, match="concentration 1e\\+308 is too large"):
+            simulate(SimConfig(alpha=1e308))
+
     @pytest.mark.parametrize("temp", [float("nan"), float("inf")])
     def test_rejects_non_finite_model_temp(self, temp):
         with pytest.raises(InputError, match="model temperature must be positive and finite"):
