@@ -39,6 +39,15 @@ def _is_number(cell):
     return True
 
 
+def _utf8_lines(fh, path):
+    """The lines of the text file `fh`; InputError naming `path` when they
+    are not UTF-8 (a decode error is a ValueError, which `main` does not catch)."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_dataset(path, fmt):
     """Parse a CSV of `l_0,...,l_{d-1},label` rows into a canonical dataset.
 
@@ -58,7 +67,7 @@ def load_dataset(path, fmt):
     width = None
     # utf-8-sig drops a leading byte-order mark, as spreadsheet programs write
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        for lineno, cells in enumerate(csv.reader(fh), start=1):
+        for lineno, cells in enumerate(csv.reader(_utf8_lines(fh, path)), start=1):
             cells = [c.strip() for c in cells]
             while cells and cells[-1] == "":
                 cells.pop()  # trailing commas

@@ -62,7 +62,7 @@ KDE_BLOCK_BYTES = 512 * 1024
 
 
 def _lgamma(x):
-    """math.lgamma elementwise, for kde_regress's per-query log-normalizers:
+    """math.lgamma elementwise, for kde_regress's log-normalizers:
     a map over a list runs about 1.4x as fast as np.vectorize of it."""
     return np.fromiter(map(math.lgamma, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
@@ -191,8 +191,7 @@ class KdeModel(PairModel):
 
     def features(self, P):
         """(m, k) residuals p - g(p), k = d or 1 as P; NaN rows kept."""
-        P = np.atleast_2d(np.asarray(P, dtype=float))
-        return P - kde_regress(self.train, P, self.bandwidth)
+        return kde_features(kde_prepare(self.train, P), self.bandwidth)
 
     pairwise = factor_pairwise
     diag = factor_diag
@@ -228,13 +227,88 @@ def _exp_inplace(x):
     return x
 
 
-def kde_regress(train, queries, bandwidth):
-    """Kernel-weighted label means g(q) at each query point.
+@dataclass(frozen=True)
+class KdePrep:
+    """The part of `kde_regress` over one training set and one query set
+    that does not depend on the bandwidth; `kde_prepare` builds it.
+
+    `queries` are the query rows as given, `log_x1` the (d + 1, n) columns
+    [log x_i, 1] of the clipped training points and `Y1` the (n, k + 1) rows
+    [label_targets, 1]. `order` sorts the queries and `blocks` holds the
+    (start, stop) row bounds of the query blocks in that order. `values`
+    are the distinct entries of the clipped simplex points of the sorted
+    queries, and `inverse` the (m, d) index of each entry into them, so
+    `values[inverse]` are those points. `buf` is the scratch that every
+    call's block weights are written to, so a prep serves one `kde_regress`
+    call at a time.
+    """
+
+    queries: np.ndarray
+    log_x1: np.ndarray
+    Y1: np.ndarray
+    order: np.ndarray
+    blocks: tuple
+    values: np.ndarray
+    inverse: np.ndarray
+    buf: np.ndarray
+
+
+def kde_prepare(train, queries):
+    """The `KdePrep` of `train` and `queries`: everything `kde_regress`
+    needs that no bandwidth changes, built once for a whole bandwidth grid.
+
+    It clips the training and query points onto the simplex, takes the
+    training logs and the [label_targets, 1] rows, sorts the queries, cuts
+    them into blocks and finds their distinct entries, whose log-gammas are
+    then the only ones each `kde_regress` call computes.
+    """
+    P = np.atleast_2d(np.asarray(queries, dtype=float))
+    Xs = clip_simplex(_as_simplex_points(train.probs))
+    Qs = clip_simplex(_as_simplex_points(P))
+    n, d = Xs.shape
+    m = len(Qs)
+    # neighbouring queries in one block: by top class, then top probability
+    order = np.lexsort((Qs.max(axis=1), Qs.argmax(axis=1)))
+    # log k_dir(x_i; q_j) = <q_j / b, log x_i> + log B(q_j / b + 1)^-1;
+    # [log x_i, 1] as the columns of a C-contiguous array, on which the
+    # log-weight product runs about 1.3x as fast as on a transposed one
+    log_x1 = np.ones((d + 1, n))
+    np.log(Xs.T, out=log_x1[:d])
+    Y1 = np.column_stack([label_targets(train), np.ones(n)])
+    rows = max(1, KDE_BLOCK_BYTES // (8 * n))
+    count = max(1, -(-m // rows))
+    # equal row blocks as np.array_split cuts them: the first `extra` one longer
+    size, extra = divmod(m, count)
+    stops = [(i + 1) * size + min(i + 1, extra) for i in range(count)]
+    blocks = tuple(zip([0, *stops[:-1]], stops))
+    values, inverse = np.unique(Qs[order].ravel(), return_inverse=True)
+    # two weight arrays serve every block of every call, the log-weights and
+    # the gathered live columns, cut from one allocation: one array per block
+    # made evaluate-tce's kde_regress 1.5x slower, and two separate arrays
+    # cost 100-170 page faults per call, as malloc returned their pages to
+    # the system at each free and faulted them in again
+    buf = np.empty(2 * n * min(rows, m))
+    return KdePrep(P, log_x1, Y1, order, blocks, values, inverse.reshape(m, d), buf)
+
+
+def kde_features(prep, bandwidth):
+    """(m, k) residuals q - g(q) of `prep`'s queries at `bandwidth`, NaN
+    rows kept: the features of a `KdeModel`, and per bandwidth those of a
+    fold's holdout rows."""
+    return prep.queries - kde_regress(prep, bandwidth)
+
+
+def kde_regress(prep, bandwidth):
+    """Kernel-weighted label means g(q) at each query point of `prep`.
 
     Returns the (m, k) means of `core.label_targets`, k = d in canonical
-    and 1 in top-label mode. Kernel weights are evaluated in
-    linear space; queries whose weight sum underflows to zero (or overflows)
-    yield NaN rows, the documented sentinel downstream consumers drop.
+    and 1 in top-label mode. `prep` is `kde_prepare(train, queries)`: the
+    clipped points, the training logs, the label rows, the query order and
+    blocks and the distinct query entries are taken once per training and
+    query set, and a call does only the work that depends on the bandwidth.
+    Kernel weights are evaluated in linear space; queries whose weight sum
+    underflows to zero (or overflows) yield NaN rows, the documented
+    sentinel downstream consumers drop.
     At small bandwidths most log-weights lie far below -708, where np.exp
     is many times slower; `_exp_inplace` clamps them onto its fast path and
     restores the exact underflowed values, so the weights are bit for bit
@@ -247,60 +321,57 @@ def kde_regress(train, queries, bandwidth):
     one block. Each block is two products and one exp: [q_j / b, shift_j]
     times [log x_i, 1] gives the log-weights with the kernel scale and
     shift folded in, and the weights times [labels, 1] give the label
-    numerators with the weight sums in the last column. A training row
-    whose largest log-weight in the block is at or below DEAD_CUTOFF has
-    weight exactly 0.0 for every query of the block; such dead columns are
-    dropped before the exp and the label product, which removes only zero
-    terms from the sums (a NaN column is kept). A block with no dead column
-    runs densely. The sums column, read once after the last block, marks
-    the NaN rows and divides the rest, so the NaN rows are exactly those of
-    the dense weights. A result matches the textbook scale-shift-exp-sum
-    passes up to rounding: the products sum in another order, which BLAS
-    also picks by matrix size and the skipped columns change, and 1/b
-    scales the log-weights' share of it.
-    The shift's log-gammas come from math.lgamma; `check_hyper` bounds each
-    query entry's argument q_j / b + 1 by 1/b + 1, so none of them overflows.
+    numerators with the weight sums in the last column. A block whose
+    smallest log-weight is at or above FAST_EXP_FLOOR has every lane live
+    and on np.exp's fast path, and takes a plain np.exp. In any other
+    block, a training row whose largest log-weight in the block is at or
+    below DEAD_CUTOFF has weight exactly 0.0 for every query of the block;
+    such dead columns are dropped before the exp and the label product,
+    which removes only zero terms from the sums (a NaN column is kept). A
+    block with no dead column runs densely. The sums column, read once
+    after the last block, marks the NaN rows and divides the rest, so the
+    NaN rows are exactly those of the dense weights. A result matches the
+    textbook scale-shift-exp-sum passes up to rounding: the products sum in
+    another order, which BLAS also picks by matrix size and the skipped
+    columns change, and 1/b scales the log-weights' share of it.
+    The shift's log-gammas come from math.lgamma, once per distinct query
+    entry; `check_hyper` bounds each entry's argument q_j / b + 1 by
+    1/b + 1, so none of them overflows.
     """
     check_hyper("kde", bandwidth)
-    Xs = clip_simplex(_as_simplex_points(train.probs))
-    Qs = clip_simplex(_as_simplex_points(queries))
-    n, d = Xs.shape
+    log_x1, Y1 = prep.log_x1, prep.Y1
+    m, d = prep.inverse.shape
+    n = log_x1.shape[1]
     inv_b = 1.0 / bandwidth
-    # neighbouring queries in one block: by top class, then top probability
-    order = np.lexsort((Qs.max(axis=1), Qs.argmax(axis=1)))
-    # log k_dir(x_i; q_j) = <q_j / b, log x_i> + log B(q_j / b + 1)^-1;
-    # [log x_i, 1] as the columns of a C-contiguous array, on which the
-    # log-weight product runs about 1.3x as fast as on a transposed one
-    log_x1 = np.ones((d + 1, n))
-    np.log(Xs.T, out=log_x1[:d])
-    qs = Qs[order] * inv_b
-    qs1 = np.column_stack([qs, math.lgamma(d + inv_b) - _lgamma(qs + 1.0).sum(axis=1)])
-    Y1 = np.column_stack([label_targets(train), np.ones(n)])
-    num_sorted = np.empty((len(Qs), Y1.shape[1]))
-    rows = max(1, KDE_BLOCK_BYTES // (8 * n))
-    blocks = max(1, -(-len(Qs) // rows))
-    # two weight arrays serve every block, the log-weights and the gathered
-    # live columns, cut from one allocation: one array per block made
-    # evaluate-tce's kde_regress 1.5x slower, and two separate arrays cost
-    # 100-170 page faults per call, as malloc returned their pages to the
-    # system at each free and faulted them in again
-    buf, live_buf = np.split(np.empty(2 * n * min(rows, len(Qs))), 2)
-    for q, out in zip(np.array_split(qs1, blocks), np.array_split(num_sorted, blocks)):
-        log_w = np.matmul(q, log_x1, out=buf[: len(q) * n].reshape(len(q), n))
-        # a column is dead when its exp is 0.0 for every query of the block;
-        # a NaN column stays, and with no query (initial) every column is dead
-        live = ~(log_w.max(axis=0, initial=-np.inf) <= DEAD_CUTOFF)
-        if live.all():
-            np.matmul(_exp_inplace(log_w), Y1, out=out)
-            continue
-        # mode="clip" (every index is in range) writes straight into the
-        # buffer; the default mode="raise" buffers `out` in a fresh array
-        keep = np.flatnonzero(live)
-        w = np.take(log_w, keep, axis=1, mode="clip",
-                    out=live_buf[: len(q) * keep.size].reshape(len(q), keep.size))
-        np.matmul(_exp_inplace(w), np.take(Y1, keep, axis=0, mode="clip"), out=out)
+    # the sorted queries q_j / b and their log-gammas, from the distinct entries
+    scaled = prep.values * inv_b
+    log_gamma = _lgamma(scaled + 1.0)[prep.inverse].sum(axis=1)
+    qs1 = np.column_stack([scaled[prep.inverse], math.lgamma(d + inv_b) - log_gamma])
+    num_sorted = np.empty((m, Y1.shape[1]))
+    buf, live_buf = np.split(prep.buf, 2)
+    with np.errstate(over="ignore"):
+        for start, stop in prep.blocks:
+            q, out = qs1[start:stop], num_sorted[start:stop]
+            log_w = np.matmul(q, log_x1, out=buf[: len(q) * n].reshape(len(q), n))
+            # every lane live and on np.exp's fast path (an empty block too;
+            # a NaN lane fails the test)
+            if log_w.min(initial=np.inf) >= FAST_EXP_FLOOR:
+                np.matmul(np.exp(log_w, out=log_w), Y1, out=out)
+                continue
+            # a column is dead when its exp is 0.0 for every query of the block;
+            # a NaN column stays
+            live = ~(log_w.max(axis=0) <= DEAD_CUTOFF)
+            if live.all():
+                np.matmul(_exp_inplace(log_w), Y1, out=out)
+                continue
+            # mode="clip" (every index is in range) writes straight into the
+            # buffer; the default mode="raise" buffers `out` in a fresh array
+            keep = np.flatnonzero(live)
+            w = np.take(log_w, keep, axis=1, mode="clip",
+                        out=live_buf[: len(q) * keep.size].reshape(len(q), keep.size))
+            np.matmul(_exp_inplace(w), np.take(Y1, keep, axis=0, mode="clip"), out=out)
     num = np.empty_like(num_sorted)
-    num[order] = num_sorted
+    num[prep.order] = num_sorted
     denom = num[:, -1]
     bad = ~np.isfinite(denom) | (denom == 0.0)
     ghat = num[:, :-1] / np.where(bad, 1.0, denom)[:, None]

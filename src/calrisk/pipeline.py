@@ -10,11 +10,13 @@ ensemble for the final test-set estimate. Every family is scored on the
 same `Fold`s, and each fold decomposes its Gram once, on first use: its
 `estimators.Spectrum` (eigenvectors Q, eigenvalues evals, rotated residual
 Gram QtGQ and rows V = Q^T D) serves every lambda of kkr and ukkr and their
-refits. Every family is scored by `risk.risk_from_factors` from the holdout
-factors (F, R) of its predictions H = F R^T. A kkr or ukkr fold model is
-that spectrum and its lambda, and builds its dense core only to predict. A
-fold predicts and scores one grid point at a time, and a point that fails
-numerically is skipped from then on.
+refits. kde's bandwidth-independent work on a fold (`estimators.kde_prepare`)
+is done once for the fold's whole grid and dropped after it. Every family is
+scored by `risk.risk_from_factors` from the holdout factors (F, R) of its
+predictions H = F R^T. A kkr or ukkr fold model is that spectrum and its
+lambda, and builds its dense core only to predict. A fold predicts and
+scores one grid point at a time, and a point that fails numerically is
+skipped from then on.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ from .estimators import (
     fit_kde,
     fit_kkr,
     fit_ukkr,
+    kde_features,
+    kde_prepare,
     kkr_factors,
     kkr_prepare,
     ukkr_cv_features,
@@ -205,16 +209,19 @@ def kfold_splits(tune, k, seed, gamma):
                  tune.subset(hold), gamma) for hold in kfold_indices(len(tune), k, seed)]
 
 
-def _holdout_risk(family, fold, hyper, D, model_temp, linear, seed):
+def _holdout_risk(family, fold, hyper, D, prep, model_temp, linear, seed):
     """The risk of one grid point fitted on one fold's training part, against
     the fold's (m, d) holdout residual rows D, from the factors (F, R) of
     its predictions H = F R^T. kkr and ukkr take theirs from the fold's
-    spectrum and holdout basis, the other families from the fitted model.
+    spectrum and holdout basis, kde from the fold's `kde_prepare` record
+    `prep`, the other families from the fitted model.
     """
     if family == "kkr":
         F, R = kkr_factors(fold.spectrum, fold.basis, hyper)
     elif family == "ukkr":
         F = R = ukkr_cv_features(fold.spectrum, fold.basis, hyper)
+    elif family == "kde":
+        F = R = kde_features(prep, hyper)
     else:
         F, R = fit_family(family, fold, hyper, model_temp).factors(fold.hold.probs)
     return linear_risk(F, R, D, seed) if linear else risk_from_factors(F, R, D)
@@ -248,15 +255,18 @@ def cross_validate(folds, family, grid=None, seed=0, linear=False, model_temp=MO
     for fold in folds:
         if family in ("kkr", "ukkr"):
             fold.basis  # a Gram that fails to decompose ends the call, not one point
+        # kde's bandwidth-independent work, once per fold for its whole grid
+        prep = kde_prepare(fold.train, fold.hold.probs) if family == "kde" else None
         D = residual_matrix(fold.hold)
         for hyper in grid:
             if hyper in failures:
                 continue  # failed on an earlier fold: not fitted again
             try:
                 risk_table[hyper].append(_holdout_risk(
-                    family, fold, hyper, D, model_temp, linear, seed))
+                    family, fold, hyper, D, prep, model_temp, linear, seed))
             except NumericError as exc:
                 failures[hyper] = str(exc)
+        del prep  # before the next fold builds its own: one kde record at a time
 
     results = []
     for hyper in grid:

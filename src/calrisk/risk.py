@@ -96,13 +96,15 @@ def risk_from_factors(F, R, D):
     pairs = k * (k - 1)
     if pairs == 0:
         raise NumericError("no usable pairs (all predictions dropped)")
-    gram_norms = (
-        np.sum((D.T @ D) ** 2)
-        - 2.0 * np.sum((D.T @ F) ** 2)
-        + np.sum((F.T @ F) ** 2)
-    )
-    diagonal = np.sum((np.sum(D * D, axis=1) - np.sum(F * F, axis=1)) ** 2)
-    value = max(_finite(float((gram_norms - diagonal) / pairs)), 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        gram_norms = (
+            np.sum((D.T @ D) ** 2)
+            - 2.0 * np.sum((D.T @ F) ** 2)
+            + np.sum((F.T @ F) ** 2)
+        )
+        diagonal = np.sum((np.sum(D * D, axis=1) - np.sum(F * F, axis=1)) ** 2)
+        total = float((gram_norms - diagonal) / pairs)
+    value = max(_finite(total), 0.0)
     return RiskValue(value, pairs, m * (m - 1) - pairs)
 
 

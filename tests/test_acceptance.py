@@ -16,6 +16,7 @@ from calrisk.estimators import (
     fit_kde,
     fit_kkr,
     fit_ukkr,
+    kde_prepare,
     kde_regress,
     kkr_prepare,
     rbf_gram,
@@ -145,7 +146,7 @@ def test_criterion_6_plugin_identities():
     ds = random_canonical(rng, 200, 3)
     kde_model = fit_kde(ds, 0.3)
     kde_diag = float(kde_model.diag(ds.probs).mean())
-    resid = ds.probs - kde_regress(ds, ds.probs, 0.3)
+    resid = ds.probs - kde_regress(kde_prepare(ds, ds.probs), 0.3)
     kde_direct = float(np.mean(np.sum(resid**2, axis=1)))
     kde_gap = abs(kde_diag - kde_direct)
 

@@ -84,6 +84,17 @@ class TestLoadDataset:
         np.testing.assert_array_equal(got.probs, want.probs)
         np.testing.assert_array_equal(got.labels, want.labels)
 
+    def test_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"0.4,0.6,1\n0.5,0.5,0\n\xff\n")
+        with pytest.raises(InputError, match="not UTF-8"):
+            load_dataset(str(path), "probs-csv")
+        argv = ["evaluate", "--format", "probs-csv", "--data", str(path),
+                "--out", str(tmp_path / "r.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
+
     def test_label_out_of_range_rejected(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", [[1.0, 2.0, 3.0, 3]])
         with pytest.raises(InputError, match="label 3"):

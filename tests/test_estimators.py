@@ -35,6 +35,7 @@ from calrisk.estimators import (
     fit_kde,
     fit_kkr,
     fit_ukkr,
+    kde_prepare,
     kde_regress,
     kkr_prepare,
     rbf_gram,
@@ -256,7 +257,7 @@ class TestKde:
     def test_flat_kernel_limit(self):
         rng = np.random.default_rng(8)
         ds = random_canonical(rng, 40, 3)
-        ghat = kde_regress(ds, rng.dirichlet(np.ones(3), size=5), 1e6)
+        ghat = kde_regress(kde_prepare(ds, rng.dirichlet(np.ones(3), size=5)), 1e6)
         label_mean = one_hot(ds.labels, 3).mean(axis=0)
         np.testing.assert_allclose(ghat, np.tile(label_mean, (5, 1)), atol=1e-6)
 
@@ -266,7 +267,7 @@ class TestKde:
         ds = random_canonical(rng, 200, 3)
         model = fit_kde(ds, 0.3)
         diag_mean = model.diag(ds.probs).mean()
-        resid = ds.probs - kde_regress(ds, ds.probs, 0.3)
+        resid = ds.probs - kde_regress(kde_prepare(ds, ds.probs), 0.3)
         direct = float(np.mean(np.sum(resid**2, axis=1)))
         assert diag_mean == pytest.approx(direct, abs=1e-10)
 
@@ -276,7 +277,7 @@ class TestKde:
         P = np.tile([[0.98, 0.01, 0.01]], (20, 1))
         ds = Dataset(P, np.zeros(20, dtype=int), CANONICAL)
         queries = np.array([[0.01, 0.01, 0.98], [0.98, 0.01, 0.01]])
-        ghat = kde_regress(ds, queries, 1e-3)
+        ghat = kde_regress(kde_prepare(ds, queries), 1e-3)
         assert np.isnan(ghat[0]).all()
         assert np.isfinite(ghat[1]).all()
 
@@ -288,11 +289,11 @@ class TestKde:
         with pytest.raises(InputError, match=f"bandwidth {b} "):
             fit_kde(ds, b)
         with pytest.raises(InputError, match="overflow"):
-            kde_regress(ds, ds.probs, b)
+            kde_regress(kde_prepare(ds, ds.probs), b)
 
     def test_top_label_regression(self):
         ds = random_top_label(np.random.default_rng(11), 50)
-        ghat = kde_regress(ds, ds.probs, 0.5)
+        ghat = kde_regress(kde_prepare(ds, ds.probs), 0.5)
         assert ghat.shape == (50, 1)
         assert np.all((ghat >= 0.0) & (ghat <= 1.0))
         # the features are the confidence residuals, bit for bit
@@ -423,7 +424,7 @@ class TestKdeWeightsBitIdentity:
     def with_plain_exp(train, queries, b):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(estimators, "_exp_inplace", plain_exp)
-            return kde_regress(train, queries, b)
+            return kde_regress(kde_prepare(train, queries), b)
 
     @pytest.mark.parametrize("mode", [CANONICAL, TOP_LABEL])
     def test_full_default_grid(self, band_lanes, mode):
@@ -436,7 +437,7 @@ class TestKdeWeightsBitIdentity:
         grid = default_grid("kde", mode, len(train))
         assert len(grid) == 20
         for b in grid:
-            got = kde_regress(train, queries, b)
+            got = kde_regress(kde_prepare(train, queries), b)
             assert np.array_equal(got, self.with_plain_exp(train, queries, b),
                                   equal_nan=True), b
         assert sum(band_lanes) > 0
@@ -448,10 +449,10 @@ class TestKdeWeightsBitIdentity:
         queries = np.array([[0.01, 0.01, 0.98], [0.98, 0.01, 0.01],
                             [0.5, 0.3, 0.2]])
         for b in (1e-3, 1e-2, 3e-2, 0.1):
-            got = kde_regress(ds, queries, b)
+            got = kde_regress(kde_prepare(ds, queries), b)
             assert np.array_equal(got, kde_regress_plain_exp(ds, queries, b),
                                   equal_nan=True), b
-        assert np.isnan(kde_regress(ds, queries, 1e-3)[0]).all()
+        assert np.isnan(kde_regress(kde_prepare(ds, queries), 1e-3)[0]).all()
 
 
 def blocked_rtol(n_train, d, bandwidth):
@@ -517,7 +518,7 @@ class TestKdeBlocks:
         assert len(grid) == 20
         for b in grid:
             block_shapes.clear()
-            got = kde_regress(train, queries, b)
+            got = kde_regress(kde_prepare(train, queries), b)
             ref = kde_regress_plain_exp(train, queries, b)
             assert np.array_equal(np.isnan(got), np.isnan(ref)), b
             d = _as_simplex_points(queries).shape[1]
@@ -533,7 +534,7 @@ class TestKdeBlocks:
         # so its NaN row shows the results go back in query order
         end = 0 if mode == CANONICAL else len(queries) - 1
         assert sorted_position(queries, MIDDLE) == end
-        assert np.isnan(kde_regress(train, queries, grid[-1])[MIDDLE]).all()
+        assert np.isnan(kde_regress(kde_prepare(train, queries), grid[-1])[MIDDLE]).all()
 
     @pytest.mark.parametrize("mode", [CANONICAL, TOP_LABEL])
     def test_query_order_does_not_matter(self, mode):
@@ -541,8 +542,8 @@ class TestKdeBlocks:
         perm = np.random.default_rng(4).permutation(len(queries))
         d = _as_simplex_points(queries).shape[1]
         for b in default_grid("kde", mode, len(train)):
-            got = kde_regress(train, queries[perm], b)
-            ref = kde_regress(train, queries, b)[perm]
+            got = kde_regress(kde_prepare(train, queries[perm]), b)
+            ref = kde_regress(kde_prepare(train, queries), b)[perm]
             assert np.array_equal(np.isnan(got), np.isnan(ref)), b
             np.testing.assert_allclose(got, ref, rtol=blocked_rtol(len(train), d, b),
                                        atol=0.0, err_msg=str(b))
@@ -551,12 +552,13 @@ class TestKdeBlocks:
         # 3000 identical training rows, so a block holds 21 queries: the 21
         # near ones sort into the first block and the 21 far ones, of
         # another top class, into the second, where every column is dead;
-        # the far ones come first in query order
+        # the far ones come first in query order. The first block is all
+        # live and takes the plain np.exp, so only the second is seen here
         P = np.tile([[0.98, 0.01, 0.01]], (3000, 1))
         ds = Dataset(P, np.zeros(3000, dtype=int), CANONICAL)
         queries = np.repeat([[0.01, 0.01, 0.98], [0.98, 0.01, 0.01]], 21, axis=0)
-        ghat = kde_regress(ds, queries, 1e-3)
-        assert block_shapes == [(21, 3000), (21, 0)]
+        ghat = kde_regress(kde_prepare(ds, queries), 1e-3)
+        assert block_shapes == [(21, 0)]
         assert np.isnan(ghat[:21]).all()
         assert np.isfinite(ghat[21:]).all()
 
@@ -568,7 +570,7 @@ class TestKdeBlocks:
         grid = default_grid("kde", CANONICAL, len(train))
         assert len(grid) == 20
         for b in grid:
-            got = kde_regress(train, queries, b)
+            got = kde_regress(kde_prepare(train, queries), b)
             finite = np.isfinite(got).all(axis=1)
             assert finite.any() and np.isnan(got[~finite]).all(), b
             np.testing.assert_allclose(got[finite].sum(axis=1), 1.0, rtol=0.0, atol=tol,
@@ -576,14 +578,72 @@ class TestKdeBlocks:
         assert len(block_shapes) > 2 * len(grid)  # several blocks per call
 
     def test_small_input_is_one_block(self, block_shapes):
-        # the input of TestKdeWeightsBitIdentity, which pins bit identity
+        # the input of TestKdeWeightsBitIdentity, which pins bit identity, at
+        # a bandwidth small enough that its block reaches `_exp_inplace`
         ds = simulate(SimConfig(n=400, d=5, seed=5)).dataset
-        kde_regress(ds.subset(np.arange(320)), ds.probs[320:], 0.1)
+        kde_regress(kde_prepare(ds.subset(np.arange(320)), ds.probs[320:]), 1e-3)
         assert [s[0] for s in block_shapes] == [80]
 
     def test_no_queries(self):
         ds = random_canonical(np.random.default_rng(3), 30, 3)
-        assert kde_regress(ds, np.empty((0, 3)), 0.1).shape == (0, 3)
+        assert kde_regress(kde_prepare(ds, np.empty((0, 3))), 0.1).shape == (0, 3)
+
+
+class TestKdePrepare:
+    """One `kde_prepare` record serves a whole bandwidth grid."""
+
+    # few-row inputs on which kde_regress still rounds as the textbook form
+    # does; the far query's weights underflow at the small bandwidths
+    TINY = {
+        CANONICAL: ([[0.98, 0.01, 0.01]] * 20, [0] * 20,
+                    [[0.01, 0.01, 0.98], [0.98, 0.01, 0.01], [0.5, 0.3, 0.2]]),
+        TOP_LABEL: ([[0.98], [0.98]], [1, 0], [[0.01], [0.98], [0.5]]),
+    }
+
+    @pytest.mark.parametrize("m", [3, 0])
+    @pytest.mark.parametrize("mode", [CANONICAL, TOP_LABEL])
+    def test_grid_equals_plain_exp_oracle(self, mode, m):
+        P, labels, queries = self.TINY[mode]
+        ds = Dataset(np.array(P), np.array(labels), mode)
+        queries = np.array(queries)[:m]
+        prep = kde_prepare(ds, queries)
+        grid = default_grid("kde", mode, len(ds))
+        assert len(grid) == 20
+        nan_rows = 0
+        for b in grid:
+            got = kde_regress(prep, b)
+            assert np.array_equal(got, kde_regress_plain_exp(ds, queries, b),
+                                  equal_nan=True), b
+            nan_rows += int(np.isnan(got).any(axis=1).sum())
+        assert (nan_rows > 0) == (m > 0)
+
+    def test_all_live_block_skips_exp_inplace(self, monkeypatch):
+        # at b = 1 every top-label log-weight is far above FAST_EXP_FLOOR, so
+        # the block takes a plain np.exp; at b = 1e-3 it reaches the clamp
+        calls = []
+        real = estimators._exp_inplace
+
+        def spy(x):
+            calls.append(x.shape)
+            return real(x)
+
+        monkeypatch.setattr(estimators, "_exp_inplace", spy)
+        ds = random_top_label(np.random.default_rng(12), 200)
+        prep = kde_prepare(ds.subset(np.arange(160)), ds.probs[160:])
+        assert len(prep.blocks) == 1
+        ghat = kde_regress(prep, 1.0)
+        assert calls == [] and np.isfinite(ghat).all()
+        kde_regress(prep, 1e-3)
+        assert len(calls) == 1 and calls[0][0] == 40
+
+    def test_distinct_entries_index_the_sorted_queries(self):
+        # the log-gammas are taken once per distinct entry and gathered back
+        ds = random_canonical(np.random.default_rng(13), 30, 3)
+        queries = np.repeat(np.random.default_rng(14).dirichlet(np.ones(3), size=4), 3, axis=0)
+        prep = kde_prepare(ds, queries)
+        assert prep.values.size < queries.size
+        np.testing.assert_array_equal(prep.values[prep.inverse], clip_simplex(queries)[prep.order])
+        assert sum(stop - start for start, stop in prep.blocks) == len(queries)
 
 
 class TestKkr:

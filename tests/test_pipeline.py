@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from calrisk.estimators import (
     ukkr_cv_features,
     ukkr_rotated_core,
 )
-from calrisk import pipeline, risk
+from calrisk import estimators, pipeline, risk
 from calrisk.pipeline import (
     CvResult,
     Fold,
@@ -215,17 +216,48 @@ class TestCrossValidate:
         ds = simulate(SimConfig(n=150, seed=3)).dataset
         tune = top_label_dataset(ds) if mode == "tce" else ds
         fitted = []
-        fit_family = pipeline.fit_family
+        holdout_risk = pipeline._holdout_risk
 
         def counted(family, fold, hyper, *args, **kwargs):
             fitted.append(hyper)
-            return fit_family(family, fold, hyper, *args, **kwargs)
+            return holdout_risk(family, fold, hyper, *args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "fit_family", counted)
+        monkeypatch.setattr(pipeline, "_holdout_risk", counted)
         cv = cv_on(tune, "kde", grid=[1e-30, 0.1], k=5)
         assert list(cv.skipped) == [(1e-30, "no usable pairs (all predictions dropped)")]
         assert fitted.count(1e-30) == 1
         assert cv.best_hyper == 0.1
+
+    @pytest.mark.parametrize("mode", ["tce", "cce"])
+    def test_kde_prepares_each_fold_once(self, monkeypatch, mode):
+        # one kde_prepare record per fold, of its training part and holdout
+        # rows, dropped before the next fold's; one kde_regress call on it
+        # per bandwidth
+        prepared, regressed = [], []
+        kde_prepare, kde_regress = estimators.kde_prepare, estimators.kde_regress
+
+        def counted_prepare(train, queries):
+            assert all(ref() is None for _, _, ref in prepared)
+            prep = kde_prepare(train, queries)
+            prepared.append((train, queries, weakref.ref(prep)))
+            return prep
+
+        def counted_regress(prep, bandwidth):
+            regressed.append((len(prepared) - 1, prep is prepared[-1][2](), bandwidth))
+            return kde_regress(prep, bandwidth)
+
+        monkeypatch.setattr(pipeline, "kde_prepare", counted_prepare)
+        monkeypatch.setattr(estimators, "kde_regress", counted_regress)
+        ds = simulate(SimConfig(n=150, seed=3)).dataset
+        tune = top_label_dataset(ds) if mode == "tce" else ds
+        folds = kfold_splits(tune, 5, 0, 0.5)
+        cv = cross_validate(folds, "kde")
+        assert cv.skipped == ()
+        grid = default_grid("kde", tune.mode, len(folds[0].train))
+        assert len(prepared) == len(folds)
+        for (train, queries, _), fold in zip(prepared, folds):
+            assert train is fold.train and queries is fold.hold.probs
+        assert regressed == [(i, True, b) for i in range(len(folds)) for b in grid]
 
     def test_all_points_failing_raises(self):
         probs = np.tile([[0.6, 0.4]], (30, 1))

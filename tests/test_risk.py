@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -186,8 +188,11 @@ class TestOverflow:
             risk_from_factors(self.F, self.F.copy(), self.D)  # R is not F: dense
 
     def test_factored_risk_raises(self):
-        with pytest.raises(NumericError, match="overflow"):
-            risk_from_factors(self.F, self.F, self.D)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericError, match="overflow"):
+                risk_from_factors(self.F, self.F, self.D)
+        assert seen == []  # numpy's overflow warnings would reach stderr
 
     def test_linear_risk_raises(self):
         with pytest.raises(NumericError, match="overflow"):
