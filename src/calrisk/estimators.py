@@ -18,7 +18,11 @@ R = phi, and `risk.risk_from_factors` scores them without any (m, m)
 matrix. kkr and ukkr are kernel quadratic forms B^T core B over a basis B
 of the evaluation rows, so F = B^T and R = (core B)^T (`kkr_factors`). Both
 fit from a training Gram's `Spectrum` alone (`kkr_prepare`), and a fitted
-model is `(spectrum, lam)`: its (n, n) core is built inside `factors`.
+model is `(spectrum, lam)`: its core is built inside `factors`. On
+canonical data the spectrum keeps only the r numerically nonzero of the n
+eigenpairs (np.linalg.pinv's rank rule), so kkr's core is (r, r), its
+basis (r, m), and ukkr's dense core is the (n, n) product of (n, r) and
+(r, r) factors; top-label spectra keep all n (see `kkr_prepare`).
 
 ukkr's cross-validation is factored (`ukkr_cv_features`): it only ranks a
 lambda grid, and the factored and dense holdout risks agree to rounding.
@@ -35,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    CANONICAL,
     TOP_LABEL,
     Dataset,
     InputError,
@@ -387,10 +392,16 @@ def kde_regress(prep, bandwidth):
 class Spectrum:
     """The lambda-independent part of every kkr and ukkr fit on one training set.
 
-    X holds the training predictions, Q and evals the eigenvectors and
-    clipped eigenvalues of their RBF Gram at `gamma` (n = evals.size), QtGQ
-    the Gram D D^T of the residual rows D rotated into that eigenbasis and
-    V = Q^T D the rotated rows. Every lambda of either family, and its refit, needs only these.
+    X holds the n training predictions, Q (n, r) and evals (r,) the kept
+    eigenvectors and clipped eigenvalues of their RBF Gram at `gamma`, QtGQ
+    (r, r) the Gram D D^T of the residual rows D rotated into that
+    eigenbasis and V = Q^T D (r, d) the rotated rows. r <= n: `kkr_prepare`
+    keeps every eigenpair in top-label mode and the numerically nonzero
+    ones in canonical mode, so the ridge terms lam n and lam n^2 take n
+    from the `n` field, never from evals.size. `min_eval` is the smallest
+    clipped eigenvalue of the whole spectrum, kept or not, by which
+    `_check_kkr` and `_ukkr_shift` refuse a singular solve. Every lambda of
+    either family, and its refit, needs only these.
     """
 
     X: np.ndarray
@@ -399,6 +410,8 @@ class Spectrum:
     evals: np.ndarray
     QtGQ: np.ndarray
     V: np.ndarray
+    n: int
+    min_eval: float
 
     def basis(self, P):
         """Q^T k(X, P): the evaluation rows P in the Gram eigenbasis."""
@@ -410,8 +423,9 @@ class KkrModel(PairModel):
     """Closed-form Kronecker kernel ridge model.
 
     A prediction is k(p)^T Q core Q^T k(p2) with `kkr_core`'s
-    Ltilde o (Q^T D D^T Q), Ltilde_ij = 1 / (l_i l_j + lam n^2); the (n, n)
-    core is built by each `factors` call and not kept.
+    Ltilde o (Q^T D D^T Q), Ltilde_ij = 1 / (l_i l_j + lam n^2), over the
+    spectrum's r kept eigenpairs and its n training rows; the (r, r) core is
+    built by each `factors` call and not kept.
     """
 
     spectrum: Spectrum
@@ -426,8 +440,19 @@ class KkrModel(PairModel):
 
 
 def kkr_prepare(train, gamma):
-    """The `Spectrum` of `train`: one eigendecomposition of its RBF Gram."""
+    """The `Spectrum` of `train`: one eigendecomposition of its RBF Gram.
+
+    On a canonical training set only the eigenpairs with evals > n eps
+    evals.max() are kept, the rank rule of np.linalg.pinv: the rest are
+    eigenvalue rounding noise, and every kkr and ukkr product then works
+    on (n, r) and (r, r) operands, r of about 286 of 768 on the benchmark's
+    cce-d10 folds. A top-label Gram keeps all n pairs: its rank is about 6,
+    and cutting it too failed 55 of the benchmark's 64 tce reference checks
+    (kkr's winning lambda or the kkr/ukkr estimates moved), outputs that
+    depend on the BLAS thread count there either way.
+    """
     X = train.probs
+    n = len(X)
     # the Gram and G = D D^T die after one use; (Q^T G) Q is Q^T @ G @ Q's order
     evals, Q = np.linalg.eigh(rbf_gram(X, X, gamma))
     if evals.min() < EIG_FLOOR:
@@ -435,24 +460,29 @@ def kkr_prepare(train, gamma):
             f"Gram matrix eigenvalue {evals.min()} below {EIG_FLOOR}"
         )
     evals = np.clip(evals, 0.0, None)
+    min_eval = float(evals[0])
+    if train.mode == CANONICAL:
+        # eigh's eigenvalues ascend, so the kept pairs are the last r
+        cut = np.searchsorted(evals, n * np.finfo(float).eps * evals[-1], side="right")
+        evals, Q = evals[cut:], np.ascontiguousarray(Q[:, cut:])
     D = residual_matrix(train)
     QtG = Q.T @ (D @ D.T)
-    return Spectrum(X, float(gamma), Q, evals, QtG @ Q, Q.T @ D)
+    return Spectrum(X, float(gamma), Q, evals, QtG @ Q, Q.T @ D, n, min_eval)
 
 
 def _check_kkr(spec, lam):
     """InputError for a negative lam, NumericError for lam = 0 on a singular Gram."""
     check_hyper("kkr", lam)
-    if lam == 0 and spec.evals.min() < SINGULAR_TOL:
+    if lam == 0 and spec.min_eval < SINGULAR_TOL:
         raise NumericError(
-            f"lambda=0 with singular Gram matrix (min eigenvalue {spec.evals.min()})"
+            f"lambda=0 with singular Gram matrix (min eigenvalue {spec.min_eval})"
         )
 
 
 def kkr_core(spec, lam):
-    """The (n, n) kkr core at `lam`, in one (n, n) array."""
+    """The (r, r) kkr core at `lam`, in one (r, r) array."""
     _check_kkr(spec, lam)
-    n = spec.evals.size
+    n = spec.n
     core = np.outer(spec.evals, spec.evals)
     core += lam * n * n
     np.divide(1.0, core, out=core)
@@ -476,7 +506,8 @@ def fit_kkr(spectrum, lam):
 @dataclass(frozen=True)
 class UkkrModel(PairModel):
     """Two-step model: dense core (K + lam n I)^-1 D D^T (K + lam n I)^-1 over
-    k(X, P), built as Q `ukkr_rotated_core` Q^T by each `factors` call."""
+    k(X, P), restricted to the spectrum's kept eigenpairs and built as the
+    (n, n) Q `ukkr_rotated_core` Q^T by each `factors` call."""
 
     spectrum: Spectrum
     lam: float
@@ -492,19 +523,21 @@ class UkkrModel(PairModel):
 
 
 def _ukkr_shift(spec, lam):
-    """The Gram eigenvalues shifted by lam n, checked for a solvable system."""
+    """The kept Gram eigenvalues shifted by lam n, checked for a solvable
+    system by the whole spectrum's smallest shift, min_eval + lam n."""
     check_hyper("ukkr", lam)
-    shifted = spec.evals + lam * spec.evals.size
-    if np.any(shifted < SINGULAR_TOL):
+    shift = lam * spec.n
+    # the smallest of the rounded sums is the rounded sum of the smallest
+    if spec.min_eval + shift < SINGULAR_TOL:
         raise NumericError(
             f"singular system in two-step solve (min shifted eigenvalue "
-            f"{shifted.min()})"
+            f"{spec.min_eval + shift})"
         )
-    return shifted
+    return spec.evals + shift
 
 
 def ukkr_rotated_core(spec, lam):
-    """Core of the two-step solve in the Gram eigenbasis; `UkkrModel` rotates it back."""
+    """(r, r) core of the two-step solve in the Gram eigenbasis; `UkkrModel` rotates it back."""
     shifted = _ukkr_shift(spec, lam)
     core = np.outer(shifted, shifted)
     return np.divide(spec.QtGQ, core, out=core)
@@ -516,7 +549,7 @@ def ukkr_cv_features(spec, basis, lam):
     `rotated` is `ukkr_rotated_core(spec, lam)` and `basis` the holdout
     basis `spec.basis(P)`. Since Q^T G Q = V V^T, Phi = basis^T diag(1/s) V
     with s = evals + lam n: the two-step KRR of Stock, Pahikkala et al. (2018)
-    in O(n m d) per lambda. It agrees with the dense matrix to rounding, so
+    in O(r m d) per lambda. It agrees with the dense matrix to rounding, so
     it serves to rank a lambda grid; the fitted model keeps the dense core,
     since factoring it moves the estimates (see the module docstring).
     """

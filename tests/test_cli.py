@@ -593,16 +593,27 @@ def test_report_is_strict_json_when_holdout_risks_vanish(tmp_path):
 
 
 def test_grid_point_whose_risk_overflows_is_skipped(tmp_path):
-    # at lambda = 1e-300 the kkr core scales the Gram's null space by about
-    # 1 / (1e-300 n^2), and the squared holdout errors overflow
+    # at lambda = 1e-300 the top-label kkr core, which keeps every eigenpair,
+    # scales the Gram's near-null space by about 1 / (1e-300 n^2), and the
+    # squared holdout errors overflow
     data = write_random_logits(tmp_path / "d.csv", np.random.default_rng(8), 60)
+    grid = "--grid-kkr=1e-300,1e-3,1"
     out = tmp_path / "r.json"
-    assert main(["evaluate", "--data", data, "--mode", "cce", "--families", "kkr",
-                 "--grid-kkr=1e-300,1e-3,1", "--out", str(out)]) == 0
+    assert main(["evaluate", "--data", data, "--mode", "tce", "--families", "kkr",
+                 grid, "--out", str(out)]) == 0
     entry = read_strict_json(out)["families"]["kkr"]
     assert [point["hyper"] for point in entry["grid"]] == [1e-3, 1.0]
     assert [skip["hyper"] for skip in entry["skipped_grid_points"]] == [1e-300]
     assert "overflow" in entry["skipped_grid_points"][0]["reason"]
+    # a canonical spectrum keeps only its numerically nonzero eigenpairs, so
+    # there is no null space to scale: 1e-300 is scored, finite, and loses
+    assert main(["evaluate", "--data", data, "--mode", "cce", "--families", "kkr",
+                 grid, "--out", str(out)]) == 0
+    entry = read_strict_json(out)["families"]["kkr"]
+    assert [point["hyper"] for point in entry["grid"]] == [1e-300, 1e-3, 1.0]
+    assert entry["skipped_grid_points"] == []
+    assert np.isfinite(entry["grid"][0]["mean_risk"])
+    assert entry["best_hyper"] != 1e-300
 
 
 @pytest.mark.parametrize("families", [",", " , ", "bin,bin", "kde,,kde", "kkr, kkr"])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -817,10 +819,10 @@ def rbf_gram_reference(X, Y, gamma):
 
 
 def stored_core_factors(model, P):
-    """(F, R) of a kkr or ukkr model whose (n, n) core is formed at fit time,
+    """(F, R) of a kkr or ukkr model whose core is formed at fit time,
     with the same operands and operation order as `factors`."""
     spec, lam = model.spectrum, model.lam
-    Q, evals, n = spec.Q, spec.evals, spec.evals.size
+    Q, evals, n = spec.Q, spec.evals, spec.n
     if isinstance(model, KkrModel):
         core = (1.0 / (np.outer(evals, evals) + lam * n * n)) * spec.QtGQ
         B = Q.T @ rbf_gram_reference(spec.X, P, spec.gamma)
@@ -868,3 +870,95 @@ def test_kernel_factors_equal_stored_core_bit_for_bit(case, family, fit):
         np.testing.assert_array_equal(F, F0)
         np.testing.assert_array_equal(R, R0)
         np.testing.assert_array_equal(model.diag(P), np.sum(F0 * R0, axis=1))
+
+
+def full_spectrum(train, gamma=0.5):
+    """The clipped eigenpairs of `train`'s whole Gram and its rotated residual
+    Gram, from the same `eigh` call as `kkr_prepare`'s."""
+    evals, Q = np.linalg.eigh(rbf_gram(train.probs, train.probs, gamma))
+    D = residual_matrix(train)
+    return np.clip(evals, 0.0, None), Q, Q.T @ (D @ D.T) @ Q
+
+
+def pinv_rank(evals):
+    """np.linalg.pinv's numerical rank of a symmetric matrix with these eigenvalues."""
+    return int(np.sum(evals > evals.size * np.finfo(float).eps * evals.max()))
+
+
+def rank_deficient_fold():
+    """160 canonical training rows of rank 40, d = 3, and 40 evaluation rows."""
+    ds = simulate(SimConfig(n=200, d=3, seed=5)).dataset
+    return ds.subset(np.arange(160)), ds.probs[160:]
+
+
+def duplicated_canonical():
+    """A canonical training set whose Gram is exactly singular: every row twice."""
+    ds = random_canonical(np.random.default_rng(25), 8, 3)
+    return ds.subset(np.tile(np.arange(8), 2))
+
+
+class TestTruncatedSpectrum:
+    """A canonical spectrum keeps the eigenpairs above np.linalg.pinv's rank
+    cut; a top-label one keeps all n."""
+
+    @pytest.mark.parametrize("mode", ["cce", "tce"])
+    def test_kept_pairs_and_training_rows(self, mode):
+        train, _ = rank_deficient_fold()
+        train = top_label_dataset(train) if mode == "tce" else train
+        spec = kkr_prepare(train, 0.5)
+        evals, _, _ = full_spectrum(train)
+        n, d = len(train), residual_matrix(train).shape[1]
+        r = pinv_rank(evals) if mode == "cce" else n
+        assert mode == "tce" or r < n
+        assert spec.n == n and spec.min_eval == evals.min()
+        assert spec.Q.shape == (n, r) and spec.Q.flags.c_contiguous
+        assert spec.evals.shape == (r,) and spec.QtGQ.shape == (r, r)
+        assert spec.V.shape == (r, d)
+        np.testing.assert_array_equal(spec.evals, evals[n - r:])
+
+    @pytest.mark.parametrize("family, fit, rtol", [
+        # measured worst, relative to the oracle's largest |H|: 5.1e-8 at the
+        # grid's smallest lambda (kkr) and 6.3e-11 (ukkr), at 1 and 2 threads
+        ("kkr", fit_kkr, 1e-6),
+        ("ukkr", fit_ukkr, 1e-9),
+    ], ids=["kkr", "ukkr"])
+    def test_predictions_match_the_full_spectrum(self, family, fit, rtol):
+        train, P = rank_deficient_fold()
+        spec = kkr_prepare(train, 0.5)
+        evals, Q, QtGQ = full_spectrum(train)
+        n = len(train)
+        B = Q.T @ rbf_gram(train.probs, P, 0.5)
+        for lam in default_grid(family, train.mode, n):
+            if family == "kkr":
+                core = QtGQ / (np.outer(evals, evals) + lam * n * n)
+            else:
+                core = QtGQ / np.outer(evals + lam * n, evals + lam * n)
+            H0 = B.T @ core @ B
+            F, R = fit(spec, lam).factors(P)
+            assert np.abs(F @ R.T - H0).max() <= rtol * np.abs(H0).max(), lam
+
+    def test_ridge_terms_take_the_training_row_count(self):
+        train, _ = rank_deficient_fold()
+        spec = kkr_prepare(train, 0.5)
+        n, r, lam = len(train), spec.evals.size, 1.0
+        outer = np.outer(spec.evals, spec.evals)
+        core = estimators.kkr_core(spec, lam)
+        np.testing.assert_array_equal(core, (1.0 / (outer + lam * n * n)) * spec.QtGQ)
+        assert not np.allclose(core, spec.QtGQ / (outer + lam * r * r))
+        shifted = spec.evals + lam * n
+        np.testing.assert_array_equal(estimators.ukkr_rotated_core(spec, lam),
+                                      spec.QtGQ / np.outer(shifted, shifted))
+
+    @pytest.mark.parametrize("fit, prefix", [
+        (fit_kkr, r"^lambda=0 with singular Gram matrix \(min eigenvalue (.*)\)$"),
+        (fit_ukkr, r"^singular system in two-step solve \(min shifted eigenvalue (.*)\)$"),
+    ], ids=["kkr", "ukkr"])
+    def test_lambda_zero_names_the_whole_spectrum(self, fit, prefix):
+        train = duplicated_canonical()
+        spec = kkr_prepare(train, 0.5)
+        evals, _, _ = full_spectrum(train)
+        assert spec.evals.size == pinv_rank(evals) < len(train)
+        with pytest.raises(NumericError, match=prefix) as info:
+            fit(spec, 0.0)
+        named = float(re.match(prefix, str(info.value)).group(1))
+        assert named == evals.min() < estimators.SINGULAR_TOL < spec.evals.min()
