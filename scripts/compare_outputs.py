@@ -26,7 +26,10 @@ each command's standard output, byte for byte:
   the d=10 cce evaluate of kde,kkr,ukkr at      report and --emit-csv
     k=7 (uneven folds) and gamma=2
   the d=10 cce evaluate of kde,kkr,sim with     report and --emit-csv
-    every config flag away from its default
+    every config flag away from its default,
+    and a sim grid of the default thetas times
+    0.3/0.5, so the sim factor theta/t is the
+    default grid's at temperature 0.5
   simulate --n 500 --seeds 40                   curve CSV
   simulate with every config flag and          curve CSV
     --theta-grid away from its default
@@ -91,11 +94,12 @@ CASES = {
     "evaluate-cce-d10-k7": ("cce-d10", ["evaluate", "--mode", "cce", "--families",
                                         "kde,kkr,ukkr", "--k", "7", "--gamma", "2"]),
     # every evaluate config flag away from its default (--linear-risk has
-    # its own case), so a flag the CLI failed to pass on would show
+    # its own case), so a flag the CLI failed to pass on would show; the sim
+    # grid is DEFAULT_THETAS * 0.3/0.5, which moves the sim factor theta/t
     "evaluate-cce-d10-flags": ("cce-d10", ["evaluate", "--mode", "cce", "--families",
                                            "kde,kkr,sim", "--test-fraction", "0.25",
                                            "--k", "4", "--gamma", "1", "--seed", "7",
-                                           "--model-temp", "0.5"]),
+                                           "--grid-sim=0.15,0.3,0.54,0.6,0.66,0.9,1.2"]),
     "simulate": (None, ["simulate", "--n", "500", "--d", "5", "--alpha", "0.04",
                         "--seeds", "40", "--seed", str(40 * INSTANCE)]),
     "simulate-flags": (None, ["simulate", "--n", "300", "--d", "4", "--alpha", "0.1",

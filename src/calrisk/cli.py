@@ -244,7 +244,6 @@ def build_parser():
     p_eval.add_argument("--out", type=str, default=None)
     p_eval.add_argument("--families", type=lambda text: tuple(
         f.strip() for f in text.split(",") if f.strip()))
-    p_eval.add_argument("--model-temp", type=float)
     p_eval.add_argument("--linear-risk", action="store_true")
     p_eval.add_argument("--emit-csv", type=str, default=None)
     for fam in FAMILIES:

@@ -133,17 +133,11 @@ def check_grid(grid):
 
 
 def kfold_indices(n, k, seed):
-    """Seeded shuffle, k contiguous blocks, remainder one-per-fold in front."""
+    """Seeded shuffle split into k contiguous blocks (`np.array_split`: the
+    remainder goes one per fold, in front)."""
     if k < 2 or n < k:
         raise InputError("need k >= 2 folds and at least k samples")
-    order = np.random.default_rng(seed).permutation(n)
-    base, rem = divmod(n, k)
-    folds, start = [], 0
-    for i in range(k):
-        size = base + (1 if i < rem else 0)
-        folds.append(order[start:start + size])
-        start += size
-    return folds
+    return np.array_split(np.random.default_rng(seed).permutation(n), k)
 
 
 def softmax_rows(logits):

@@ -50,7 +50,7 @@ from .estimators import (
     ukkr_cv_features,
 )
 from .risk import linear_risk, risk_from_factors
-from .sim import DEFAULT_THETAS, MODEL_TEMP, SimModel
+from .sim import DEFAULT_THETAS, SimModel, check_theta
 
 FAMILIES = ("bin", "kde", "kkr", "ukkr", "sim")
 # the dataset mode a family can score; the others take either
@@ -159,9 +159,11 @@ def default_grid(family, mode, n_train):
     raise InputError(f"unknown family {family!r}")
 
 
-def fit_family(family, fold, hyper, model_temp=MODEL_TEMP):
+def fit_family(family, fold, hyper):
     """Fit one model of the given family at one hyperparameter point on
-    the fold's training part; kkr and ukkr fit from the fold's spectrum."""
+    the fold's training part; kkr and ukkr fit from the fold's spectrum.
+    sim is `SimModel(hyper)` at the default `sim.MODEL_TEMP`: it reads theta
+    and the temperature only as theta/t, so its grid is its one setting."""
     if family == "bin":
         return fit_binning(fold.train, hyper)
     if family == "kde":
@@ -171,7 +173,7 @@ def fit_family(family, fold, hyper, model_temp=MODEL_TEMP):
     if family == "ukkr":
         return fit_ukkr(fold.spectrum, hyper)
     if family == "sim":
-        return SimModel(float(hyper), model_temp)
+        return SimModel(float(hyper))
     raise InputError(f"unknown family {family!r}")
 
 
@@ -209,7 +211,7 @@ def kfold_splits(tune, k, seed, gamma):
                  tune.subset(hold), gamma) for hold in kfold_indices(len(tune), k, seed)]
 
 
-def _holdout_risk(family, fold, hyper, D, prep, model_temp, linear, seed):
+def _holdout_risk(family, fold, hyper, D, prep, linear, seed):
     """The risk of one grid point fitted on one fold's training part, against
     the fold's (m, d) holdout residual rows D, from the factors (F, R) of
     its predictions H = F R^T. kkr and ukkr take theirs from the fold's
@@ -223,11 +225,11 @@ def _holdout_risk(family, fold, hyper, D, prep, model_temp, linear, seed):
     elif family == "kde":
         F = R = kde_features(prep, hyper)
     else:
-        F, R = fit_family(family, fold, hyper, model_temp).factors(fold.hold.probs)
+        F, R = fit_family(family, fold, hyper).factors(fold.hold.probs)
     return linear_risk(F, R, D, seed) if linear else risk_from_factors(F, R, D)
 
 
-def cross_validate(folds, family, grid=None, seed=0, linear=False, model_temp=MODEL_TEMP):
+def cross_validate(folds, family, grid=None, seed=0, linear=False):
     """Grid search by cross-validated empirical risk over `kfold_splits` folds.
 
     Returns the winning grid point together with its k fold models, which
@@ -238,7 +240,8 @@ def cross_validate(folds, family, grid=None, seed=0, linear=False, model_temp=MO
     fitted again on later folds. A grid that is empty or repeats a value,
     and a value the family cannot take (a non-finite value, a bandwidth
     that is not positive, a negative lambda, a bin count that is not a
-    positive integer or is above 10**6), is an InputError and ends the call. Every family is scored
+    positive integer or is above 10**6, a sim theta whose scaled logs
+    overflow), is an InputError and ends the call. Every family is scored
     against the holdout residual rows from its prediction factors, by the
     U-statistic (`risk.risk_from_factors`) or by the linear risk, which
     reads the row dots of its pairs alone, in the order `seed` gives.
@@ -263,7 +266,7 @@ def cross_validate(folds, family, grid=None, seed=0, linear=False, model_temp=MO
                 continue  # failed on an earlier fold: not fitted again
             try:
                 risk_table[hyper].append(_holdout_risk(
-                    family, fold, hyper, D, prep, model_temp, linear, seed))
+                    family, fold, hyper, D, prep, linear, seed))
             except NumericError as exc:
                 failures[hyper] = str(exc)
         del prep  # before the next fold builds its own: one kde record at a time
@@ -285,9 +288,7 @@ def cross_validate(folds, family, grid=None, seed=0, linear=False, model_temp=MO
 
     # first strict minimum in grid order breaks ties toward the simpler model
     best = min(results, key=lambda r: r.mean_risk)
-    fold_models = tuple(
-        fit_family(family, fold, best.hyper, model_temp) for fold in folds
-    )
+    fold_models = tuple(fit_family(family, fold, best.hyper) for fold in folds)
     return CvResult(
         family=family,
         best_hyper=best.hyper,
@@ -337,6 +338,10 @@ def final_estimate(fold_models, test):
 
 @dataclass
 class RunConfig:
+    """The settings of one `run_evaluate` run, checked as it is built. The
+    report holds every one: `grids` as each family's `grid` rows, the rest
+    in its metadata. sim's one setting is its theta grid (`fit_family`)."""
+
     mode: str = "tce"                      # tce | cce
     families: tuple | None = None          # None: DEFAULT_FAMILIES[mode]
     test_fraction: float = 0.2
@@ -345,7 +350,6 @@ class RunConfig:
     seed: int = 0
     grids: dict = field(default_factory=dict)  # per-family overrides
     linear_risk: bool = False
-    model_temp: float = MODEL_TEMP         # only used by the sim family
 
     def __post_init__(self):
         if self.mode not in ("tce", "cce"):
@@ -355,9 +359,8 @@ class RunConfig:
         _check_test_fraction(self.test_fraction)
         if self.k_folds < 2:
             raise InputError(f"need at least 2 folds, got {self.k_folds}")
-        for name, value in (("kernel gamma", self.gamma), ("model temperature", self.model_temp)):
-            if not (np.isfinite(value) and value > 0):
-                raise InputError(f"{name} must be positive and finite, got {value}")
+        if not (np.isfinite(self.gamma) and self.gamma > 0):
+            raise InputError(f"kernel gamma must be positive and finite, got {self.gamma}")
         if self.seed < 0:
             raise InputError(f"seed must be nonnegative, got {self.seed}")
         if not self.families:
@@ -376,7 +379,10 @@ class RunConfig:
             if fam not in self.families:
                 raise InputError(f"a {fam} grid is given, but the {fam} family is not run")
             for hyper in check_grid(grid):
-                check_hyper(fam, hyper)
+                if fam == "sim":
+                    check_theta(hyper)
+                else:
+                    check_hyper(fam, hyper)
 
 
 def _family_entry(cv, est):
@@ -433,10 +439,8 @@ def run_evaluate(cfg, ds):
     grids = {}
     for fam in cfg.families:
         base, grid = _report_family(fam)
-        cv = cross_validate(
-            folds, base, grid=cfg.grids.get(fam, grid), seed=cfg.seed,
-            linear=cfg.linear_risk, model_temp=cfg.model_temp,
-        )
+        cv = cross_validate(folds, base, grid=cfg.grids.get(fam, grid), seed=cfg.seed,
+                            linear=cfg.linear_risk)
         est = final_estimate(cv.fold_models, test)
         report["families"][fam] = _family_entry(cv, est)
         grids[fam] = cv.grid

@@ -9,6 +9,7 @@ temperature parameter 1, which makes the risk's ranking testable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,16 +89,29 @@ def simulate(cfg):
     return SimDataset(Dataset(preds, labels, CANONICAL), P, cfg)
 
 
+def check_theta(theta, model_temp=MODEL_TEMP):
+    """InputError unless the scaled logs (theta/t) log p of `SimModel` are
+    finite for every clipped p: |theta/t| must stay below the largest float
+    over -log LOG_CLIP, about 6.5e306."""
+    if not math.isfinite(float(theta) / float(model_temp) * math.log(LOG_CLIP)):
+        raise InputError(f"sim theta {theta} at model temperature {model_temp} is too "
+                         "large: its scaled logs overflow")
+
+
 @dataclass(frozen=True)
 class SimModel(PairModel):
     """h(p, p2) = <p - softmax((theta/t) log p), p2 - softmax((theta/t) log p2)>.
 
     `model_temp` t is the softening factor of the simulated classifier, so
     theta = 1 inverts it exactly and recovers the ground-truth residuals.
+    theta and t enter only as their ratio; `check_theta` bounds it.
     """
 
     theta: float
     model_temp: float = MODEL_TEMP
+
+    def __post_init__(self):
+        check_theta(self.theta, self.model_temp)
 
     def features(self, P):
         """(m, d) candidate residuals p - softmax((theta/t) log p)."""
@@ -114,6 +128,7 @@ def risk_curve(sim, thetas, seed=0):
 
     The per-theta standard error comes from the risk on RISK_CURVE_FOLDS
     disjoint folds of the dataset, so each fold needs two samples to pair.
+    Every theta is checked (`check_theta`) before the first risk.
     """
     thetas = check_grid(thetas)
     if len(thetas) < 2:
@@ -123,11 +138,11 @@ def risk_curve(sim, thetas, seed=0):
         raise InputError(f"a risk curve over {RISK_CURVE_FOLDS} folds needs "
                          f"n >= {2 * RISK_CURVE_FOLDS}, got n={len(ds)}")
     folds = [ds.subset(f) for f in kfold_indices(len(ds), RISK_CURVE_FOLDS, seed)]
+    models = [SimModel(theta, sim.config.model_temp) for theta in thetas]
     out = []
-    for theta in thetas:
-        model = SimModel(theta, sim.config.model_temp)
+    for model in models:
         value = empirical_risk(model, ds).value
         fold_vals = np.array([empirical_risk(model, fold).value for fold in folds])
         se = float(fold_vals.std(ddof=1) / np.sqrt(len(folds)))
-        out.append((theta, value, se))
+        out.append((model.theta, value, se))
     return out

@@ -1,9 +1,11 @@
 import csv
+import dataclasses
 import json
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -227,6 +229,30 @@ class TestRunConfig:
             main(["evaluate", "--data", data, "--families", "bin15",
                   "--grid-bin15=5,10", "--out", str(tmp_path / "r.json")])
         assert exc.value.code == 2
+
+    def test_no_evaluate_model_temp_flag(self, tmp_path, capsys):
+        # sim reads theta and the temperature only as their ratio, so
+        # --grid-sim is the sim family's one setting
+        data = write_random_logits(tmp_path / "d.csv", np.random.default_rng(0), 60)
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--data", data, "--mode", "cce", "--families", "sim",
+                  "--model-temp", "0.5", "--out", str(tmp_path / "r.json")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --model-temp" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_every_setting_is_in_the_report(self, tmp_path):
+        data = write_random_logits(tmp_path / "d.csv", np.random.default_rng(5), 60)
+        cfg = RunConfig(mode="cce", families=("kde", "sim"), test_fraction=0.25, k_folds=3,
+                        gamma=0.7, seed=4, grids={"kde": [0.1, 0.3], "sim": [0.5, 1.0, 2.0]},
+                        linear_risk=True)
+        report, _ = run_evaluate(cfg, load_dataset(data, "logits-csv"))
+        settings = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(RunConfig)}
+        grids = settings.pop("grids")
+        settings["families"] = list(settings["families"])
+        assert {k: report["metadata"][k] for k in settings} == settings
+        for fam, grid in grids.items():
+            assert [p["hyper"] for p in report["families"][fam]["grid"]] == grid
 
 
 class TestEvaluateCommand:
@@ -489,12 +515,9 @@ class TestReportGrid:
 
 @pytest.mark.parametrize("argv", [
     ["evaluate", "--k", "0"],
-    ["evaluate", "--mode", "cce", "--families", "sim", "--model-temp", "0"],
-    ["evaluate", "--model-temp", "-1"],
     ["evaluate", "--gamma", "0"],
     ["evaluate", "--gamma", "-1"],
     ["evaluate", "--gamma", "inf", "--families", "kkr"],
-    ["evaluate", "--mode", "cce", "--families", "sim", "--model-temp", "inf"],
     ["simulate", "--model-temp", "nan"],
     ["simulate", "--model-temp", "inf"],
     ["simulate", "--seeds", "0"],
@@ -566,6 +589,46 @@ def test_bad_grid_exits_before_any_family_runs(tmp_path, capsys, monkeypatch, gr
                  grid, "--out", str(tmp_path / "r.json")]) == 2
     assert message in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.mark.parametrize("argv,over,inside", [
+    (["evaluate", "--mode", "cce", "--families", "kde,sim", "--grid-sim=1,{}"], "1e308", "1e306"),
+    (["simulate", "--theta-grid=1,{}"], "1e308", "1e306"),
+    (["simulate", "--model-temp", "{}"], "1e-320", "1e-306"),
+], ids=["evaluate-grid-sim", "simulate-theta-grid", "simulate-model-temp"])
+def test_sim_theta_whose_scaled_logs_overflow_exits_2(tmp_path, capsys, monkeypatch,
+                                                      argv, over, inside):
+    # (theta/t) log p overflows once |theta/t| passes about 6.5e306: theta =
+    # 1e308 at t = 0.3 and every default theta at t = 1e-320 do, 1e306 at
+    # t = 0.3 and 2.0 at t = 1e-306 do not
+    from calrisk import pipeline
+
+    calls = []
+    cross_validate = pipeline.cross_validate
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return cross_validate(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "cross_validate", counted)
+    if argv[0] == "simulate":
+        out = tmp_path / "curve.csv"
+        paths = ["--n", "50", "--seeds", "2", "--out", str(out)]
+    else:
+        out = tmp_path / "r.json"
+        data = write_random_logits(tmp_path / "d.csv", np.random.default_rng(8), 60)
+        paths = ["--data", data, "--out", str(out)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([a.format(over) for a in argv] + paths) == 2
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "scaled logs overflow" in err
+    assert calls == [] and not out.exists()
+    assert main([a.format(inside) for a in argv] + paths) == 0
+    if argv[0] == "evaluate":
+        entry = read_strict_json(out)["families"]["sim"]
+        assert [point["hyper"] for point in entry["grid"]] == [1.0, 1e306]
 
 
 def read_strict_json(path):
@@ -724,14 +787,13 @@ class TestConfigFromFlags:
         data = write_random_logits(tmp_path / "d.csv", np.random.default_rng(8), 60)
         assert main(["evaluate", "--data", data, "--mode", "cce", "--families", "kde, sim",
                      "--test-fraction", "0.25", "--k", "4", "--gamma", "1", "--seed", "7",
-                     "--model-temp", "0.5", "--linear-risk", "--grid-kde=0.1,0.2"]) == 2
+                     "--linear-risk", "--grid-kde=0.1,0.2"]) == 2
         assert main(["simulate", "--n", "300", "--d", "4", "--alpha", "0.1",
                      "--model-temp", "0.5", "--seed", "3",
                      "--out", str(tmp_path / "curve.csv")]) == 2
         assert built == [
             RunConfig(mode="cce", families=("kde", "sim"), test_fraction=0.25, k_folds=4,
-                      gamma=1.0, seed=7, grids={"kde": [0.1, 0.2]}, linear_risk=True,
-                      model_temp=0.5),
+                      gamma=1.0, seed=7, grids={"kde": [0.1, 0.2]}, linear_risk=True),
             SimConfig(n=300, d=4, alpha=0.1, model_temp=0.5, seed=3),
         ]
 

@@ -147,6 +147,23 @@ class TestRiskCurve:
         risk_curve(simulate(SimConfig(n=10, seed=5)), DEFAULT_THETAS)
         assert calls
 
+    @pytest.mark.parametrize("thetas,temp", [([1.0, 1e307], 0.3), ([-1e307, 1.0], 0.3),
+                                             ([0.5, 1.0], 1e-320)],
+                             ids=["theta-1e307", "theta-minus-1e307", "temp-1e-320"])
+    def test_theta_whose_scaled_logs_overflow_rejected_before_any_risk(
+            self, monkeypatch, thetas, temp):
+        from calrisk import sim as sim_module
+
+        calls = []
+        monkeypatch.setattr(sim_module, "empirical_risk",
+                            lambda *args: calls.append(args) or empirical_risk(*args))
+        sim = simulate(SimConfig(n=20, model_temp=temp, seed=5))
+        with pytest.raises(InputError, match="scaled logs overflow"):
+            risk_curve(sim, thetas)
+        assert calls == []
+        # theta = 1e306 at t = 0.3 is inside the bound
+        assert len(risk_curve(simulate(SimConfig(n=20, seed=5)), [1.0, 1e306])) == 2
+
     def test_interior_argmin(self):
         for seed in range(10):
             sim = simulate(SimConfig(seed=seed))
