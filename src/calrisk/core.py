@@ -132,6 +132,12 @@ def check_grid(grid):
     return grid
 
 
+def check_positive(name, value):
+    """InputError unless `value` is positive and finite."""
+    if not (np.isfinite(value) and value > 0):
+        raise InputError(f"{name} must be positive and finite, got {value}")
+
+
 def kfold_indices(n, k, seed):
     """Seeded shuffle split into k contiguous blocks (`np.array_split`: the
     remainder goes one per fold, in front)."""

@@ -397,9 +397,9 @@ class Spectrum:
     (r, r) the Gram D D^T of the residual rows D rotated into that
     eigenbasis and V = Q^T D (r, d) the rotated rows. r <= n: `kkr_prepare`
     keeps every eigenpair in top-label mode and the numerically nonzero
-    ones in canonical mode, so the ridge terms lam n and lam n^2 take n
-    from the `n` field, never from evals.size. `min_eval` is the smallest
-    clipped eigenvalue of the whole spectrum, kept or not, by which
+    ones in canonical mode, so the ridge terms lam n and lam n^2 read the
+    training row count `n` = len(X), never evals.size. `min_eval` is the
+    smallest clipped eigenvalue of the whole spectrum, kept or not, by which
     `_check_kkr` and `_ukkr_shift` refuse a singular solve. Every lambda of
     either family, and its refit, needs only these.
     """
@@ -410,8 +410,11 @@ class Spectrum:
     evals: np.ndarray
     QtGQ: np.ndarray
     V: np.ndarray
-    n: int
     min_eval: float
+
+    @property
+    def n(self):
+        return len(self.X)
 
     def basis(self, P):
         """Q^T k(X, P): the evaluation rows P in the Gram eigenbasis."""
@@ -467,7 +470,7 @@ def kkr_prepare(train, gamma):
         evals, Q = evals[cut:], np.ascontiguousarray(Q[:, cut:])
     D = residual_matrix(train)
     QtG = Q.T @ (D @ D.T)
-    return Spectrum(X, float(gamma), Q, evals, QtG @ Q, Q.T @ D, n, min_eval)
+    return Spectrum(X, float(gamma), Q, evals, QtG @ Q, Q.T @ D, min_eval)
 
 
 def _check_kkr(spec, lam):

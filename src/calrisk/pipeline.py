@@ -21,7 +21,7 @@ skipped from then on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -33,6 +33,7 @@ from .core import (
     InputError,
     NumericError,
     check_grid,
+    check_positive,
     kfold_indices,
     residual_matrix,
     top_label_dataset,
@@ -79,22 +80,34 @@ def check_family_mode(family, mode):
 
 @dataclass(frozen=True)
 class GridPointResult:
+    """A grid point's `RiskValue` on each holdout fold, in fold order."""
+
     hyper: float
     fold_risks: tuple
-    mean_risk: float
-    risk_se: float
+
+    @property
+    def mean_risk(self):
+        return float(np.mean([r.value for r in self.fold_risks]))
+
+    @property
+    def risk_se(self):
+        values = [r.value for r in self.fold_risks]
+        return float(np.std(values, ddof=1) / np.sqrt(len(values)))
 
 
 @dataclass(frozen=True)
 class CvResult:
+    """`best` is the winning `GridPointResult` itself, its entry in `grid`."""
+
     family: str
-    best_hyper: float
-    fold_models: tuple
-    fold_risks: tuple
-    mean_risk: float
-    risk_se: float
+    best: GridPointResult
+    fold_models: tuple   # the k fold models fitted at `best`
     grid: tuple          # GridPointResult per successful grid point, grid order
-    skipped: tuple       # (hyper, reason) for failed grid points
+    skipped: tuple       # (hyper, reason) for failed grid points, grid order
+
+    @property
+    def best_hyper(self):
+        return self.best.hyper
 
     @property
     def best_at_grid_edge(self):
@@ -109,11 +122,19 @@ class CvResult:
 
 @dataclass(frozen=True)
 class CalibrationEstimate:
+    """`final_estimate`'s squared estimate; `value` is its root, clipped at zero."""
+
     squared_value: float
-    value: float
-    clipped: bool
     fold_se: float
     dropped_nan: int
+
+    @property
+    def clipped(self):
+        return self.squared_value < 0.0
+
+    @property
+    def value(self):
+        return float(np.sqrt(max(self.squared_value, 0.0)))
 
 
 def _check_test_fraction(test_fraction):
@@ -241,13 +262,16 @@ def cross_validate(folds, family, grid=None, seed=0, linear=False):
     and a value the family cannot take (a non-finite value, a bandwidth
     that is not positive, a negative lambda, a bin count that is not a
     positive integer or is above 10**6, a sim theta whose scaled logs
-    overflow), is an InputError and ends the call. Every family is scored
+    overflow), is an InputError and ends the call, as are fewer than 2
+    folds, whose risks have no standard error. Every family is scored
     against the holdout residual rows from its prediction factors, by the
     U-statistic (`risk.risk_from_factors`) or by the linear risk, which
     reads the row dots of its pairs alone, in the order `seed` gives.
     """
     if family not in FAMILIES:
         raise InputError(f"unknown family {family!r}")
+    if len(folds) < 2:
+        raise InputError(f"cross-validation needs at least 2 folds, got {len(folds)}")
     mode = folds[0].train.mode
     check_family_mode(family, mode)
     if grid is None:
@@ -271,34 +295,16 @@ def cross_validate(folds, family, grid=None, seed=0, linear=False):
                 failures[hyper] = str(exc)
         del prep  # before the next fold builds its own: one kde record at a time
 
-    results = []
-    for hyper in grid:
-        if hyper in failures:
-            continue
-        fold_risks = risk_table[hyper]
-        vals = np.array([r.value for r in fold_risks])
-        results.append(GridPointResult(
-            hyper=hyper,
-            fold_risks=tuple(fold_risks),
-            mean_risk=float(vals.mean()),
-            risk_se=float(vals.std(ddof=1) / np.sqrt(len(vals))),
-        ))
+    results = tuple(GridPointResult(hyper, tuple(risk_table[hyper]))
+                    for hyper in grid if hyper not in failures)
     if not results:
         raise NumericError("every grid point failed cross-validation")
 
     # first strict minimum in grid order breaks ties toward the simpler model
     best = min(results, key=lambda r: r.mean_risk)
     fold_models = tuple(fit_family(family, fold, best.hyper) for fold in folds)
-    return CvResult(
-        family=family,
-        best_hyper=best.hyper,
-        fold_models=fold_models,
-        fold_risks=best.fold_risks,
-        mean_risk=best.mean_risk,
-        risk_se=best.risk_se,
-        grid=tuple(results),
-        skipped=tuple(sorted(failures.items(), key=lambda kv: grid.index(kv[0]))),
-    )
+    skipped = tuple((hyper, failures[hyper]) for hyper in grid if hyper in failures)
+    return CvResult(family, best, fold_models, results, skipped)
 
 
 def final_estimate(fold_models, test):
@@ -331,9 +337,7 @@ def final_estimate(fold_models, test):
         fold_se = float(fold_means[valid].std(ddof=1) / np.sqrt(int(valid.sum())))
     else:
         fold_se = 0.0
-    clipped = squared < 0.0
-    value = float(np.sqrt(max(squared, 0.0)))
-    return CalibrationEstimate(squared, value, clipped, fold_se, dropped)
+    return CalibrationEstimate(squared, fold_se, dropped)
 
 
 @dataclass
@@ -357,10 +361,14 @@ class RunConfig:
         if self.families is None:
             self.families = DEFAULT_FAMILIES[self.mode]
         _check_test_fraction(self.test_fraction)
+        for name in ("k_folds", "seed"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) or float(value).is_integer()):
+                raise InputError(f"{name} must be an integer, got {value}")
+            setattr(self, name, int(value))  # an integral float runs as its int
         if self.k_folds < 2:
             raise InputError(f"need at least 2 folds, got {self.k_folds}")
-        if not (np.isfinite(self.gamma) and self.gamma > 0):
-            raise InputError(f"kernel gamma must be positive and finite, got {self.gamma}")
+        check_positive("kernel gamma", self.gamma)
         if self.seed < 0:
             raise InputError(f"seed must be nonnegative, got {self.seed}")
         if not self.families:
@@ -386,7 +394,7 @@ class RunConfig:
 
 
 def _family_entry(cv, est):
-    sqrt_risks = np.array([np.sqrt(r.value) * 100.0 for r in cv.fold_risks])
+    sqrt_risks = np.array([np.sqrt(r.value) * 100.0 for r in cv.best.fold_risks])
     return {
         "best_hyper": cv.best_hyper,
         "best_at_grid_edge": cv.best_at_grid_edge,
@@ -396,7 +404,7 @@ def _family_entry(cv, est):
         "estimate_squared": est.squared_value,
         "estimate_clipped": est.clipped,
         "estimate_fold_se": est.fold_se,
-        "risk_dropped_nan": int(sum(r.dropped_nan for r in cv.fold_risks)),
+        "risk_dropped_nan": int(sum(r.dropped_nan for r in cv.best.fold_risks)),
         "estimate_dropped_nan": est.dropped_nan,
         "grid": [
             {"hyper": p.hyper, "mean_risk": p.mean_risk, "risk_se": p.risk_se}
@@ -413,28 +421,17 @@ def run_evaluate(cfg, ds):
 
     Returns the report and, per family, its `CvResult.grid`: the per-point
     fold risks, whose means and standard errors the report's `grid` rows
-    hold. The tuning set is split into folds once (`kfold_splits`), so
-    every family is scored on the same holdout folds and kkr and ukkr share
-    each fold's spectrum.
+    hold. The report's metadata holds every `RunConfig` field but `grids`,
+    and the data's sizes and class count. The tuning set is split into
+    folds once (`kfold_splits`), so every family is scored on the same
+    holdout folds and kkr and ukkr share each fold's spectrum.
     """
     work = top_label_dataset(ds) if cfg.mode == "tce" else ds
     tune, test = split_dataset(work, cfg.test_fraction, cfg.seed)
-    report = {
-        "metadata": {
-            "mode": cfg.mode,
-            "families": list(cfg.families),
-            "n_total": len(work),
-            "n_tune": len(tune),
-            "n_test": len(test),
-            "test_fraction": cfg.test_fraction,
-            "k_folds": cfg.k_folds,
-            "gamma": cfg.gamma,
-            "seed": cfg.seed,
-            "linear_risk": cfg.linear_risk,
-            "num_classes": ds.dim,
-        },
-        "families": {},
-    }
+    settings = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "grids"}
+    metadata = {**settings, "families": list(cfg.families), "n_total": len(work),
+                "n_tune": len(tune), "n_test": len(test), "num_classes": ds.dim}
+    report = {"metadata": metadata, "families": {}}
     folds = kfold_splits(tune, cfg.k_folds, cfg.seed, cfg.gamma)
     grids = {}
     for fam in cfg.families:

@@ -119,6 +119,9 @@ def linear_risk(F, R, D, seed):
     (core B)^T for kkr's holdout basis F = B^T.
     """
     n = D.shape[0]
+    if n < 2:
+        # one row pairs only with itself, a diagonal pair the U-statistic excludes
+        raise NumericError("no usable pairs (all predictions dropped)")
     order = np.random.default_rng(seed).permutation(n)
     left, right = order, np.roll(order, -1)
     h = np.sum(F[left] * R[right], axis=1)

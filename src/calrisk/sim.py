@@ -20,6 +20,7 @@ from .core import (
     InputError,
     PairModel,
     check_grid,
+    check_positive,
     factor_diag,
     factor_pairwise,
     kfold_indices,
@@ -49,9 +50,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n < 2 or self.d < 2:
             raise InputError("simulation needs n >= 2 and d >= 2")
-        for name, value in (("concentration", self.alpha), ("model temperature", self.model_temp)):
-            if not (np.isfinite(value) and value > 0):
-                raise InputError(f"{name} must be positive and finite, got {value}")
+        check_positive("concentration", self.alpha)
+        check_positive("model temperature", self.model_temp)
         if self.seed < 0:
             raise InputError(f"seed must be nonnegative, got {self.seed}")
 
@@ -90,9 +90,11 @@ def simulate(cfg):
 
 
 def check_theta(theta, model_temp=MODEL_TEMP):
-    """InputError unless the scaled logs (theta/t) log p of `SimModel` are
-    finite for every clipped p: |theta/t| must stay below the largest float
-    over -log LOG_CLIP, about 6.5e306."""
+    """InputError unless the model temperature t is positive and finite, as
+    `SimConfig` requires, and the scaled logs (theta/t) log p of `SimModel`
+    are finite for every clipped p: |theta/t| must stay below the largest
+    float over -log LOG_CLIP, about 6.5e306."""
+    check_positive("model temperature", model_temp)
     if not math.isfinite(float(theta) / float(model_temp) * math.log(LOG_CLIP)):
         raise InputError(f"sim theta {theta} at model temperature {model_temp} is too "
                          "large: its scaled logs overflow")
@@ -104,7 +106,7 @@ class SimModel(PairModel):
 
     `model_temp` t is the softening factor of the simulated classifier, so
     theta = 1 inverts it exactly and recovers the ground-truth residuals.
-    theta and t enter only as their ratio; `check_theta` bounds it.
+    theta and t enter only as their ratio; `check_theta` checks t and bounds it.
     """
 
     theta: float

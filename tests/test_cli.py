@@ -241,6 +241,25 @@ class TestRunConfig:
         assert "unrecognized arguments: --model-temp" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("setting,value", [
+        ("k_folds", 2.5), ("k_folds", float("nan")), ("seed", 1.5), ("seed", float("nan")),
+        ("seed", float("inf")),
+    ])
+    def test_fold_count_and_seed_must_be_integers(self, setting, value):
+        with pytest.raises(InputError, match=f"{setting} must be an integer"):
+            RunConfig(**{setting: value})
+
+    def test_integral_float_fold_count_and_seed_run_as_ints(self, tmp_path):
+        ds = load_dataset(write_random_logits(tmp_path / "d.csv", np.random.default_rng(6), 60),
+                          "logits-csv")
+        as_ints = RunConfig(families=("bin",), k_folds=3, seed=4)
+        as_floats = RunConfig(families=("bin",), k_folds=3.0, seed=4.0)
+        assert (as_floats.k_folds, as_floats.seed) == (3, 4)
+        assert type(as_floats.k_folds) is int and type(as_floats.seed) is int
+        assert run_evaluate(as_floats, ds)[0] == run_evaluate(as_ints, ds)[0]
+        # an int seed past the float range is taken as it is
+        assert RunConfig(seed=10**400).seed == 10**400
+
     def test_every_setting_is_in_the_report(self, tmp_path):
         data = write_random_logits(tmp_path / "d.csv", np.random.default_rng(5), 60)
         cfg = RunConfig(mode="cce", families=("kde", "sim"), test_fraction=0.25, k_folds=3,

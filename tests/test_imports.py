@@ -1,6 +1,8 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and a warning
+raised in one fails the test."""
 
 import ast
+import warnings
 from pathlib import Path
 
 import pytest
@@ -31,3 +33,10 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("category", [RuntimeWarning, DeprecationWarning, UserWarning])
+def test_a_warning_raised_in_calrisk_is_an_error(category):
+    # pyproject's filterwarnings: any warning a calrisk module raises fails the test
+    with pytest.raises(category):
+        warnings.warn_explicit("planted", category, "pipeline.py", 1, module="calrisk.pipeline")

@@ -172,8 +172,8 @@ class TestCrossValidate:
         cv = cv_on(ds, "bin", grid=[10], k=5)
         assert cv.best_hyper == 10
         assert len(cv.fold_models) == 5
-        assert cv.mean_risk == pytest.approx(
-            np.mean([r.value for r in cv.fold_risks])
+        assert cv.best.mean_risk == pytest.approx(
+            np.mean([r.value for r in cv.best.fold_risks])
         )
 
     def test_tie_breaks_toward_simpler_model(self):
@@ -185,6 +185,22 @@ class TestCrossValidate:
         ds = Dataset(conf[:, None], correct, TOP_LABEL)
         cv = cv_on(ds, "bin", grid=[1, 2], k=5)
         assert cv.best_hyper == 1
+        assert cv.best is cv.grid[0]
+
+    def test_best_is_the_grid_point_of_least_mean_risk(self):
+        ds = random_top_label(np.random.default_rng(7), 80)
+        cv = cv_on(ds, "bin", grid=[20, 5, 10, 1], k=5)
+        means = [p.mean_risk for p in cv.grid]
+        assert len(set(means)) == len(means)
+        assert cv.best is cv.grid[means.index(min(means))]
+        assert cv.best_hyper == cv.best.hyper
+
+    def test_fewer_than_two_folds_rejected(self):
+        # one fold's risk has no standard error
+        folds = kfold_splits(random_top_label(np.random.default_rng(9), 40), 2, 0, 0.5)
+        for few in ([], folds[:1]):
+            with pytest.raises(InputError, match=f"at least 2 folds, got {len(few)}"):
+                cross_validate(few, "kde")
 
     def test_selects_true_temperature_on_simulation(self):
         sim = simulate(SimConfig(seed=0))
@@ -197,7 +213,7 @@ class TestCrossValidate:
         a = cv_on(ds, "bin", k=5, seed=2)
         b = cv_on(ds, "bin", k=5, seed=2)
         assert a.best_hyper == b.best_hyper
-        assert a.mean_risk == b.mean_risk
+        assert a.best.mean_risk == b.best.mean_risk
 
     def test_failed_points_are_recorded(self):
         # duplicated predictions make the Gram singular, so lambda=0 fails
@@ -297,7 +313,7 @@ class TestCrossValidate:
         quad = cv_on(ds, "bin", grid=[5, 10], k=5)
         lin = cv_on(ds, "bin", grid=[5, 10], k=5, linear=True)
         assert lin.best_hyper in (5, 10)
-        assert lin.mean_risk != quad.mean_risk  # different pair sets
+        assert lin.best.mean_risk != quad.best.mean_risk  # different pair sets
 
 
 def dense_cv_reference(tune, family, grid, k, seed):
@@ -565,11 +581,19 @@ def test_kkr_holdout_factors_are_the_fitted_models(monkeypatch, mode):
         np.testing.assert_array_equal(H, model.pairwise(fold.hold.probs))
 
 
+def test_grid_point_mean_and_standard_error_of_its_fold_risks():
+    fold_risks = tuple(risk.RiskValue(v, 2, 0) for v in (0.03, 0.011, 0.027, 0.02))
+    point = GridPointResult(5, fold_risks)
+    values = np.array([0.03, 0.011, 0.027, 0.02])
+    assert point.mean_risk == float(values.mean())
+    assert point.risk_se == float(values.std(ddof=1) / np.sqrt(4))
+
+
 class TestBestAtGridEdge:
     @staticmethod
     def result(best, tried, skipped=()):
-        points = tuple(GridPointResult(h, (), 0.0, 0.0) for h in tried)
-        return CvResult("bin", best, (), (), 0.0, 0.0, points,
+        points = tuple(GridPointResult(h, ()) for h in tried)
+        return CvResult("bin", points[tried.index(best)], (), points,
                         tuple((h, "failed") for h in skipped))
 
     def test_winner_at_either_end_is_at_the_edge(self):
@@ -603,6 +627,17 @@ class TestFinalEstimate:
         est = final_estimate([ConstantModel(-0.01)], ds)
         assert est.clipped and est.value == 0.0
         assert est.squared_value == pytest.approx(-0.01)
+
+    def test_report_entry_of_a_clipped_estimate(self, monkeypatch):
+        # the squared estimate of a negative constant model is below 0
+        real = pipeline.final_estimate
+        monkeypatch.setattr(pipeline, "final_estimate",
+                            lambda models, test: real([ConstantModel(-0.01)], test))
+        ds = random_canonical(np.random.default_rng(13), 60, 3)
+        report, _ = pipeline.run_evaluate(pipeline.RunConfig(families=("bin15",)), ds)
+        entry = report["families"]["bin15"]
+        assert entry["estimate_squared"] == pytest.approx(-0.01)
+        assert entry["estimate"] == 0.0 and entry["estimate_clipped"] is True
 
     def test_binning_reproduces_plugin_identity(self):
         ds = random_top_label(np.random.default_rng(14), 150)
@@ -646,7 +681,7 @@ class TestEndToEnd:
             tune, test = split_dataset(ds, 0.2, seed=5)
             cv = cv_on(tune, "bin", k=5, seed=5)
             est = final_estimate(cv.fold_models, test)
-            results.append((cv.best_hyper, cv.mean_risk, est.squared_value))
+            results.append((cv.best_hyper, cv.best.mean_risk, est.squared_value))
         assert results[0] == results[1]
 
     def test_kernel_families_run_end_to_end(self):

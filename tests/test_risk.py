@@ -229,6 +229,12 @@ class TestLinearRisk:
         se = values.std(ddof=1) / np.sqrt(len(values))
         assert abs(values.mean() - quad) <= 3 * se
 
+    def test_one_row_has_no_pair(self):
+        # its one circular pair is (0, 0), a diagonal pair the U-statistic excludes
+        ds = random_canonical(np.random.default_rng(5), 1, 3)
+        with pytest.raises(NumericError, match="no usable pairs"):
+            constant_linear_risk(0.1, ds)
+
     def test_pair_count(self):
         ds = random_canonical(np.random.default_rng(4), 20, 3)
         assert constant_linear_risk(0.0, ds).pairs_used == 20

@@ -108,6 +108,12 @@ class TestEvalHsim:
         expected = float((f[0] - P[0]) @ (f[1] - P[1]))
         assert SimModel(1.0).predict(f[0], f[1]) == pytest.approx(expected, abs=1e-9)
 
+    @pytest.mark.parametrize("temp", [0.0, -0.3, float("nan"), float("inf")])
+    def test_rejects_a_temperature_that_is_not_positive_and_finite(self, temp):
+        # inf would give theta/t = 0, the uniform model, and 0 divides by zero
+        with pytest.raises(InputError, match="model temperature must be positive and finite"):
+            SimModel(1.0, temp)
+
     @given(st.floats(0.1, 3.0))
     @settings(max_examples=20, deadline=None)
     def test_uniform_is_fixed_point(self, theta):
