@@ -30,6 +30,11 @@ each command's standard output, byte for byte:
     and a sim grid of the default thetas times
     0.3/0.5, so the sim factor theta/t is the
     default grid's at temperature 0.5
+  a cce evaluate of kkr,ukkr on 100 rows of     report and --emit-csv
+    flat, unsharpened predictions, d=10, whose
+    fold Grams are full rank: each canonical
+    spectrum pivots all n rows, and lambda=0 is
+    scored
   simulate --n 500 --seeds 40                   curve CSV
   simulate with every config flag and          curve CSV
     --theta-grid away from its default
@@ -67,8 +72,11 @@ ROOT = Path(__file__).resolve().parent.parent
 INSTANCE = 31
 # each command takes a few seconds; one that runs this long has hung
 TIMEOUT_S = 300
-# input name -> (n, d), the sizes of perfbench's evaluate workloads
-INPUTS = {"tce": (1200, 5), "cce-d10": (1200, 10), "kde": (4000, 5)}
+# input name -> perfbench's `sample_logits` arguments but the seed: the
+# sizes of its evaluate workloads, and a small full-rank canonical input
+INPUTS = {"tce": dict(n=1200, d=5), "cce-d10": dict(n=1200, d=10), "kde": dict(n=4000, d=5),
+          # flat latent rows, not sharpened: every 64-row fold Gram is full rank
+          "cce-flat": dict(n=100, d=10, alpha=1.0, model_temp=1.0)}
 CCE_D10 = ["evaluate", "--mode", "cce", "--families", "kde,kkr,ukkr,sim"]
 # case -> (input name or None, argv without the input and output paths)
 CASES = {
@@ -100,6 +108,9 @@ CASES = {
                                            "kde,kkr,sim", "--test-fraction", "0.25",
                                            "--k", "4", "--gamma", "1", "--seed", "7",
                                            "--grid-sim=0.15,0.3,0.54,0.6,0.66,0.9,1.2"]),
+    "evaluate-cce-full-rank": ("cce-flat", ["evaluate", "--mode", "cce", "--families",
+                                            "kkr,ukkr", "--grid-kkr=0,1e-3,1",
+                                            "--grid-ukkr=0,1e-3,1"]),
     "simulate": (None, ["simulate", "--n", "500", "--d", "5", "--alpha", "0.04",
                         "--seeds", "40", "--seed", str(40 * INSTANCE)]),
     "simulate-flags": (None, ["simulate", "--n", "300", "--d", "4", "--alpha", "0.1",
@@ -122,8 +133,8 @@ def write_inputs(workdir):
     """The logits-csv inputs of INPUTS, and the tce input as probs-csv."""
     inputs = load_inputs()
     paths = {}
-    for name, (n, d) in INPUTS.items():
-        logits, labels = inputs.sample_logits(n, d, seed=INSTANCE)
+    for name, sizes in INPUTS.items():
+        logits, labels = inputs.sample_logits(**sizes, seed=INSTANCE)
         paths[name] = workdir / f"input-{name}.csv"
         inputs.write_logits_csv(paths[name], logits, labels)
         if name == "tce":

@@ -19,16 +19,17 @@ matrix. kkr and ukkr are kernel quadratic forms B^T core B over a basis B
 of the evaluation rows, so F = B^T and R = (core B)^T (`kkr_factors`). Both
 fit from a training Gram's `Spectrum` alone (`kkr_prepare`), and a fitted
 model is `(spectrum, lam)`: its core is built inside `factors`. On
-canonical data the spectrum keeps only the r numerically nonzero of the n
-eigenpairs (np.linalg.pinv's rank rule), so kkr's core is (r, r), its
-basis (r, m), and ukkr's dense core is the (n, n) product of (n, r) and
-(r, r) factors; top-label spectra keep all n (see `kkr_prepare`).
+canonical data the spectrum comes from a pivoted Cholesky factor of the
+Gram and keeps only its r numerically nonzero eigenpairs (np.linalg.pinv's
+rank rule), so both cores are (r, r) and both bases (r, m); top-label
+spectra are the Gram's full `eigh`, all n pairs kept (see `kkr_prepare`).
 
 ukkr's cross-validation is factored (`ukkr_cv_features`): it only ranks a
 lambda grid, and the factored and dense holdout risks agree to rounding.
-Its fitted model stays dense, because factoring it moves the
-estimates: by up to 1.5e-3 relative through the Gram eigenbasis, 7.9e-3
-through Q^T G Q computed as V V^T. So `UkkrModel` has no `features`.
+A fitted top-label ukkr stays dense, an (n, n) core over k(X, P), because
+factoring it moves the tce estimates: by up to 1.5e-3 relative through
+the Gram eigenbasis, 7.9e-3 through Q^T G Q computed as V V^T. So
+`UkkrModel` has no `features`.
 """
 
 from __future__ import annotations
@@ -392,20 +393,24 @@ def kde_regress(prep, bandwidth):
 class Spectrum:
     """The lambda-independent part of every kkr and ukkr fit on one training set.
 
-    X holds the n training predictions, Q (n, r) and evals (r,) the kept
-    eigenvectors and clipped eigenvalues of their RBF Gram at `gamma`, QtGQ
-    (r, r) the Gram D D^T of the residual rows D rotated into that
-    eigenbasis and V = Q^T D (r, d) the rotated rows. r <= n: `kkr_prepare`
-    keeps every eigenpair in top-label mode and the numerically nonzero
-    ones in canonical mode, so the ridge terms lam n and lam n^2 read the
-    training row count `n` = len(X), never evals.size. `min_eval` is the
-    smallest clipped eigenvalue of the whole spectrum, kept or not, by which
-    `_check_kkr` and `_ukkr_shift` refuse a singular solve. Every lambda of
-    either family, and its refit, needs only these.
+    X holds the n training predictions of a `mode` dataset, Q (n, r) and
+    evals (r,) the kept eigenvectors and clipped eigenvalues of their RBF
+    Gram at `gamma`, QtGQ (r, r) the Gram D D^T of the residual rows D
+    rotated into that eigenbasis and V = Q^T D (r, d) the rotated rows.
+    r <= n: `kkr_prepare` keeps every eigenpair in top-label mode and the
+    numerically nonzero ones in canonical mode, so the ridge terms lam n and
+    lam n^2 read the training row count `n` = len(X), never evals.size.
+    `min_eval` is the smallest clipped eigenvalue of the whole spectrum,
+    kept or not, by which `_check_kkr` and `_ukkr_shift` refuse a singular
+    solve. A canonical spectrum whose pivoted Cholesky factor stopped short
+    of n rows has a null space that its (k, k) `eigh` does not see, and
+    there `min_eval` is 0.0. Every lambda of either family, and its refit,
+    needs only these.
     """
 
     X: np.ndarray
     gamma: float
+    mode: str
     Q: np.ndarray
     evals: np.ndarray
     QtGQ: np.ndarray
@@ -443,34 +448,75 @@ class KkrModel(PairModel):
 
 
 def kkr_prepare(train, gamma):
-    """The `Spectrum` of `train`: one eigendecomposition of its RBF Gram.
+    """The `Spectrum` of `train`: one `eigh` per training set.
 
-    On a canonical training set only the eigenpairs with evals > n eps
-    evals.max() are kept, the rank rule of np.linalg.pinv: the rest are
-    eigenvalue rounding noise, and every kkr and ukkr product then works
-    on (n, r) and (r, r) operands, r of about 286 of 768 on the benchmark's
-    cce-d10 folds. A top-label Gram keeps all n pairs: its rank is about 6,
-    and cutting it too failed 55 of the benchmark's 64 tce reference checks
-    (kkr's winning lambda or the kkr/ukkr estimates moved), outputs that
-    depend on the BLAS thread count there either way.
+    A top-label spectrum is the `eigh` of the (n, n) RBF Gram, all n pairs
+    kept: its rank is about 6, and cutting it failed 55 of the benchmark's
+    64 tce reference checks (kkr's winning lambda or the kkr/ukkr estimates
+    moved), outputs that depend on the BLAS thread count there either way.
+    A canonical spectrum comes from `_pivoted_cholesky`'s (k, n) factor Lt
+    of the Gram, G ~ Lt^T Lt, and the `eigh` of the (k, k) Lt Lt^T = W diag(l)
+    W^T, whose nonzero eigenvalues are those of Lt^T Lt: Q = Lt^T W / sqrt(l).
+    It keeps the eigenpairs with l > n eps l.max(), the rank rule of
+    np.linalg.pinv: the rest are rounding noise, and every kkr and ukkr
+    product then works on (n, r) and (r, r) operands, r of about 286 of 768
+    and k of about 340 on the benchmark's cce-d10 folds.
     """
     X = train.probs
     n = len(X)
-    # the Gram and G = D D^T die after one use; (Q^T G) Q is Q^T @ G @ Q's order
-    evals, Q = np.linalg.eigh(rbf_gram(X, X, gamma))
+    G = rbf_gram(X, X, gamma)
+    if train.mode == CANONICAL:
+        Lt = _pivoted_cholesky(G)
+        G = Lt @ Lt.T
+    # W: the eigenvectors of the matrix decomposed, Q itself in top-label mode
+    evals, W = np.linalg.eigh(G)
+    # the (n, n) Gram dies before D D^T is formed, as the peak RSS needs
+    del G
     if evals.min() < EIG_FLOOR:
         raise NumericError(
             f"Gram matrix eigenvalue {evals.min()} below {EIG_FLOOR}"
         )
     evals = np.clip(evals, 0.0, None)
-    min_eval = float(evals[0])
-    if train.mode == CANONICAL:
-        # eigh's eigenvalues ascend, so the kept pairs are the last r
-        cut = np.searchsorted(evals, n * np.finfo(float).eps * evals[-1], side="right")
-        evals, Q = evals[cut:], np.ascontiguousarray(Q[:, cut:])
+    # a pivoting stopped short leaves a null space of the n x n Gram unseen
+    min_eval = float(evals[0]) if len(evals) == n else 0.0
     D = residual_matrix(train)
-    QtG = Q.T @ (D @ D.T)
-    return Spectrum(X, float(gamma), Q, evals, QtG @ Q, Q.T @ D, min_eval)
+    if train.mode == TOP_LABEL:
+        # D D^T dies after one use; (Q^T D D^T) Q is Q^T @ D D^T @ Q's order
+        QtG = W.T @ (D @ D.T)
+        return Spectrum(X, float(gamma), train.mode, W, evals, QtG @ W, W.T @ D, min_eval)
+    # eigh's eigenvalues ascend, so the kept pairs are the last r
+    cut = np.searchsorted(evals, n * np.finfo(float).eps * evals[-1], side="right")
+    evals = evals[cut:]
+    Q = (Lt.T @ W[:, cut:]) / np.sqrt(evals)
+    V = Q.T @ D
+    return Spectrum(X, float(gamma), train.mode, Q, evals, V @ V.T, V, min_eval)
+
+
+def _pivoted_cholesky(G):
+    """The (k, n) greedy pivoted Cholesky factor Lt of a PSD G, G ~ Lt^T Lt.
+
+    Each step pivots on the largest diagonal entry of the residual
+    G - Lt^T Lt, and the loop stops once that entry is at most
+    n eps max(diag G), the tolerance of np.linalg.pinv's rank rule, or after
+    n steps. The residual is never formed: a step takes the pivot's row of G
+    less its row of Lt^T Lt, in O(k n), and updates the residual diagonal.
+    See Chen, Epperly, Tropp and Webber, arXiv:2207.06503, for the greedy
+    rule and its randomized relative.
+    """
+    n = len(G)
+    resid = G.diagonal().copy()
+    tol = n * np.finfo(float).eps * resid.max()
+    Lt = np.empty((n, n))
+    k = 0
+    while k < n:
+        i = int(resid.argmax())
+        if resid[i] <= tol:
+            break
+        row = np.subtract(G[i], Lt[:k, i] @ Lt[:k], out=Lt[k])
+        row /= math.sqrt(resid[i])
+        resid -= row * row
+        k += 1
+    return Lt[:k]
 
 
 def _check_kkr(spec, lam):
@@ -508,18 +554,27 @@ def fit_kkr(spectrum, lam):
 
 @dataclass(frozen=True)
 class UkkrModel(PairModel):
-    """Two-step model: dense core (K + lam n I)^-1 D D^T (K + lam n I)^-1 over
-    k(X, P), restricted to the spectrum's kept eigenpairs and built as the
-    (n, n) Q `ukkr_rotated_core` Q^T by each `factors` call."""
+    """Two-step model: core (K + lam n I)^-1 D D^T (K + lam n I)^-1 over
+    k(X, P), restricted to the spectrum's kept eigenpairs.
+
+    On canonical data a prediction is C^T `ukkr_rotated_core` C over the
+    basis C = Q^T k(X, P), with no (n, n) array. A top-label model builds
+    the dense (n, n) core Q `ukkr_rotated_core` Q^T in each `factors` call.
+    """
 
     spectrum: Spectrum
     lam: float
 
     def factors(self, P):
-        """(B^T, (core B)^T) over the basis B = k(X, P)."""
-        B = rbf_gram(self.spectrum.X, P, self.spectrum.gamma)
-        Q = self.spectrum.Q
-        return B.T, ((Q @ ukkr_rotated_core(self.spectrum, self.lam) @ Q.T) @ B).T
+        """(C^T, (rotated C)^T) on canonical data, (B^T, (core B)^T) over the
+        basis B = k(X, P) on top-label data."""
+        spec = self.spectrum
+        if spec.mode == CANONICAL:
+            C = spec.basis(P)
+            return C.T, (ukkr_rotated_core(spec, self.lam) @ C).T
+        B = rbf_gram(spec.X, P, spec.gamma)
+        Q = spec.Q
+        return B.T, ((Q @ ukkr_rotated_core(spec, self.lam) @ Q.T) @ B).T
 
     pairwise = factor_pairwise
     diag = factor_diag
@@ -540,7 +595,8 @@ def _ukkr_shift(spec, lam):
 
 
 def ukkr_rotated_core(spec, lam):
-    """(r, r) core of the two-step solve in the Gram eigenbasis; `UkkrModel` rotates it back."""
+    """(r, r) core of the two-step solve in the Gram eigenbasis; a top-label
+    `UkkrModel` rotates it back."""
     shifted = _ukkr_shift(spec, lam)
     core = np.outer(shifted, shifted)
     return np.divide(spec.QtGQ, core, out=core)
@@ -553,8 +609,9 @@ def ukkr_cv_features(spec, basis, lam):
     basis `spec.basis(P)`. Since Q^T G Q = V V^T, Phi = basis^T diag(1/s) V
     with s = evals + lam n: the two-step KRR of Stock, Pahikkala et al. (2018)
     in O(r m d) per lambda. It agrees with the dense matrix to rounding, so
-    it serves to rank a lambda grid; the fitted model keeps the dense core,
-    since factoring it moves the estimates (see the module docstring).
+    it serves to rank a lambda grid; a fitted top-label model keeps the
+    dense core, since factoring it moves the estimates (see the module
+    docstring).
     """
     return basis.T @ (spec.V / _ukkr_shift(spec, lam)[:, None])
 

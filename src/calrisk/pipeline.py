@@ -7,14 +7,14 @@ cross-validated: each hyperparameter grid point is fitted on k-1 folds and
 scored by the empirical risk on the held-out fold, the point with minimal
 mean holdout risk wins, and the k fold models at the winner act as an
 ensemble for the final test-set estimate. Every family is scored on the
-same `Fold`s, and each fold decomposes its Gram once, on first use: its
+same `Fold`s, and each fold takes its Gram spectrum once, on first use: its
 `estimators.Spectrum` (eigenvectors Q, eigenvalues evals, rotated residual
 Gram QtGQ and rows V = Q^T D) serves every lambda of kkr and ukkr and their
 refits. kde's bandwidth-independent work on a fold (`estimators.kde_prepare`)
 is done once for the fold's whole grid and dropped after it. Every family is
 scored by `risk.risk_from_factors` from the holdout factors (F, R) of its
 predictions H = F R^T. A kkr or ukkr fold model is that spectrum and its
-lambda, and builds its dense core only to predict. A fold predicts and
+lambda, and builds its core only to predict. A fold predicts and
 scores one grid point at a time, and a point that fails numerically is
 skipped from then on.
 """
@@ -203,7 +203,7 @@ class Fold:
     """One cross-validation fold and the RBF kernel width of kkr and ukkr.
 
     `spectrum` and the holdout `basis` are computed on first use and kept,
-    so kkr, ukkr and their refits share one Gram eigendecomposition per
+    so kkr, ukkr and their refits share one Gram spectrum (one `eigh`) per
     fold, and bin, kde and sim pay none.
     """
 

@@ -849,7 +849,12 @@ class TestSharedSpectra:
     def test_one_eigh_per_fold(self, eigh_calls, dataset, mode):
         # 5 CV folds, each decomposed once for both families' grids and refits
         run_evaluate(RunConfig(mode=mode, families=("kkr", "ukkr"), k_folds=5), dataset)
-        assert eigh_calls == [(96, 96)] * 5
+        if mode == "tce":
+            assert eigh_calls == [(96, 96)] * 5
+        else:
+            # a canonical fold decomposes its (k, k) pivoted Cholesky product
+            assert len(eigh_calls) == 5
+            assert all(s[0] == s[1] <= 96 for s in eigh_calls)
 
     @pytest.mark.parametrize("mode", ["tce", "cce"])
     def test_only_kkr_scores_a_prediction_matrix(self, matrix_risk_calls, dataset, mode):

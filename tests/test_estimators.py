@@ -820,16 +820,20 @@ def rbf_gram_reference(X, Y, gamma):
 
 def stored_core_factors(model, P):
     """(F, R) of a kkr or ukkr model whose core is formed at fit time,
-    with the same operands and operation order as `factors`."""
+    with the same operands and operation order as `factors`: over the
+    eigenbasis Q^T k(X, P) for kkr and a canonical ukkr, over k(X, P) with
+    the dense (n, n) core for a top-label ukkr."""
     spec, lam = model.spectrum, model.lam
     Q, evals, n = spec.Q, spec.evals, spec.n
+    B = rbf_gram_reference(spec.X, P, spec.gamma)
     if isinstance(model, KkrModel):
         core = (1.0 / (np.outer(evals, evals) + lam * n * n)) * spec.QtGQ
-        B = Q.T @ rbf_gram_reference(spec.X, P, spec.gamma)
     else:
         shifted = evals + lam * n
-        core = Q @ (spec.QtGQ / np.outer(shifted, shifted)) @ Q.T
-        B = rbf_gram_reference(spec.X, P, spec.gamma)
+        core = spec.QtGQ / np.outer(shifted, shifted)
+        if spec.mode == TOP_LABEL:
+            return B.T, ((Q @ core @ Q.T) @ B).T
+    B = Q.T @ B
     return B.T, (core @ B).T
 
 
@@ -858,10 +862,16 @@ def test_kernel_factors_equal_stored_core_bit_for_bit(case, family, fit):
     X = train.probs
     for Y in (X, P):
         np.testing.assert_array_equal(rbf_gram(X, Y, 0.5), rbf_gram_reference(X, Y, 0.5))
-    # the reference in the (d, n) column arithmetic of residual columns delta
+    # the reference in the (d, n) column arithmetic of residual columns delta:
+    # a top-label spectrum rotates D D^T, a canonical one takes V V^T
     delta = residual_matrix(train).T
-    np.testing.assert_array_equal(
-        spectrum.QtGQ, spectrum.Q.T @ (delta.T @ delta) @ spectrum.Q)
+    if case == "tce":
+        np.testing.assert_array_equal(
+            spectrum.QtGQ, spectrum.Q.T @ (delta.T @ delta) @ spectrum.Q)
+    else:
+        V = spectrum.Q.T @ delta.T
+        np.testing.assert_array_equal(spectrum.V, V)
+        np.testing.assert_array_equal(spectrum.QtGQ, V @ V.T)
     for lam in lams:
         model = fit(spectrum, lam)
         assert model.spectrum is spectrum and model.lam == lam
@@ -910,11 +920,18 @@ class TestTruncatedSpectrum:
         n, d = len(train), residual_matrix(train).shape[1]
         r = pinv_rank(evals) if mode == "cce" else n
         assert mode == "tce" or r < n
-        assert spec.n == n and spec.min_eval == evals.min()
-        assert spec.Q.shape == (n, r) and spec.Q.flags.c_contiguous
+        assert spec.n == n and spec.Q.shape == (n, r) and spec.Q.flags.c_contiguous
         assert spec.evals.shape == (r,) and spec.QtGQ.shape == (r, r)
         assert spec.V.shape == (r, d)
-        np.testing.assert_array_equal(spec.evals, evals[n - r:])
+        if mode == "tce":
+            assert spec.min_eval == evals.min()
+            np.testing.assert_array_equal(spec.evals, evals)
+        else:
+            # the (k, k) eigh of the pivoted Cholesky factor: the kept
+            # eigenvalues to the rank rule's own scale, and no null space seen
+            assert spec.min_eval == 0.0
+            np.testing.assert_allclose(spec.evals, evals[n - r:], rtol=0,
+                                       atol=n * np.finfo(float).eps * evals.max())
 
     @pytest.mark.parametrize("family, fit, rtol", [
         # measured worst, relative to the oracle's largest |H|: 5.1e-8 at the
@@ -962,3 +979,50 @@ class TestTruncatedSpectrum:
             fit(spec, 0.0)
         named = float(re.match(prefix, str(info.value)).group(1))
         assert named == evals.min() < estimators.SINGULAR_TOL < spec.evals.min()
+
+
+def d10_fold():
+    """200 canonical rows, d = 10, from the benchmark's classifier
+    (model_temp 1/0.3): a Gram of numerical rank 123."""
+    return simulate(SimConfig(n=200, d=10, model_temp=1 / 0.3, seed=5)).dataset
+
+
+class TestPivotedSpectrum:
+    """A canonical spectrum is the (k, k) eigh of a pivoted Cholesky factor;
+    it keeps what the full (n, n) eigh keeps, to the rank rule's scale."""
+
+    @pytest.mark.parametrize("case", ["d10", "duplicated", "full-rank"])
+    def test_matches_the_full_eigh(self, case):
+        train = {"d10": d10_fold, "duplicated": duplicated_canonical,
+                 "full-rank": lambda: full_rank_canonical(np.random.default_rng(26))}[case]()
+        spec = kkr_prepare(train, 0.5)
+        evals, _, _ = full_spectrum(train)
+        n, r = len(train), pinv_rank(evals)
+        tol = n * np.finfo(float).eps * evals.max()
+        assert spec.evals.size == r and (r < n) == (case != "full-rank")
+        np.testing.assert_allclose(spec.evals, evals[n - r:], rtol=0, atol=tol)
+        if case == "full-rank":
+            # k = n pivots: the (k, k) eigh sees the whole spectrum
+            assert abs(spec.min_eval - evals.min()) <= tol
+            assert spec.min_eval > estimators.SINGULAR_TOL
+        else:
+            assert spec.min_eval == 0.0
+        # each residual diagonal left is at most tol and each cut eigenvalue
+        # at most n eps l_max, so no Gram entry moves by much more than n tol
+        G = rbf_gram(train.probs, train.probs, 0.5)
+        assert np.abs(G - (spec.Q * spec.evals) @ spec.Q.T).max() <= n * tol
+
+    def test_the_only_eigh_is_smaller_than_the_gram(self, eigh_calls):
+        train, _ = rank_deficient_fold()
+        spec = kkr_prepare(train, 0.5)
+        [(k, k2)] = eigh_calls
+        assert k == k2 and spec.evals.size <= k < len(train)
+
+    def test_fitted_ukkr_factors_have_r_columns(self):
+        train, P = rank_deficient_fold()
+        spec = kkr_prepare(train, 0.5)
+        r = spec.evals.size
+        assert r < len(train)
+        for lam in (1e-6, 1e-3):
+            F, R = fit_ukkr(spec, lam).factors(P)
+            assert F.shape == R.shape == (len(P), r)
