@@ -32,9 +32,9 @@ each command's standard output, byte for byte:
     default grid's at temperature 0.5
   a cce evaluate of kkr,ukkr on 100 rows of     report and --emit-csv
     flat, unsharpened predictions, d=10, whose
-    fold Grams are full rank: each canonical
-    spectrum pivots all n rows, and lambda=0 is
-    scored
+    fold Grams are full rank: pivoting gives
+    up, each canonical spectrum is the whole
+    Gram's eigh, and lambda=0 is scored
   simulate --n 500 --seeds 40                   curve CSV
   simulate with every config flag and          curve CSV
     --theta-grid away from its default

@@ -19,10 +19,11 @@ matrix. kkr and ukkr are kernel quadratic forms B^T core B over a basis B
 of the evaluation rows, so F = B^T and R = (core B)^T (`kkr_factors`). Both
 fit from a training Gram's `Spectrum` alone (`kkr_prepare`), and a fitted
 model is `(spectrum, lam)`: its core is built inside `factors`. On
-canonical data the spectrum comes from a pivoted Cholesky factor of the
-Gram and keeps only its r numerically nonzero eigenpairs (np.linalg.pinv's
-rank rule), so both cores are (r, r) and both bases (r, m); top-label
-spectra are the Gram's full `eigh`, all n pairs kept (see `kkr_prepare`).
+canonical data the spectrum keeps only the Gram's r numerically nonzero
+eigenpairs (np.linalg.pinv's rank rule), from a pivoted Cholesky factor
+when the Gram's numerical rank is well below n, so both cores are (r, r)
+and both bases (r, m); top-label spectra are the Gram's full `eigh`, all
+n pairs kept (see `kkr_prepare`).
 
 ukkr's cross-validation is factored (`ukkr_cv_features`): it only ranks a
 lambda grid, and the factored and dense holdout risks agree to rounding.
@@ -65,6 +66,11 @@ DEAD_CUTOFF = -746.0
 # query count. Of 256 KiB to 2 MiB, 512 KiB ran evaluate-kde fastest on 2
 # cores with OpenBLAS (BENCH_kde_blocks.json; re-swept: BENCH_kde_fused.json)
 KDE_BLOCK_BYTES = 512 * 1024
+# a canonical Gram whose pivoted Cholesky factor needs more rows than this
+# share of n is decomposed whole: at n = 768 on 2 cores the pivot loop,
+# Lt Lt^T and the (k, k) eigh together cost as much as the (n, n) eigh at
+# about 0.7 n rows (BENCH_cce_pivoted.json)
+PIVOT_SHARE = 2 / 3
 
 
 def _lgamma(x):
@@ -402,10 +408,12 @@ class Spectrum:
     lam n^2 read the training row count `n` = len(X), never evals.size.
     `min_eval` is the smallest clipped eigenvalue of the whole spectrum,
     kept or not, by which `_check_kkr` and `_ukkr_shift` refuse a singular
-    solve. A canonical spectrum whose pivoted Cholesky factor stopped short
-    of n rows has a null space that its (k, k) `eigh` does not see, and
-    there `min_eval` is 0.0. Every lambda of either family, and its refit,
-    needs only these.
+    solve. A canonical spectrum from a pivoted Cholesky factor (see
+    `kkr_prepare`) has fewer than n factor rows, so the Gram's null space
+    is not seen and `min_eval` is 0.0. Its Q is orthonormal to about
+    (eps l_max / l_min)^2, max |Q^T Q - I| 1.4e-6 on a 768-row cce-d10
+    fold, and Q diag(evals) Q^T is the factor's Gram Lt^T Lt to rounding.
+    Every lambda of either family, and its refit, needs only these.
     """
 
     X: np.ndarray
@@ -454,22 +462,23 @@ def kkr_prepare(train, gamma):
     kept: its rank is about 6, and cutting it failed 55 of the benchmark's
     64 tce reference checks (kkr's winning lambda or the kkr/ukkr estimates
     moved), outputs that depend on the BLAS thread count there either way.
-    A canonical spectrum comes from `_pivoted_cholesky`'s (k, n) factor Lt
-    of the Gram, G ~ Lt^T Lt, and the `eigh` of the (k, k) Lt Lt^T = W diag(l)
-    W^T, whose nonzero eigenvalues are those of Lt^T Lt: Q = Lt^T W / sqrt(l).
-    It keeps the eigenpairs with l > n eps l.max(), the rank rule of
-    np.linalg.pinv: the rest are rounding noise, and every kkr and ukkr
-    product then works on (n, r) and (r, r) operands, r of about 286 of 768
-    and k of about 340 on the benchmark's cce-d10 folds.
+    A canonical spectrum keeps the eigenpairs with l > n eps l.max(), the
+    rank rule of np.linalg.pinv: the rest are rounding noise, and every kkr
+    and ukkr product then works on (n, r) and (r, r) operands. It is cheap
+    when the Gram's numerical rank is well below n: `_pivoted_cholesky`
+    gives a (k, n) factor Lt, G ~ Lt^T Lt, and the `eigh` of the (k, k)
+    Lt Lt^T = W diag(l) W^T, whose nonzero eigenvalues are those of
+    Lt^T Lt, gives Q = Lt^T W / sqrt(l), then one Newton-Schulz step
+    toward orthonormal columns. On the benchmark's cce-d10 folds r is
+    about 280 and k/n 0.42-0.49 of 768 rows. A Gram whose factor would
+    need more than PIVOT_SHARE n rows is decomposed whole, then cut.
     """
     X = train.probs
     n = len(X)
     G = rbf_gram(X, X, gamma)
-    if train.mode == CANONICAL:
-        Lt = _pivoted_cholesky(G)
-        G = Lt @ Lt.T
-    # W: the eigenvectors of the matrix decomposed, Q itself in top-label mode
-    evals, W = np.linalg.eigh(G)
+    Lt = _pivoted_cholesky(G) if train.mode == CANONICAL else None
+    # W: the eigenvectors of the matrix decomposed, Q itself when Lt is None
+    evals, W = np.linalg.eigh(G if Lt is None else Lt @ Lt.T)
     # the (n, n) Gram dies before D D^T is formed, as the peak RSS needs
     del G
     if evals.min() < EIG_FLOOR:
@@ -477,8 +486,8 @@ def kkr_prepare(train, gamma):
             f"Gram matrix eigenvalue {evals.min()} below {EIG_FLOOR}"
         )
     evals = np.clip(evals, 0.0, None)
-    # a pivoting stopped short leaves a null space of the n x n Gram unseen
-    min_eval = float(evals[0]) if len(evals) == n else 0.0
+    # Lt has fewer than n rows: the Gram's null space is not seen
+    min_eval = float(evals[0]) if Lt is None else 0.0
     D = residual_matrix(train)
     if train.mode == TOP_LABEL:
         # D D^T dies after one use; (Q^T D D^T) Q is Q^T @ D D^T @ Q's order
@@ -487,36 +496,45 @@ def kkr_prepare(train, gamma):
     # eigh's eigenvalues ascend, so the kept pairs are the last r
     cut = np.searchsorted(evals, n * np.finfo(float).eps * evals[-1], side="right")
     evals = evals[cut:]
-    Q = (Lt.T @ W[:, cut:]) / np.sqrt(evals)
+    if Lt is None:
+        Q = np.ascontiguousarray(W[:, cut:])
+    else:
+        Q = (Lt.T @ W[:, cut:]) / np.sqrt(evals)
+        # W's rounding, scaled by 1/sqrt(l), leaves Q^T Q - I near
+        # eps l_max / l_min; one Newton-Schulz step squares that away
+        Q = Q @ (1.5 * np.eye(evals.size) - 0.5 * (Q.T @ Q))
     V = Q.T @ D
     return Spectrum(X, float(gamma), train.mode, Q, evals, V @ V.T, V, min_eval)
 
 
 def _pivoted_cholesky(G):
-    """The (k, n) greedy pivoted Cholesky factor Lt of a PSD G, G ~ Lt^T Lt.
+    """The (k, n) greedy pivoted Cholesky factor Lt of a PSD G, G ~ Lt^T Lt,
+    or None once it would take more than PIVOT_SHARE n rows.
 
     Each step pivots on the largest diagonal entry of the residual
-    G - Lt^T Lt, and the loop stops once that entry is at most
-    n eps max(diag G), the tolerance of np.linalg.pinv's rank rule, or after
-    n steps. The residual is never formed: a step takes the pivot's row of G
-    less its row of Lt^T Lt, in O(k n), and updates the residual diagonal.
-    See Chen, Epperly, Tropp and Webber, arXiv:2207.06503, for the greedy
-    rule and its randomized relative.
+    G - Lt^T Lt, and the factor is done once that entry is at most
+    n eps max(diag G), the tolerance of np.linalg.pinv's rank rule. The
+    residual is never formed: a step takes the pivot's row of G less its
+    row of Lt^T Lt, in O(k n), and updates the residual diagonal. See Chen,
+    Epperly, Tropp and Webber, arXiv:2207.06503, for the greedy rule and its
+    randomized relative.
     """
     n = len(G)
     resid = G.diagonal().copy()
     tol = n * np.finfo(float).eps * resid.max()
-    Lt = np.empty((n, n))
+    k_max = int(PIVOT_SHARE * n)
+    Lt = np.empty((k_max, n))
     k = 0
-    while k < n:
+    while True:
         i = int(resid.argmax())
         if resid[i] <= tol:
-            break
+            return Lt[:k]
+        if k == k_max:
+            return None
         row = np.subtract(G[i], Lt[:k, i] @ Lt[:k], out=Lt[k])
         row /= math.sqrt(resid[i])
         resid -= row * row
         k += 1
-    return Lt[:k]
 
 
 def _check_kkr(spec, lam):

@@ -852,7 +852,8 @@ class TestSharedSpectra:
         if mode == "tce":
             assert eigh_calls == [(96, 96)] * 5
         else:
-            # a canonical fold decomposes its (k, k) pivoted Cholesky product
+            # a canonical fold decomposes its (k, k) pivoted Cholesky product,
+            # or its (n, n) Gram when that factor needs over PIVOT_SHARE n rows
             assert len(eigh_calls) == 5
             assert all(s[0] == s[1] <= 96 for s in eigh_calls)
 

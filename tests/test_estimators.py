@@ -982,41 +982,94 @@ class TestTruncatedSpectrum:
 
 
 def d10_fold():
-    """200 canonical rows, d = 10, from the benchmark's classifier
-    (model_temp 1/0.3): a Gram of numerical rank 123."""
-    return simulate(SimConfig(n=200, d=10, model_temp=1 / 0.3, seed=5)).dataset
+    """300 canonical training rows, d = 10, from the benchmark's classifier
+    (model_temp 1/0.3), whose Gram has numerical rank 164 and a pivoted
+    Cholesky factor of 181 rows, and 50 evaluation rows."""
+    ds = simulate(SimConfig(n=350, d=10, model_temp=1 / 0.3, seed=5)).dataset
+    return ds.subset(np.arange(300)), ds.probs[300:]
+
+
+def orthonormal_pivoted_spectrum(train, gamma=0.5):
+    """The kept eigenpairs of Lt^T Lt for `kkr_prepare`'s pivoted Cholesky
+    factor Lt, with exactly orthonormal eigenvectors: Lt^T = Q_y R by QR,
+    then the eigh of R R^T, cut by the same pinv rule."""
+    n = len(train)
+    Lt = estimators._pivoted_cholesky(rbf_gram(train.probs, train.probs, gamma))
+    Qy, R = np.linalg.qr(Lt.T)
+    evals, U = np.linalg.eigh(R @ R.T)
+    cut = np.searchsorted(evals, n * np.finfo(float).eps * evals[-1], side="right")
+    return evals[cut:], Qy @ U[:, cut:]
 
 
 class TestPivotedSpectrum:
-    """A canonical spectrum is the (k, k) eigh of a pivoted Cholesky factor;
-    it keeps what the full (n, n) eigh keeps, to the rank rule's scale."""
+    """A canonical spectrum is the (k, k) eigh of a pivoted Cholesky factor
+    of k <= PIVOT_SHARE n rows, else the (n, n) eigh of the Gram; it keeps
+    what the full (n, n) eigh keeps, to the rank rule's scale."""
 
     @pytest.mark.parametrize("case", ["d10", "duplicated", "full-rank"])
     def test_matches_the_full_eigh(self, case):
-        train = {"d10": d10_fold, "duplicated": duplicated_canonical,
+        train = {"d10": lambda: d10_fold()[0], "duplicated": duplicated_canonical,
                  "full-rank": lambda: full_rank_canonical(np.random.default_rng(26))}[case]()
         spec = kkr_prepare(train, 0.5)
         evals, _, _ = full_spectrum(train)
         n, r = len(train), pinv_rank(evals)
         tol = n * np.finfo(float).eps * evals.max()
         assert spec.evals.size == r and (r < n) == (case != "full-rank")
-        np.testing.assert_allclose(spec.evals, evals[n - r:], rtol=0, atol=tol)
         if case == "full-rank":
-            # k = n pivots: the (k, k) eigh sees the whole spectrum
-            assert abs(spec.min_eval - evals.min()) <= tol
-            assert spec.min_eval > estimators.SINGULAR_TOL
-        else:
-            assert spec.min_eval == 0.0
+            # pivoting gives up past PIVOT_SHARE n rows: the Gram's own eigh
+            np.testing.assert_array_equal(spec.evals, evals)
+            assert spec.min_eval == evals.min() > estimators.SINGULAR_TOL
+            return
+        np.testing.assert_allclose(spec.evals, evals[n - r:], rtol=0, atol=tol)
+        assert spec.min_eval == 0.0
         # each residual diagonal left is at most tol and each cut eigenvalue
         # at most n eps l_max, so no Gram entry moves by much more than n tol
         G = rbf_gram(train.probs, train.probs, 0.5)
         assert np.abs(G - (spec.Q * spec.evals) @ spec.Q.T).max() <= n * tol
+        # 1.5e-5 on the d10 fold, 4.5e-3 without kkr_prepare's Newton-Schulz step
+        assert np.abs(spec.Q.T @ spec.Q - np.eye(r)).max() <= 1e-3
 
-    def test_the_only_eigh_is_smaller_than_the_gram(self, eigh_calls):
-        train, _ = rank_deficient_fold()
+    @pytest.mark.parametrize("case", ["rank-deficient", "full-rank"])
+    def test_the_path_follows_the_pivot_count(self, eigh_calls, case):
+        if case == "full-rank":
+            train = full_rank_canonical(np.random.default_rng(26))
+        else:
+            train, _ = rank_deficient_fold()
         spec = kkr_prepare(train, 0.5)
+        n = len(train)
         [(k, k2)] = eigh_calls
-        assert k == k2 and spec.evals.size <= k < len(train)
+        assert k == k2
+        if case == "full-rank":
+            assert k == n
+        else:
+            # the only eigh is of the (k, k) Lt Lt^T
+            assert spec.evals.size <= k <= estimators.PIVOT_SHARE * n < n
+
+    @pytest.mark.parametrize("fold", ["rank-deficient", "d10"])
+    @pytest.mark.parametrize("family, fit, rtol", [
+        # measured worst, relative to the oracle's largest |H|, over the d10
+        # folds of seeds 3-10 that pivot (all but 7) at 1 and 2 threads:
+        # 5.3e-8 (kkr) and 3.0e-10 (ukkr); without the Newton-Schulz step,
+        # 7.9e-7 and 4.5e-9
+        ("kkr", fit_kkr, 1e-6),
+        ("ukkr", fit_ukkr, 1e-9),
+    ], ids=["kkr", "ukkr"])
+    def test_predictions_match_an_orthonormal_basis(self, family, fit, rtol, fold):
+        train, P = d10_fold() if fold == "d10" else rank_deficient_fold()
+        spec = kkr_prepare(train, 0.5)
+        evals, Q = orthonormal_pivoted_spectrum(train)
+        assert evals.size == spec.evals.size
+        n = len(train)
+        B = Q.T @ rbf_gram(train.probs, P, 0.5)
+        V = Q.T @ residual_matrix(train)
+        for lam in default_grid(family, train.mode, n):
+            if family == "kkr":
+                core = (V @ V.T) / (np.outer(evals, evals) + lam * n * n)
+            else:
+                core = (V @ V.T) / np.outer(evals + lam * n, evals + lam * n)
+            H0 = B.T @ core @ B
+            F, R = fit(spec, lam).factors(P)
+            assert np.abs(F @ R.T - H0).max() <= rtol * np.abs(H0).max(), lam
 
     def test_fitted_ukkr_factors_have_r_columns(self):
         train, P = rank_deficient_fold()
