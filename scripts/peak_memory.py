@@ -14,6 +14,8 @@ by nesting:
   cross_validate FAMILY                        grid search and refits (bin15
                                                shows as bin)
     kkr_prepare                                one fold's Gram spectrum
+      _pivoted_cholesky                        its pivoted Cholesky factor
+                                               (canonical data only)
   final_estimate FAMILY                        the test-set estimate
   write_report                                 the report on disk
 
@@ -54,7 +56,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import run  # noqa: E402
 
-from calrisk import cli, pipeline  # noqa: E402
+from calrisk import cli, estimators, pipeline  # noqa: E402
 
 MB = 2.0 ** 20
 PAGE = os.sysconf("SC_PAGE_SIZE")
@@ -131,6 +133,7 @@ def main(argv=None):
     for name in ("split_dataset", "kfold_splits", "cross_validate", "final_estimate",
                  "kkr_prepare"):
         meter.wrap(pipeline, name)
+    meter.wrap(estimators, "_pivoted_cholesky")
     with tempfile.TemporaryDirectory(prefix="peak-memory-") as tmp:
         workdir = Path(tmp)
         prep = run.prepare(args.workload, args.instance, workdir)

@@ -20,10 +20,11 @@ of the evaluation rows, so F = B^T and R = (core B)^T (`kkr_factors`). Both
 fit from a training Gram's `Spectrum` alone (`kkr_prepare`), and a fitted
 model is `(spectrum, lam)`: its core is built inside `factors`. On
 canonical data the spectrum keeps only the Gram's r numerically nonzero
-eigenpairs (np.linalg.pinv's rank rule), from a pivoted Cholesky factor
-when the Gram's numerical rank is well below n, so both cores are (r, r)
-and both bases (r, m); top-label spectra are the Gram's full `eigh`, all
-n pairs kept (see `kkr_prepare`).
+eigenpairs (np.linalg.pinv's rank rule), so both cores are (r, r) and
+both bases (r, m). When the Gram's numerical rank is well below n they
+come from a pivoted Cholesky factor built from the Gram rows it pivots
+on, and no (n, n) array is formed; top-label spectra are the Gram's full
+`eigh`, all n pairs kept (see `kkr_prepare`).
 
 ukkr's cross-validation is factored (`ukkr_cv_features`): it only ranks a
 lambda grid, and the factored and dense holdout risks agree to rounding.
@@ -67,10 +68,14 @@ DEAD_CUTOFF = -746.0
 # cores with OpenBLAS (BENCH_kde_blocks.json; re-swept: BENCH_kde_fused.json)
 KDE_BLOCK_BYTES = 512 * 1024
 # a canonical Gram whose pivoted Cholesky factor needs more rows than this
-# share of n is decomposed whole: at n = 768 on 2 cores the pivot loop,
-# Lt Lt^T and the (k, k) eigh together cost as much as the (n, n) eigh at
-# about 0.7 n rows (BENCH_cce_pivoted.json)
+# share of n is formed and decomposed whole: at n = 768 on 2 cores the
+# blocked factor, Lt Lt^T, the (k, k) eigh and Q together cost as much as
+# the Gram and its (n, n) eigh at 0.70-0.76 n rows (BENCH_cce_rows.json)
 PIVOT_SHARE = 2 / 3
+# candidate pivots per block of `_pivoted_cholesky`. Of 16 to 256, 32-128
+# ran kkr_prepare over five cce-d10 folds fastest on 2 cores with OpenBLAS,
+# 16 and 192-256 5-15% slower (BENCH_cce_rows.json)
+PIVOT_BLOCK = 64
 
 
 def _lgamma(x):
@@ -409,10 +414,11 @@ class Spectrum:
     `min_eval` is the smallest clipped eigenvalue of the whole spectrum,
     kept or not, by which `_check_kkr` and `_ukkr_shift` refuse a singular
     solve. A canonical spectrum from a pivoted Cholesky factor (see
-    `kkr_prepare`) has fewer than n factor rows, so the Gram's null space
-    is not seen and `min_eval` is 0.0. Its Q is orthonormal to about
-    (eps l_max / l_min)^2, max |Q^T Q - I| 1.4e-6 on a 768-row cce-d10
-    fold, and Q diag(evals) Q^T is the factor's Gram Lt^T Lt to rounding.
+    `kkr_prepare`) has fewer than n factor rows and is built without the
+    (n, n) Gram, so the Gram's null space is not seen and `min_eval` is
+    0.0. Its Q is orthonormal to about (eps l_max / l_min)^2, max
+    |Q^T Q - I| 1.4e-6 on a 768-row cce-d10 fold, and Q diag(evals) Q^T
+    is the factor's Gram Lt^T Lt to rounding.
     Every lambda of either family, and its refit, needs only these.
     """
 
@@ -466,21 +472,27 @@ def kkr_prepare(train, gamma):
     rank rule of np.linalg.pinv: the rest are rounding noise, and every kkr
     and ukkr product then works on (n, r) and (r, r) operands. It is cheap
     when the Gram's numerical rank is well below n: `_pivoted_cholesky`
-    gives a (k, n) factor Lt, G ~ Lt^T Lt, and the `eigh` of the (k, k)
-    Lt Lt^T = W diag(l) W^T, whose nonzero eigenvalues are those of
-    Lt^T Lt, gives Q = Lt^T W / sqrt(l), then one Newton-Schulz step
-    toward orthonormal columns. On the benchmark's cce-d10 folds r is
-    about 280 and k/n 0.42-0.49 of 768 rows. A Gram whose factor would
-    need more than PIVOT_SHARE n rows is decomposed whole, then cut.
+    gives a (k, n) factor Lt, G ~ Lt^T Lt, from the k Gram rows it pivots
+    on, and the `eigh` of the (k, k) Lt Lt^T = W diag(l) W^T, whose nonzero
+    eigenvalues are those of Lt^T Lt, gives Q = Lt^T W / sqrt(l), then one
+    Newton-Schulz step toward orthonormal columns. Q^T is written over Lt's
+    own rows, so this route holds no (n, n) array. On the benchmark's
+    cce-d10 folds r is about 280 and k/n 0.42-0.49 of 768 rows, and the
+    traced peak is 0.84-1.00 n^2 floats (2.04-2.15 n^2 with the Gram
+    formed). A Gram whose factor would need more than PIVOT_SHARE n rows
+    is formed and decomposed whole, then cut.
     """
     X = train.probs
     n = len(X)
-    G = rbf_gram(X, X, gamma)
-    Lt = _pivoted_cholesky(G) if train.mode == CANONICAL else None
-    # W: the eigenvectors of the matrix decomposed, Q itself when Lt is None
-    evals, W = np.linalg.eigh(G if Lt is None else Lt @ Lt.T)
-    # the (n, n) Gram dies before D D^T is formed, as the peak RSS needs
-    del G
+    Lt = _pivoted_cholesky(X, gamma) if train.mode == CANONICAL else None
+    if Lt is None:
+        G = rbf_gram(X, X, gamma)
+        # W: the eigenvectors of the matrix decomposed, Q itself here
+        evals, W = np.linalg.eigh(G)
+        # the (n, n) Gram dies before D D^T is formed, as the peak RSS needs
+        del G
+    else:
+        evals, W = np.linalg.eigh(Lt @ Lt.T)
     if evals.min() < EIG_FLOOR:
         raise NumericError(
             f"Gram matrix eigenvalue {evals.min()} below {EIG_FLOOR}"
@@ -499,41 +511,83 @@ def kkr_prepare(train, gamma):
     if Lt is None:
         Q = np.ascontiguousarray(W[:, cut:])
     else:
-        Q = (Lt.T @ W[:, cut:]) / np.sqrt(evals)
+        r = evals.size
+        U = W[:, cut:]
+        U /= np.sqrt(evals)
+        del W
+        # Q^T = U^T Lt is written over Lt's first r rows, a quarter of the
+        # columns at a time, so beside the factor Q needs a quarter of its size
+        width = -(-n // 4)
+        for c in range(0, n, width):
+            Lt[:r, c:c + width] = U.T @ Lt[:, c:c + width]
+        del U
+        Lt.resize((r, n), refcheck=False)
         # W's rounding, scaled by 1/sqrt(l), leaves Q^T Q - I near
         # eps l_max / l_min; one Newton-Schulz step squares that away
-        Q = Q @ (1.5 * np.eye(evals.size) - 0.5 * (Q.T @ Q))
+        step = Lt @ Lt.T
+        step *= -0.5
+        step.flat[:: r + 1] += 1.5
+        Q = Lt.T @ step
+        # Q^T dies before V V^T is formed, as the peak memory needs
+        del Lt
     V = Q.T @ D
     return Spectrum(X, float(gamma), train.mode, Q, evals, V @ V.T, V, min_eval)
 
 
-def _pivoted_cholesky(G):
-    """The (k, n) greedy pivoted Cholesky factor Lt of a PSD G, G ~ Lt^T Lt,
-    or None once it would take more than PIVOT_SHARE n rows.
+def _pivoted_cholesky(X, gamma):
+    """The (k, n) greedy pivoted Cholesky factor Lt of the RBF Gram G of
+    the rows X at `gamma`, G ~ Lt^T Lt, or None once it would take more
+    than PIVOT_SHARE n rows. G is never formed: only the rows of candidate
+    pivots are, PIVOT_BLOCK at a time.
 
     Each step pivots on the largest diagonal entry of the residual
     G - Lt^T Lt, and the factor is done once that entry is at most
-    n eps max(diag G), the tolerance of np.linalg.pinv's rank rule. The
-    residual is never formed: a step takes the pivot's row of G less its
-    row of Lt^T Lt, in O(k n), and updates the residual diagonal. See Chen,
-    Epperly, Tropp and Webber, arXiv:2207.06503, for the greedy rule and its
-    randomized relative.
+    n eps max(diag G), the tolerance of np.linalg.pinv's rank rule; the RBF
+    diagonal is exactly 1. The residual is never formed either. A block
+    takes the PIVOT_BLOCK largest residual diagonals as candidates, computes
+    their Gram rows with one `rbf_gram` and takes off the factor so far with
+    one product, Lt[:, S]^T Lt. It then pivots while the residual's global
+    argmax is a candidate not yet taken: that candidate's row less its part
+    from the pivots taken in this block is the factor's next row, and the
+    residual diagonal is updated. When the argmax is not a candidate, a new
+    block starts. So the pivots are those of one pivot at a time, the rule
+    of Chen, Epperly, Tropp and Webber, arXiv:2207.06503, whose blocked and
+    randomized relatives take a block's pivots at once.
+    Lt grows by one block's rows at a time with `ndarray.resize`, a realloc
+    that never holds two copies of the factor in numpy's traced memory; no
+    view of Lt outlives a statement, so its refcheck is not needed.
     """
-    n = len(G)
-    resid = G.diagonal().copy()
-    tol = n * np.finfo(float).eps * resid.max()
+    n = len(X)
+    resid = np.ones(n)
+    tol = n * np.finfo(float).eps
     k_max = int(PIVOT_SHARE * n)
-    Lt = np.empty((k_max, n))
-    k = 0
+    size = min(PIVOT_BLOCK, n)
+    # each candidate's row in `rows`, -1 for rows not in the block or taken
+    slot = np.full(n, -1)
+    Lt = np.empty((0, n))
+    k = start = 0
     while True:
         i = int(resid.argmax())
         if resid[i] <= tol:
-            return Lt[:k]
+            Lt.resize((k, n), refcheck=False)
+            return Lt
         if k == k_max:
             return None
-        row = np.subtract(G[i], Lt[:k, i] @ Lt[:k], out=Lt[k])
-        row /= math.sqrt(resid[i])
-        resid -= row * row
+        if slot[i] < 0:
+            slot[:] = -1
+            S = np.argpartition(resid, n - size)[n - size:]
+            # a tie at the top can leave i out; S[0] is the smallest candidate
+            if not (S == i).any():
+                S[0] = i
+            slot[S] = np.arange(S.size)
+            rows = rbf_gram(X[S], X, gamma)
+            rows -= Lt[:k, S].T @ Lt[:k]
+            Lt.resize((min(k + S.size, k_max), n), refcheck=False)
+            start = k
+        np.subtract(rows[slot[i]], Lt[start:k, i] @ Lt[start:k], out=Lt[k])
+        slot[i] = -1
+        Lt[k] /= math.sqrt(resid[i])
+        resid -= Lt[k] * Lt[k]
         k += 1
 
 

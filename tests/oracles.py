@@ -102,6 +102,31 @@ def eval_kkr_naive(train, lam, gamma, p, p2):
     return float(G.reshape(-1) @ sol)
 
 
+def pivoted_cholesky(G):
+    """The (k, n) greedy pivoted Cholesky factor Lt of a PSD matrix G,
+    G ~ Lt^T Lt, one pivot at a time from the whole of G.
+
+    Each step pivots on the largest diagonal entry of the residual
+    G - Lt^T Lt and takes the pivot's row of G less its row of Lt^T Lt; the
+    factor is done once that entry is at most n eps max(diag G). This is
+    the unblocked loop that `estimators._pivoted_cholesky` takes in blocks
+    of Gram rows, without its give-up past PIVOT_SHARE n rows.
+    """
+    n = len(G)
+    resid = G.diagonal().copy()
+    tol = n * np.finfo(float).eps * resid.max()
+    Lt = np.empty((n, n))
+    k = 0
+    while True:
+        i = int(resid.argmax())
+        if resid[i] <= tol or k == n:
+            return Lt[:k]
+        row = np.subtract(G[i], Lt[:k, i] @ Lt[:k], out=Lt[k])
+        row /= np.sqrt(resid[i])
+        resid -= row * row
+        k += 1
+
+
 def top_label(probs, label):
     """(top confidence, correctness); argmax ties break to the lowest index."""
     idx = int(np.argmax(probs))

@@ -1,4 +1,9 @@
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,10 +52,13 @@ from calrisk.sim import SimConfig, SimModel, simulate
 from oracles import (
     dirichlet_kernel,
     eval_kkr_naive,
+    pivoted_cholesky,
     random_canonical,
     random_top_label,
     rbf_kernel,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # the final estimate averages `diag` while cross-validation scores
@@ -994,7 +1002,7 @@ def orthonormal_pivoted_spectrum(train, gamma=0.5):
     factor Lt, with exactly orthonormal eigenvectors: Lt^T = Q_y R by QR,
     then the eigh of R R^T, cut by the same pinv rule."""
     n = len(train)
-    Lt = estimators._pivoted_cholesky(rbf_gram(train.probs, train.probs, gamma))
+    Lt = estimators._pivoted_cholesky(train.probs, gamma)
     Qy, R = np.linalg.qr(Lt.T)
     evals, U = np.linalg.eigh(R @ R.T)
     cut = np.searchsorted(evals, n * np.finfo(float).eps * evals[-1], side="right")
@@ -1028,6 +1036,69 @@ class TestPivotedSpectrum:
         assert np.abs(G - (spec.Q * spec.evals) @ spec.Q.T).max() <= n * tol
         # 1.5e-5 on the d10 fold, 4.5e-3 without kkr_prepare's Newton-Schulz step
         assert np.abs(spec.Q.T @ spec.Q - np.eye(r)).max() <= 1e-3
+
+    @pytest.mark.parametrize("case, blocks, lead_rows", [
+        # 181 pivots of 300 rows
+        ("d10", "several", 76),
+        # 16 rows, fewer than PIVOT_BLOCK: one block holds every candidate
+        ("duplicated", "one", 6),
+    ])
+    def test_factor_matches_the_unblocked_oracle(self, monkeypatch, case, blocks, lead_rows):
+        train = d10_fold()[0] if case == "d10" else duplicated_canonical()
+        X, n = train.probs, len(train)
+        grams = []
+        monkeypatch.setattr(estimators, "rbf_gram",
+                            lambda A, B, gamma: grams.append(len(A)) or rbf_gram(A, B, gamma))
+        Lt = estimators._pivoted_cholesky(X, 0.5)
+        # the RBF diagonal is exactly 1, as the blocked factor takes it
+        G = rbf_gram(X, X, 0.5)
+        np.fill_diagonal(G, 1.0)
+        Lt0 = pivoted_cholesky(G)
+        assert Lt.shape == Lt0.shape and len(Lt) <= estimators.PIVOT_SHARE * n
+        assert (len(grams) > 1) == (blocks == "several")
+        assert all(m <= estimators.PIVOT_BLOCK for m in grams)
+        # the rows pivoting on a residual of at least 1e-4 agree to 8.7e-14:
+        # the same pivots in the same order. Later rows carry the rounding
+        # of the rows before, divided by the square root of a residual down
+        # to n eps; there a near tie can pick another pivot (1 of 181 on the
+        # d10 fold), and entries move by up to 2.6e-9
+        lead = np.abs(Lt0).max(axis=1) >= 1e-2
+        assert lead.sum() == lead_rows
+        assert np.abs(Lt[lead] - Lt0[lead]).max() <= 1e-12
+        # both factors give the same Gram: 2.3e-15 on the d10 fold
+        assert np.abs(Lt.T @ Lt - Lt0.T @ Lt0).max() <= 1e-12
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_factor_matches_the_oracle_at_each_blas_thread_count(self, threads):
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", **{
+            var: str(threads)
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+        test = f"{Path(__file__).name}::TestPivotedSpectrum::test_factor_matches_the_unblocked_oracle"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"tests/{test}"],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stdout[-2000:]
+        assert "2 passed" in proc.stdout
+
+    def test_peak_memory_is_below_one_gram(self):
+        """On a rank-deficient canonical fold the size of the benchmark's,
+        kkr_prepare holds less than one (n, n) array of floats at its peak:
+        it forms no Gram, and its factor grows without a copy."""
+        train = simulate(SimConfig(n=768, d=10, model_temp=1 / 0.3, seed=5)).dataset
+        n = len(train)
+        # a first call, so that no first-use allocation is counted
+        kkr_prepare(train, 0.5)
+        tracemalloc.start()
+        try:
+            spec = kkr_prepare(train, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spec.evals.size < n
+        # 0.89 n^2 floats: the factor Lt (0.45 n^2), with (k, k) Lt Lt^T and
+        # its eigenvectors at the eigh, and with Q^T, Q and the Newton-Schulz
+        # step after it. Forming the Gram first read 2.07 n^2
+        assert peak < n * n * 8
 
     @pytest.mark.parametrize("case", ["rank-deficient", "full-rank"])
     def test_the_path_follows_the_pivot_count(self, eigh_calls, case):
